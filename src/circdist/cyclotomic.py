@@ -1,14 +1,17 @@
 """Exact arithmetic in the tower of cyclotomic fields Q(zeta_n).
 
-Elements are dense rational coefficient vectors on the power basis
+Elements are rational coefficient vectors on the power basis
 1, z, ..., z^(phi(n)-1) of Q(zeta_n), reduced modulo the n-th cyclotomic
-polynomial.  The compatible-system convention is zeta_(mn)^m = zeta_n, so
-coercion up a level sends z_n^i to z_m^((m/n) i) and coercion down verifies
-subfield membership exactly instead of assuming it.
+polynomial, and stored as integer numerators over one positive common
+denominator that shares no factor with all of them.  The compatible-system
+convention is zeta_(mn)^m = zeta_n, so coercion up a level sends z_n^i to
+z_m^((m/n) i) and coercion down verifies subfield membership exactly instead
+of assuming it.
 
-Heavy products go through integer convolution (common denominators are
-cleared first), and exponent folding uses z^n = 1 before the table reduction
-against Phi_n, so levels in the several hundreds stay cheap.
+Products are one integer convolution of the numerators.  Reduction folds
+exponents with z^n = 1 and then divides by Phi_n using only its nonzero
+coefficients (a handful even at levels in the thousands), so levels in the
+several hundreds stay cheap.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from . import polys
+from . import intlinalg, polys
 from .intlinalg import gauss_solve
 
 
@@ -34,41 +37,24 @@ class PrecisionError(ArithmeticError):
 
 @lru_cache(maxsize=None)
 class _LevelCtx:
-    """Per-level tables: cyclotomic polynomial and power-reduction rows."""
+    """Per-level data: the cyclotomic polynomial and its sparse lower terms."""
 
     def __init__(self, n):
         self.n = n
         self.phi_poly = polys.cyclotomic_polynomial(n)
         self.degree = len(self.phi_poly) - 1
-        red = {}
-        if self.degree < n:
-            row = [-c for c in self.phi_poly[:-1]]
-            red[self.degree] = tuple(row)
-            for j in range(self.degree + 1, n):
-                top = row[-1]
-                row = [0] + row[:-1]
-                if top:
-                    for i in range(self.degree):
-                        row[i] -= top * self.phi_poly[i]
-                red[j] = tuple(row)
-        self.reduction = red
+        self.phi_terms = polys.monic_lower_terms(self.phi_poly)
         self._pi_inverse = None
 
     def reduce_int_vec(self, vec):
         """Reduce an integer coefficient vector of any length mod Phi_n."""
-        n, deg = self.n, self.degree
-        folded = [0] * min(len(vec), n)
-        for j, c in enumerate(vec):
-            if c:
-                folded[j % n] += c
-        out = folded[:deg] + [0] * (deg - len(folded))
-        for j in range(deg, len(folded)):
-            c = folded[j]
-            if c:
-                row = self.reduction[j]
-                for i in range(deg):
-                    out[i] += c * row[i]
-        return out
+        n = self.n
+        folded = list(vec[:n])
+        for start in range(n, len(vec), n):
+            for i, c in enumerate(vec[start:start + n]):
+                if c:
+                    folded[i] += c
+        return polys.int_rem_monic(folded, self.degree, self.phi_terms)
 
 
 def euler_phi(n):
@@ -81,25 +67,75 @@ def cyclotomic_polynomial_coeffs(n):
     return polys.cyclotomic_polynomial(n)
 
 
-def _clear_denominators(coeffs):
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    return [int(c * den) for c in coeffs], den
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
+def _fill(x, level, nums, den):
+    _set(x, "level", level)
+    _set(x, "nums", tuple(nums))
+    _set(x, "den", den)
+    _set(x, "_coeffs", None)
+    return x
+
+
 class CycElt:
-    """Element of Q(zeta_level) on the power basis; immutable value."""
+    """Element of Q(zeta_level) on the power basis; immutable value.
 
-    level: int
-    coeffs: tuple
+    ``CycElt(level, coeffs)`` takes the phi(level) rational coefficients.
+    The value is held as ``nums`` (a tuple of integers) over ``den`` (a
+    positive integer with gcd(den, *nums) = 1); ``coeffs`` is the tuple of
+    Fractions nums[i] / den, built on first use.
+    """
 
-    def __post_init__(self):
-        if self.level < 1:
+    __slots__ = ("level", "nums", "den", "_coeffs")
+
+    def __init__(self, level, coeffs):
+        if level < 1:
             raise LevelError("level must be >= 1")
-        if len(self.coeffs) != euler_phi(self.level):
+        coeffs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c)
+                       for c in coeffs)
+        if len(coeffs) != euler_phi(level):
             raise ValueError("coefficient vector has wrong length")
+        # the lcm of reduced denominators shares no factor with all numerators
+        den = lcm(*(c.denominator for c in coeffs))
+        _fill(self, level, [c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    @classmethod
+    def _from_ints(cls, level, nums, den=1):
+        """Element nums / den (den > 0, len(nums) = phi(level)), normalized."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
+        return _fill(object.__new__(cls), level, nums, den)
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            den = self.den
+            _set(self, "_coeffs", tuple(Fraction(c, den) for c in self.nums))
+        return self._coeffs
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CycElt is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, CycElt):
+            return NotImplemented
+        return (self.level == other.level and self.den == other.den
+                and self.nums == other.nums)
+
+    def __hash__(self):
+        return hash((self.level, self.nums, self.den))
+
+    def __repr__(self):
+        return "CycElt(level=%d, coeffs=%r)" % (self.level, self.coeffs)
+
+    def __reduce__(self):
+        return (CycElt, (self.level, self.coeffs))
 
     # -- ring operations ---------------------------------------------------
 
@@ -110,29 +146,33 @@ class CycElt:
             raise LevelError("level mismatch: %d vs %d" % (self.level, other.level))
         return other
 
-    def __add__(self, other):
+    def _add(self, other, sign):
         other = self._binop_check(other)
-        return CycElt(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        d = lcm(self.den, other.den)
+        fa, fb = d // self.den, sign * (d // other.den)
+        nums = [a * fa + b * fb for a, b in zip(self.nums, other.nums)]
+        return CycElt._from_ints(self.level, nums, d)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        other = self._binop_check(other)
-        return CycElt(self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._add(other, -1)
 
     def __neg__(self):
-        return CycElt(self.level, tuple(-a for a in self.coeffs))
+        return CycElt._from_ints(self.level, [-a for a in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CycElt(self.level, tuple(a * q for a in self.coeffs))
+            return CycElt._from_ints(self.level,
+                                     [a * q.numerator for a in self.nums],
+                                     self.den * q.denominator)
         other = self._binop_check(other)
-        ctx = _LevelCtx(self.level)
-        na, da = _clear_denominators(self.coeffs)
-        nb, db = _clear_denominators(other.coeffs)
-        prod = polys.int_poly_mul(na, nb)
-        red = ctx.reduce_int_vec(prod)
-        d = da * db
-        return CycElt(self.level, tuple(Fraction(c, d) for c in red))
+        prod = polys.int_poly_mul(self.nums, other.nums)
+        return CycElt._from_ints(self.level,
+                                 _LevelCtx(self.level).reduce_int_vec(prod),
+                                 self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -150,24 +190,22 @@ class CycElt:
         return result
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def denominator_lcm(self):
-        d = 1
-        for c in self.coeffs:
-            d = lcm(d, c.denominator)
-        return d
+        return self.den
 
     def is_integral(self):
-        return self.denominator_lcm() == 1
+        return self.den == 1
 
 
 def from_rational(n, q):
     q = Fraction(q)
-    return CycElt(n, (q,) + (Fraction(0),) * (euler_phi(n) - 1))
+    return CycElt._from_ints(n, [q.numerator] + [0] * (euler_phi(n) - 1),
+                             q.denominator)
 
 
 def one(n):
@@ -180,26 +218,13 @@ def zero(n):
 
 def zeta(n):
     """The distinguished primitive n-th root (exponent convention z_n)."""
-    ctx = _LevelCtx(n)
-    vec = [0] * euler_phi(n)
-    if 1 < ctx.degree or n == 1:
-        # z reduces to itself for degree > 1; level 1 has z = 1
-        if n == 1:
-            vec[0] = 1
-        else:
-            vec[1] = 1
-    else:
-        # degree 1 and n = 2: z = -1
-        vec = ctx.reduce_int_vec([0, 1])
-    return CycElt(n, tuple(Fraction(c) for c in vec))
+    return zeta_power(n, 1)
 
 
 def zeta_power(n, k):
-    ctx = _LevelCtx(n)
     vec = [0] * n
     vec[k % n] = 1
-    red = ctx.reduce_int_vec(vec)
-    return CycElt(n, tuple(Fraction(c) for c in red))
+    return CycElt._from_ints(n, _LevelCtx(n).reduce_int_vec(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +273,16 @@ def act(g, x):
         return x
     if gcd(a, n) != 1:
         raise ValueError("a = %d is not a unit mod %d" % (a, n))
-    nums, den = _clear_denominators(x.coeffs)
-    long = [0] * n
-    for i, c in enumerate(nums):
+    return _scatter(x, n, a)
+
+
+def _scatter(x, m, step):
+    """x with z^i sent to z_m^(step i), at level m."""
+    long = [0] * m
+    for i, c in enumerate(x.nums):
         if c:
-            long[(i * a) % n] += c
-    red = _LevelCtx(n).reduce_int_vec(long)
-    return CycElt(n, tuple(Fraction(c, den) for c in red))
+            long[(i * step) % m] += c
+    return CycElt._from_ints(m, _LevelCtx(m).reduce_int_vec(long), x.den)
 
 
 def inverse(x):
@@ -293,14 +321,7 @@ def raise_level(x, m):
         return x
     if m % n:
         raise LevelError("%d does not divide %d" % (n, m))
-    step = m // n
-    nums, den = _clear_denominators(x.coeffs)
-    long = [0] * m
-    for i, c in enumerate(nums):
-        if c:
-            long[(i * step) % m] += c
-    red = _LevelCtx(m).reduce_int_vec(long)
-    return CycElt(m, tuple(Fraction(c, den) for c in red))
+    return _scatter(x, m, m // n)
 
 
 def lower_level(x, n):
@@ -332,12 +353,15 @@ def lower_level(x, n):
                 dense.append((len(pairs) - 1, e))
     coeffs = {}
     if dense:
+        # power-basis coordinates of z_m^e for the exponents e >= phi(m)
+        reduced = {e: ctx.reduce_int_vec([0] * e + [1]) for _, e in dense}
         rows = []
         rhs = []
         free_coords = [k for k in range(phim) if k not in unit_of_coord]
-        assert len(free_coords) == len(dense)
+        if len(free_coords) != len(dense):
+            raise ArithmeticError("level-%d basis change is not square" % n)
         for k in free_coords:
-            rows.append([Fraction(ctx.reduction[e][k]) for _, e in dense])
+            rows.append([Fraction(reduced[e][k]) for _, e in dense])
             rhs.append(x.coeffs[k])
         sol = gauss_solve(rows, rhs)
         if sol is None:
@@ -349,7 +373,7 @@ def lower_level(x, n):
         for (didx, e) in dense:
             c = coeffs[didx]
             if c:
-                v -= c * ctx.reduction[e][k]
+                v -= c * reduced[e][k]
         coeffs[idx] = v
     out = [Fraction(0)] * phin
     for (j, i, _), idx in zip(pairs, range(len(pairs))):
@@ -395,20 +419,11 @@ def sigma_ell(ell, n):
     inv = pow(ell % m, -1, m)
     if q == 1:
         return GaloisElt(n, inv % n)
-    g, u, v = _xgcd(q, m)
-    assert g == 1
+    g, u, v = intlinalg.xgcd(q, m)
+    if g != 1:
+        raise ArithmeticError("ell-part %d and cofactor %d are not coprime" % (q, m))
     a = (1 * v * m + inv * u * q) % n
     return GaloisElt(n, a)
-
-
-def _xgcd(a, b):
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        qq = g // ng
-        x, nx = nx, x - qq * nx
-        y, ny = ny, y - qq * ny
-        g, ng = ng, g - qq * ng
-    return g, x, y
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +433,10 @@ def _xgcd(a, b):
 def reduce_mod_ell(x, ell):
     """Coefficient-wise reduction to F_ell[t]/(Phi_n mod ell); returns the
     little-endian coefficient list of the residue polynomial."""
-    for c in x.coeffs:
-        if c.denominator % ell == 0:
-            raise ValueError("coefficient denominator divisible by %d" % ell)
-    return polys.fp_trim([int(c.numerator * pow(c.denominator, -1, ell)) % ell
-                          for c in x.coeffs])
+    if x.den % ell == 0:
+        raise ValueError("coefficient denominator divisible by %d" % ell)
+    inv = pow(x.den, -1, ell)
+    return polys.fp_trim([c * inv % ell for c in x.nums])
 
 
 def vanishes_at_all_primes_above(x, ell):
@@ -470,12 +484,12 @@ def valuation_at_p(x, p):
     phi_mod = [c % p for c in ctx.phi_poly]
     v = 0
     while True:
-        nums = [int(c) for c in y.coeffs]
-        res = polys.fp_trim([c % p for c in nums])
+        res = polys.fp_trim([c % p for c in y.nums])
         if polys.fp_resultant(phi_mod, res, p) != 0:
             break
         y = y * ctx._pi_inverse
-        assert y.is_integral()
+        if not y.is_integral():
+            raise ArithmeticError("division by 1 - zeta left the integers")
         v += 1
     return v - euler_phi(n) * vden
 
@@ -524,7 +538,7 @@ def _float_embedding_values(x):
     import numpy as np
     n = x.level
     reps = plus_reps(n)
-    coeffs = np.array([float(c) for c in x.coeffs])
+    coeffs = np.array([c / x.den for c in x.nums])
     idx = np.arange(len(coeffs))
     vals = []
     for c in reps:
@@ -535,14 +549,18 @@ def _float_embedding_values(x):
 
 def _interval_embedding_sign(x, c, dps):
     from mpmath import iv
-    iv.dps = dps
     n = x.level
-    total = iv.mpf(0)
-    for i, co in enumerate(x.coeffs):
-        if co:
-            t = (2 * i * c) % (2 * n)
-            angle = iv.pi * t / n
-            total += (iv.mpf(co.numerator) / co.denominator) * iv.cos(angle)
+    saved = iv.prec              # the interval context has no workdps
+    iv.dps = dps
+    try:
+        total = iv.mpf(0)
+        for i, co in enumerate(x.coeffs):
+            if co:
+                t = (2 * i * c) % (2 * n)
+                angle = iv.pi * t / n
+                total += (iv.mpf(co.numerator) / co.denominator) * iv.cos(angle)
+    finally:
+        iv.prec = saved
     if total > 0:
         return 1
     if total < 0:

@@ -218,7 +218,7 @@ class RTower:
             parts.append((q, a % q if base % p == 0 else 1))
         x, mod = 0, 1
         for q, r in parts:
-            g, u, v = cyclotomic._xgcd(mod, q)
+            g, u, v = intlinalg.xgcd(mod, q)
             x = (x * v * q + r * u * mod) % (mod * q)
             mod *= q
         return x % target
@@ -383,43 +383,63 @@ def _eps(n):
     return eps_n(n)
 
 
+# A double-precision embedding value counts as read only when it exceeds its
+# rounding-error bound by this factor; the log then carries a relative error
+# below 2^-20, well inside what the denominator search tolerates.
+_FLOAT_MARGIN = 2.0 ** 20
+
+
 def _embedding_logs(u):
-    """log |u| at the real embeddings indexed by the plus representatives."""
+    """log u at the real embeddings indexed by the plus representatives.
+
+    The value at c, sum_i u_i cos(2 pi i c / n), is taken in double
+    precision on u / s (s the largest |u_i|), with rounding error below
+    about (phi + 2) 2^-52 sum_i |u_i / s|.  A value not far above that bound,
+    which includes every value that comes out non-positive, is re-evaluated
+    in mpmath: below double precision its sign and size are rounding noise.
+    """
     import numpy as np
     n = u.level
     reps = cyclotomic.plus_reps(n)
-    scale = max(abs(c) for c in u.coeffs)
-    coeffs = np.array([float(c / scale) for c in u.coeffs])
+    top = max(map(abs, u.nums))
+    scale = Fraction(top, u.den)
+    coeffs = np.array([c / top for c in u.nums])
     idx = np.arange(len(coeffs))
-    logs = []
     lscale = log(scale.numerator) - log(scale.denominator)
+    err = (len(coeffs) + 2) * 2.0 ** -52 * float(np.abs(coeffs).sum())
+    logs = []
     for c in reps:
         ang = 2.0 * np.pi * ((idx * c) % n) / n
         val = float(np.cos(ang) @ coeffs)
-        if val <= 0.0:
-            raise SolveError("embedding value is not positive at %d" % c)
-        logs.append(log(val) + lscale)
+        if val > _FLOAT_MARGIN * err:
+            logs.append(log(val) + lscale)
+        else:
+            logs.append(_embedding_log_mp(u, c))
     return reps, logs
 
 
-def _embedding_logs_mp(u, dps=80):
-    """High-precision fallback for embeddings too close to zero in floats."""
-    from mpmath import mp, mpf, cos, log as mlog, pi as mpi
-    if polys.euler_phi(u.level) > 256:
-        raise SolveError("embedding magnitudes out of float range at this level")
-    mp.dps = dps
+def _embedding_log_mp(u, c):
+    """log of the embedding of u at c in mpmath, at doubling precision until
+    the value stands above its error bound by double precision."""
+    from mpmath import cos, log as mlog, mp, mpf, pi as mpi
     n = u.level
-    reps = cyclotomic.plus_reps(n)
-    logs = []
-    for c in reps:
-        total = mpf(0)
-        for i, co in enumerate(u.coeffs):
-            if co:
-                total += (mpf(co.numerator) / co.denominator) * cos(2 * mpi * ((i * c) % n) / n)
-        if total <= 0:
-            raise SolveError("embedding value is not positive at %d" % c)
-        logs.append(float(mlog(total)))
-    return reps, logs
+    mag = sum(map(abs, u.nums))
+    dps = 40
+    while dps <= 640:
+        with mp.workdps(dps):
+            total = mpf(0)
+            for i, a in enumerate(u.nums):
+                if a:
+                    total += a * cos(2 * mpi * ((i * c) % n) / n)
+            # cos and its argument add a few ulps per term to the sum's own
+            # rounding; 32 covers them with room
+            err = (len(u.nums) + 32) * mag * mp.eps
+            if total < -err:
+                raise SolveError("embedding value is not positive at %d" % c)
+            if total > 2 ** 53 * err:
+                return float(mlog(total / u.den))
+        dps *= 2
+    raise SolveError("could not separate the embedding at %d from zero" % c)
 
 
 def _modular_power_check(u, d, pos, neg, n, prime):
@@ -429,12 +449,10 @@ def _modular_power_check(u, d, pos, neg, n, prime):
     deg = len(phi) - 1
 
     def to_fp(x):
-        out = []
-        for c in x.coeffs:
-            if c.denominator % prime == 0:
-                return None   # bad prime for this element; skip the prescreen
-            out.append(int(c.numerator * pow(c.denominator, -1, prime)) % prime)
-        return polys.fp_trim(out)
+        if x.den % prime == 0:
+            return None       # bad prime for this element; skip the prescreen
+        inv = pow(x.den, -1, prime)
+        return polys.fp_trim([c * inv % prime for c in x.nums])
 
     def galois_fp(poly, a):
         long = [0] * n
@@ -545,10 +563,7 @@ def solve_exponent(u, max_denominator=4096, check_positivity=True,
         if not ok:
             raise ValueError("element is not a unit (resp. p-unit) at level %d" % n)
     import numpy as np
-    try:
-        reps, logs = _embedding_logs(u)
-    except SolveError:
-        reps, logs = _embedding_logs_mp(u)
+    reps, logs = _embedding_logs(u)
     mu = len(reps)
     ell = {}
     from math import pi as PI, sin

@@ -310,6 +310,7 @@ def _subgroup_join(n, h, k):
     return frozenset(members)
 
 
+@lru_cache(maxsize=None)
 def idempotent_e_n(n):
     """The idempotent of Q[G_n^+] cutting out the span of eps_n: the product
     of (1 - e_D) over decomposition groups of the primes dividing n, plus the
@@ -319,7 +320,8 @@ def idempotent_e_n(n):
     acc = grelt(n, True, {})
     for h, c in sorted(_e_n_expansion(n).items(), key=lambda t: sorted(t[0])):
         acc = acc + e_subgroup(n, True, h) * c
-    assert acc * acc == acc, "e_n failed the idempotency check"
+    if acc * acc != acc:
+        raise ArithmeticError("e_n failed the idempotency check")
     return acc
 
 
@@ -435,16 +437,17 @@ def annihilator_In_oracle(n, max_phi=16):
     mu = len(reps)
     eps = eps_n(n)
     for dps in (60, 120, 240, 480):
-        mp.dps = dps
-        ell = {}
-        for d in reps:
-            ell[d] = 2 * log(2 * sin(pi * d / n))
-        rows = [[ell[canon_rep(c * g, n, True)] for g in reps] for c in reps]
-        kern = _mp_kernel(rows, mpf(10) ** (-dps // 2))
+        with mp.workdps(dps):
+            ell = {}
+            for d in reps:
+                ell[d] = 2 * log(2 * sin(pi * d / n))
+            rows = [[ell[canon_rep(c * g, n, True)] for g in reps] for c in reps]
+            kern = _mp_kernel(rows, mpf(10) ** (-dps // 2))
+            kern = [[float(v) for v in vec] for vec in kern]
         candidates = []
         ok = True
         for vec in kern:
-            fr = [Fraction(float(v)).limit_denominator(4096) for v in vec]
+            fr = [Fraction(v).limit_denominator(4096) for v in vec]
             den = 1
             for q in fr:
                 den = lcm(den, q.denominator)

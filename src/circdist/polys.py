@@ -1,9 +1,13 @@
 """Dense polynomial arithmetic over Z, Q and prime fields.
 
 Polynomials are little-endian coefficient lists ([] is the zero polynomial).
-Integer multiplication goes through Kronecker substitution (pack into one big
-integer, multiply, unpack) so that large cyclotomic levels stay fast; gmpy2
-provides the big-integer multiply when available.
+Integer multiplication goes through one signed Kronecker substitution: each
+operand is packed into one big integer by halving shifts, the two are
+multiplied once (by gmpy2 when it is installed, else by Python's int), and
+the product is unpacked with a 2^(w-1) offset per w-bit chunk so negative
+coefficients come out exactly.  Remainders modulo a monic polynomial touch
+only its nonzero coefficients, which keeps reduction modulo a cyclotomic
+polynomial cheap.
 
 Also here: cyclotomic polynomials (with the radical shortcut
 Phi_n(x) = Phi_rad(n)(x^(n/rad)) so only squarefree levels recurse), mod-l
@@ -17,7 +21,7 @@ from math import gcd, isqrt
 
 try:
     from gmpy2 import mpz
-except ImportError:          # pragma: no cover - gmpy2 is a declared dep
+except ImportError:          # gmpy2 is optional (the fast extra)
     mpz = int
 
 
@@ -32,24 +36,34 @@ def trim(a):
     return a
 
 
-def _kron_pack(a, width):
-    # little-endian fixed-width chunks; coefficients must be >= 0
-    nbytes = width // 8
-    return mpz(int.from_bytes(
-        b"".join(int(c).to_bytes(nbytes, "little") for c in a), "little"))
+_KRON_LEAF = 32     # chunk count below which packing shifts one by one
 
 
-def _kron_unpack(v, width, count):
-    nbytes = width // 8
-    data = int(v).to_bytes(nbytes * count + nbytes, "little")
-    return [int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "little")
-            for i in range(count)]
+def _kron_pack(a, width, lo, hi):
+    # sum of a[i] * 2^(width (i - lo)) over lo <= i < hi, signed; halving the
+    # range keeps the shifted operands short, so packing is subquadratic
+    if hi - lo <= _KRON_LEAF:
+        v = 0
+        for i in range(hi - 1, lo - 1, -1):
+            v = (v << width) + a[i]
+        return v
+    mid = (lo + hi) // 2
+    return (_kron_pack(a, width, lo, mid)
+            + (_kron_pack(a, width, mid, hi) << (width * (mid - lo))))
 
 
-def _nonneg_mul(a, b, width, count):
-    if not a or not b:
-        return [0] * count
-    return _kron_unpack(_kron_pack(a, width) * _kron_pack(b, width), width, count)
+def _kron_unpack(v, width, count, offset, out):
+    # append the count low width-bit chunks of v >= 0, least significant
+    # first, each minus offset
+    if count <= _KRON_LEAF:
+        mask = (1 << width) - 1
+        for _ in range(count):
+            out.append((v & mask) - offset)
+            v >>= width
+        return
+    half = count // 2
+    _kron_unpack(v & ((1 << (width * half)) - 1), width, half, offset, out)
+    _kron_unpack(v >> (width * half), width, count - half, offset, out)
 
 
 def int_poly_mul(a, b):
@@ -65,19 +79,16 @@ def int_poly_mul(a, b):
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return out
-    amax = max(abs(c) for c in a)
-    bmax = max(abs(c) for c in b)
-    bound = amax * bmax * min(la, lb) + 1
+    # one signed Kronecker product: every product coefficient c has
+    # |c| <= bound < 2^(width-1), so c + 2^(width-1) fills one chunk exactly
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(la, lb)
     width = ((bound.bit_length() + 8) // 8) * 8
-    ap = [c if c > 0 else 0 for c in a]
-    an = [-c if c < 0 else 0 for c in a]
-    bp = [c if c > 0 else 0 for c in b]
-    bn = [-c if c < 0 else 0 for c in b]
-    pp = _nonneg_mul(ap, bp, width, count)
-    nn = _nonneg_mul(an, bn, width, count)
-    pn = _nonneg_mul(ap, bn, width, count)
-    np_ = _nonneg_mul(an, bp, width, count)
-    return [pp[i] + nn[i] - pn[i] - np_[i] for i in range(count)]
+    pa = mpz(_kron_pack(a, width, 0, la))
+    prod = pa * pa if a is b else pa * mpz(_kron_pack(b, width, 0, lb))
+    offsets = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * count, "little")
+    out = []
+    _kron_unpack(int(prod) + offsets, width, count, 1 << (width - 1), out)
+    return out
 
 
 def int_poly_divexact(a, b):
@@ -99,6 +110,28 @@ def int_poly_divexact(a, b):
     if any(a[:db]):
         raise ArithmeticError("division is not exact")
     return out
+
+
+def monic_lower_terms(f):
+    """(k, c) for each nonzero coefficient c of x^k, k < deg f, of a monic f."""
+    return tuple((k, c) for k, c in enumerate(f[:-1]) if c)
+
+
+def int_rem_monic(a, degree, terms):
+    """Remainder of the integer list a modulo the monic x^degree + sum c x^k
+    over (k, c) in terms, as a list of length degree; a is overwritten.
+
+    Long division that touches only the nonzero terms, so a sparse divisor
+    such as a cyclotomic polynomial costs a few operations per step."""
+    for j in range(len(a) - 1, degree - 1, -1):
+        c = a[j]
+        if c:
+            base = j - degree
+            for k, ck in terms:
+                a[base + k] -= c * ck
+    del a[degree:]
+    a += [0] * (degree - len(a))
+    return a
 
 
 def mobius(n):
@@ -433,27 +466,14 @@ def cyclo_inverse(coeffs, n):
             for r in inv_prim:
                 d = lcm(d, r.denominator)
             nums = [int(r * d) for r in inv_prim]
-            prod = int_poly_mul(prim, nums)
-            rem = _int_rem_mod_cyclo(prod, phi)
+            rem = int_rem_monic(int_poly_mul(prim, nums), degree,
+                                monic_lower_terms(phi))
             if rem == [d] + [0] * (degree - 1) or (rem == [d] and degree == 1):
                 scale = Fraction(den, content)
                 return [r * scale for r in inv_prim]
         nprimes *= 2
         if nprimes > 512:
             raise ArithmeticError("modular inverse reconstruction failed")
-
-
-def _int_rem_mod_cyclo(a, phi):
-    a = list(a)
-    db = len(phi) - 1
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = a[i + db]
-        if c:
-            for j in range(db + 1):
-                a[i + j] -= c * phi[j]
-    out = a[:db]
-    out += [0] * (db - len(out))
-    return out
 
 
 def _fp_inverse_mod(a, modulus, p):

@@ -1,0 +1,223 @@
+"""Reference field arithmetic for the differential tests.
+
+This is the arithmetic circdist used before elements became integer
+numerators over one denominator, kept here only as an oracle: elements as
+tuples of Fractions, products as four non-negative Kronecker products packed
+through ``bytes.join``, and reduction modulo Phi_n through a dense table of
+the rows z^j mod Phi_n for phi(n) <= j < n.  Every function returns the
+coefficient tuple of its result.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+
+from circdist import polys
+from circdist.cyclotomic import LevelError, SubfieldError, relative_galois_group
+from circdist.intlinalg import gauss_solve
+
+
+# ---------------------------------------------------------------------------
+# integer products
+
+
+def _kron_pack(a, width):
+    # little-endian fixed-width chunks; coefficients must be >= 0
+    nbytes = width // 8
+    return int.from_bytes(
+        b"".join(int(c).to_bytes(nbytes, "little") for c in a), "little")
+
+
+def _kron_unpack(v, width, count):
+    nbytes = width // 8
+    data = int(v).to_bytes(nbytes * count + nbytes, "little")
+    return [int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "little")
+            for i in range(count)]
+
+
+def _nonneg_mul(a, b, width, count):
+    if not a or not b:
+        return [0] * count
+    return _kron_unpack(_kron_pack(a, width) * _kron_pack(b, width), width, count)
+
+
+def int_poly_mul(a, b):
+    """Product of integer coefficient lists."""
+    if not a or not b:
+        return []
+    la, lb = len(a), len(b)
+    count = la + lb - 1
+    if min(la, lb) < 16:
+        out = [0] * count
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return out
+    amax = max(abs(c) for c in a)
+    bmax = max(abs(c) for c in b)
+    bound = amax * bmax * min(la, lb) + 1
+    width = ((bound.bit_length() + 8) // 8) * 8
+    ap = [c if c > 0 else 0 for c in a]
+    an = [-c if c < 0 else 0 for c in a]
+    bp = [c if c > 0 else 0 for c in b]
+    bn = [-c if c < 0 else 0 for c in b]
+    pp = _nonneg_mul(ap, bp, width, count)
+    nn = _nonneg_mul(an, bn, width, count)
+    pn = _nonneg_mul(ap, bn, width, count)
+    np_ = _nonneg_mul(an, bp, width, count)
+    return [pp[i] + nn[i] - pn[i] - np_[i] for i in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# dense reduction table
+
+
+@lru_cache(maxsize=None)
+def reduction_table(n):
+    """{j: coefficients of z^j mod Phi_n} for phi(n) <= j < n."""
+    phi_poly = polys.cyclotomic_polynomial(n)
+    degree = len(phi_poly) - 1
+    red = {}
+    if degree < n:
+        row = [-c for c in phi_poly[:-1]]
+        red[degree] = tuple(row)
+        for j in range(degree + 1, n):
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                for i in range(degree):
+                    row[i] -= top * phi_poly[i]
+            red[j] = tuple(row)
+    return red
+
+
+def reduce_int_vec(n, vec):
+    """Reduce an integer coefficient vector of any length mod Phi_n."""
+    deg = polys.euler_phi(n)
+    table = reduction_table(n)
+    folded = [0] * min(len(vec), n)
+    for j, c in enumerate(vec):
+        if c:
+            folded[j % n] += c
+    out = folded[:deg] + [0] * (deg - len(folded))
+    for j in range(deg, len(folded)):
+        c = folded[j]
+        if c:
+            row = table[j]
+            for i in range(deg):
+                out[i] += c * row[i]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# field operations on Fraction tuples
+
+
+def _clear_denominators(coeffs):
+    den = 1
+    for c in coeffs:
+        den = lcm(den, c.denominator)
+    return [int(c * den) for c in coeffs], den
+
+
+def mul(x, y):
+    """Coefficients of x * y."""
+    na, da = _clear_denominators(x.coeffs)
+    nb, db = _clear_denominators(y.coeffs)
+    red = reduce_int_vec(x.level, int_poly_mul(na, nb))
+    d = da * db
+    return tuple(Fraction(c, d) for c in red)
+
+
+def _scatter(coeffs, m, step):
+    nums, den = _clear_denominators(coeffs)
+    long = [0] * m
+    for i, c in enumerate(nums):
+        if c:
+            long[(i * step) % m] += c
+    return tuple(Fraction(c, den) for c in reduce_int_vec(m, long))
+
+
+def act(a, x):
+    """Coefficients of sigma_a(x), a a unit mod x.level."""
+    n = x.level
+    a %= n
+    if n <= 2 or a == 1:
+        return tuple(x.coeffs)
+    return _scatter(x.coeffs, n, a)
+
+
+def raise_level(x, m):
+    """Coefficients of x embedded at level m."""
+    return _scatter(x.coeffs, m, m // x.level)
+
+
+def lower_level_coeffs(level, coeffs, n):
+    """Coefficients at level n of the level-``level`` element; raises
+    SubfieldError when it does not lie in Q(zeta_n)."""
+    m = level
+    if m == n:
+        return tuple(coeffs)
+    if m % n:
+        raise LevelError("%d does not divide %d" % (n, m))
+    d = m // n
+    phim, phin = polys.euler_phi(m), polys.euler_phi(n)
+    big = phim // phin
+    table = reduction_table(m)
+    unit_of_coord = {}
+    dense = []
+    pairs = []
+    for j in range(big):
+        for i in range(phin):
+            e = j + d * i
+            pairs.append((j, i, e))
+            if e < phim:
+                unit_of_coord[e] = len(pairs) - 1
+            else:
+                dense.append((len(pairs) - 1, e))
+    out_coeffs = {}
+    if dense:
+        rows = []
+        rhs = []
+        free_coords = [k for k in range(phim) if k not in unit_of_coord]
+        for k in free_coords:
+            rows.append([Fraction(table[e][k]) for _, e in dense])
+            rhs.append(coeffs[k])
+        sol = gauss_solve(rows, rhs)
+        if sol is None:
+            raise SubfieldError("element is not in the level-%d subfield" % n)
+        for (idx, _), v in zip(dense, sol):
+            out_coeffs[idx] = v
+    for k, idx in unit_of_coord.items():
+        v = coeffs[k]
+        for (didx, e) in dense:
+            c = out_coeffs[didx]
+            if c:
+                v -= c * table[e][k]
+        out_coeffs[idx] = v
+    out = [Fraction(0)] * phin
+    for (j, i, _), idx in zip(pairs, range(len(pairs))):
+        c = out_coeffs.get(idx, Fraction(0))
+        if j == 0:
+            out[i] = c
+        elif c:
+            raise SubfieldError("element is not in the level-%d subfield" % n)
+    return tuple(out)
+
+
+def lower_level(x, n):
+    return lower_level_coeffs(x.level, x.coeffs, n)
+
+
+def norm_down(x, n):
+    """Coefficients of the norm of x from x.level to level n."""
+    m = x.level
+    prod = (Fraction(1),) + (Fraction(0),) * (polys.euler_phi(m) - 1)
+    for a in relative_galois_group(m, n):
+        conj = act(a % m if m > 1 else 1, x)
+        na, da = _clear_denominators(prod)
+        nb, db = _clear_denominators(conj)
+        red = reduce_int_vec(m, int_poly_mul(na, nb))
+        prod = tuple(Fraction(c, da * db) for c in red)
+    return lower_level_coeffs(m, prod, n)

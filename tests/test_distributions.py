@@ -262,3 +262,43 @@ def test_table_json_roundtrip():
     S = divisor_closure([12])
     f = phi_table(S)
     assert DistTable.from_json(f.to_json()).as_dict() == f.as_dict()
+
+
+# u = eps_n^r whose smallest embedding lies below double precision (about 18
+# digits under the sum of |coefficients|): read in floats it is rounding noise
+PAST_DOUBLE = ((96, {1: 2, 23: 3, 29: -3}), (84, {1: 2, 37: -2, 41: -3}),
+               (72, {1: 1, 7: -3, 29: 3}))
+
+
+def _past_double(n, terms):
+    r = grelt(n, True, terms)
+    return r, r.act_on(eps_n(n), assume_tau_fixed=True)
+
+
+@pytest.mark.parametrize("n,terms", PAST_DOUBLE)
+def test_solve_exponent_below_double_precision(n, terms):
+    from mpmath import mp, mpf, cos, log, pi
+    r, u = _past_double(n, terms)
+    reps, logs = dist._embedding_logs(u)
+    with mp.workdps(100):
+        for c, got in zip(reps, logs):
+            val = sum(mpf(co.numerator) / co.denominator * cos(2 * pi * (i * c % n) / n)
+                      for i, co in enumerate(u.coeffs))
+            assert abs(got - float(log(val))) < 2.0 ** -20
+    j = solve_exponent(u)
+    assert j is not None
+    diff = j - r
+    assert not diff.coeffs or gr.annihilator_In_formula(n).contains(diff)
+
+
+def test_mpmath_precision_is_left_as_found():
+    from mpmath import iv, mp
+    from circdist.cyclotomic import is_totally_positive
+    before = (mp.dps, iv.dps)
+    gr.annihilator_In_oracle(12)
+    assert (mp.dps, iv.dps) == before
+    _, u = _past_double(*PAST_DOUBLE[0])
+    assert is_totally_positive(u)          # ambiguous in floats: interval path
+    assert (mp.dps, iv.dps) == before
+    assert solve_exponent(u, check_positivity=False) is not None
+    assert (mp.dps, iv.dps) == before
