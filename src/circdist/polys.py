@@ -266,7 +266,8 @@ def fp_squarefree_part(a, p):
     if len(d) == 1:
         return a
     w, r = fp_divmod(a, d, p)      # product of factors with multiplicity prime to p
-    assert not r
+    if r:
+        raise ArithmeticError("gcd(a, a') does not divide a over F_%d" % p)
     # strip w-factors from d; what remains is the p-th-power part of a
     y = d
     while True:
@@ -274,7 +275,8 @@ def fp_squarefree_part(a, p):
         if len(g) == 1:
             break
         y, r = fp_divmod(y, g, p)
-        assert not r
+        if r:
+            raise ArithmeticError("gcd(y, w) does not divide y over F_%d" % p)
     if len(y) == 1:
         return w
     return fp_mul(w, fp_squarefree_part(y[::p], p), p)

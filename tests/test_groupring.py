@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -5,6 +6,7 @@ from math import gcd
 import pytest
 
 from circdist import groupring as gr
+from circdist import polys
 from circdist.cyclotomic import LevelError, one, zeta
 from circdist.groupring import (GroupRingElt, HypothesisNotMetError,
                                 IdealLattice, annihilator_In_formula,
@@ -73,6 +75,35 @@ def test_decomposition_group_examples():
     assert set(d) == members and len(members) == len(group_reps(15, True))
     with pytest.raises(LevelError):
         decomposition_group(15, 7)
+
+
+def bfs_subgroup_join(n, h, k):
+    """Reference join: closure of {1} under every element of H and K."""
+    gens = set(h) | set(k)
+    members = {1}
+    frontier = [1]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = gr.canon_rep(x * g, n, True)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return frozenset(members)
+
+
+def test_subgroup_join_matches_closure():
+    # every ordered pair from {1}, G, the decomposition groups and the
+    # subgroups the e_n expansion produces, at every level below 200
+    pairs = 0
+    for n in range(2, 200):
+        subs = {frozenset({1}), frozenset(group_reps(n, True))}
+        subs |= {frozenset(decomposition_group(n, ell)) for ell in polys.prime_factors(n)}
+        subs |= set(gr._e_n_expansion(n))
+        for h, k in itertools.product(subs, repeat=2):
+            assert gr._subgroup_join(n, h, k) == bfs_subgroup_join(n, h, k), (n, h, k)
+            pairs += 1
+    assert pairs > 1000
 
 
 def test_idempotent_examples():
@@ -197,6 +228,18 @@ def test_project_T_star():
         assert annihilator_Tn(n, starred=True).contains_lattice(proj)
 
 
+def test_root_annihilator_indices_at_large_levels():
+    # [Z^phi(n) : Ann] is the order of the root of unity annihilated:
+    # n for z_n and for -z_(2n), 2n for -z_n at odd n
+    for n in (111, 117):
+        mu = len(group_reps(n, False))
+        full = IdealLattice.from_rows(n, False, [[int(i == j) for j in range(mu)]
+                                                 for i in range(mu)])
+        assert annihilator_mu(n).index_in(full) == n
+        assert annihilator_Tn(n).index_in(full) == 2 * n
+        assert annihilator_Tn(n, starred=True).index_in(full) == n
+
+
 def test_hnf_canonicity_of_lattices():
     # the same lattice from different generating sets gives identical rows
     a = IdealLattice.from_rows(12, True, [[1, 1], [0, 2]])
@@ -216,6 +259,13 @@ def test_stabilization_and_image_claim():
         image_is_p_times_I(12, 3, stabilization_b0(12, 3) - 1)
     with pytest.raises(HypothesisNotMetError):
         image_is_p_times_I(15, 2, 1)
+
+
+def test_image_claim_at_levels_480_and_544():
+    for m, p in [(30, 2), (34, 2)]:
+        b0 = stabilization_b0(m, p)
+        assert b0 == 3
+        assert image_is_p_times_I(m, p, b0)
 
 
 def test_group_ring_serialization():
