@@ -92,6 +92,8 @@ def kappa_digits(f, m, p, depth, k_list=None):
     p-integral representative, projected to the base level, and its
     identity coefficient is reduced mod p^(n-k) for every k in k_list
     below n."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if k_list is None:
         k_list = tuple(range(max(1, depth - 1)))
     k_list = tuple(sorted(set(int(k) for k in k_list)))

@@ -9,20 +9,31 @@ Verification is exact: the norm relations couple one level to the next via
 field norms, the strictness congruences reduce to divisibility by the
 radical of the cyclotomic polynomial at the residue prime, and exponent
 solving against eps_n = (1 - z_n)^(1+tau) combines a numeric logarithmic
-solve with continued-fraction reconstruction and an exact power-identity
+solve with continued-fraction reconstruction and a certified power-identity
 check that never accepts an unverified answer.
+
+The power identity u^d eps^(d j^-) = eps^(d j^+) is certified without
+forming it in the field.  It is compared modulo split primes p = 1 mod n,
+where it becomes phi(n) scalar equations in F_p; any mismatch is a proof of
+inequality.  Matches at primes with product P prove equality once
+phi(n) log P exceeds an upper bound on the log of the norm of the
+difference of the two sides, since a nonzero algebraic integer divisible by
+P has norm at least P^phi(n).  Error model: the residues are exact integer
+arithmetic; the norm bound is the only floating-point input, every term of
+it is an upper bound with an explicit rounding margin, and an overestimate
+only costs more primes.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, log
+from math import gcd, isfinite, lcm, log
 
 from . import cyclotomic, groupring, intlinalg, polys
 from .cyclotomic import (CycElt, LevelError, act, cyc_from_json, cyc_to_json,
                          is_totally_positive, norm_down, one, raise_level,
                          sigma_ell, vanishes_at_all_primes_above, zeta)
-from .groupring import (GroupRingElt, annihilator_In_formula, eps_n, grelt,
+from .groupring import (GroupRingElt, annihilator_In_formula, grelt,
                         group_reps, idempotent_e_n, sigma)
 
 
@@ -112,7 +123,8 @@ def phi_table(support, verify=True):
     t = DistTable.from_dict(vals)
     if verify:
         rep = verify_relations(t)
-        assert rep.passed, "construction check failed: %r" % rep.failures()
+        if not rep.passed:
+            raise ArithmeticError("construction check failed: %r" % rep.failures())
     return t
 
 
@@ -261,7 +273,9 @@ def power_by_tower(f, tower, verify=True):
     t = DistTable.from_dict(vals)
     if verify:
         rep = verify_relations(t)
-        assert rep.passed, "tower action broke the norm relations: %r" % rep.failures()
+        if not rep.passed:
+            raise ArithmeticError("tower action broke the norm relations: %r"
+                                  % rep.failures())
     return t
 
 
@@ -378,11 +392,6 @@ def _annihilator(n):
     return annihilator_In_formula(n)
 
 
-@lru_cache(maxsize=None)
-def _eps(n):
-    return eps_n(n)
-
-
 # A double-precision embedding value counts as read only when it exceeds its
 # rounding-error bound by this factor; the log then carries a relative error
 # below 2^-20, well inside what the denominator search tolerates.
@@ -442,51 +451,149 @@ def _embedding_log_mp(u, c):
     raise SolveError("could not separate the embedding at %d from zero" % c)
 
 
-def _modular_power_check(u, d, pos, neg, n, prime):
-    """Compare u^d * eps^(d j_neg) and eps^(d j_pos) in F_p[t]/(Phi_n); a
-    mismatch proves inequality, a match proves nothing by itself."""
-    phi = [c % prime for c in polys.cyclotomic_polynomial(n)]
-    deg = len(phi) - 1
+# Split primes p = 1 mod n with 2^30 < p < 2^31: Z[zeta_n] / p is phi(n)
+# copies of F_p, and a product of two residues stays inside int64.
+_SPLIT_LO = 1 << 30
+_SPLIT_HI = 1 << 31
 
-    def to_fp(x):
-        if x.den % prime == 0:
-            return None       # bad prime for this element; skip the prescreen
-        inv = pow(x.den, -1, prime)
-        return polys.fp_trim([c * inv % prime for c in x.nums])
 
-    def galois_fp(poly, a):
-        long = [0] * n
-        for i, c in enumerate(poly):
-            if c:
-                long[(i * a) % n] += c
-        acc = [v % prime for v in long]
-        return polys.fp_divmod(acc, phi, prime)[1] if len(acc) > deg else polys.fp_trim(acc)
+@lru_cache(maxsize=None)
+def _split_prime(n, after):
+    """The least prime p = 1 mod n above `after`, with the residues mod p of
+    zeta^c for the units c mod n (ascending) and of eps_n at zeta^r for every
+    r mod n; zeta is the first g^((p-1)/n), g = 2, 3, ..., of order n."""
+    import numpy as np
+    p = (after // n + 1) * n + 1
+    while not polys.is_probable_prime(p):
+        p += n
+    if p >= _SPLIT_HI:
+        raise SolveError("no split prime below 2^31 at level %d" % n)
+    cofactors = [n // q for q in polys.prime_factors(n)]
+    g = 2
+    while True:
+        z = pow(g, (p - 1) // n, p)
+        if all(pow(z, e, p) != 1 for e in cofactors):
+            break
+        g += 1
+    powers = np.array([pow(z, r, p) for r in range(n)], dtype=np.int64)
+    eps = (2 - powers - powers[(-np.arange(n)) % n]) % p
+    units = np.array(groupring.units(n), dtype=np.int64)
+    tables = (units, powers[units], eps)
+    for t in tables:
+        t.setflags(write=False)    # shared by every caller through the cache
+    return (p, *tables)
 
-    def power_side(base_fp, terms):
-        acc = [1]
+
+def _vpow(x, k, p):
+    """x^k mod p elementwise (x an int64 array of residues, k >= 0)."""
+    import numpy as np
+    out = np.ones_like(x)
+    while k:
+        if k & 1:
+            out = out * x % p
+        k >>= 1
+        if k:
+            x = x * x % p
+    return out
+
+
+def _residues_match(u, d, pos, neg, prime):
+    """A = B modulo every prime above p: A(zeta^c) = B(zeta^c) in F_p at
+    each unit c, with A = U^d eps^(d j^-) and B = D^d eps^(d j^+) (pos and
+    neg hold the terms of d j^+ and d j^-)."""
+    import numpy as np
+    n = u.level
+    p, units, zc, eps = prime
+    acc = np.zeros_like(zc)
+    for c in reversed(u.nums):
+        acc = (acc * zc + c % p) % p
+
+    def times_eps_powers(acc, terms):
         for a, k in terms:
-            conj = galois_fp(base_fp, a)
-            acc = polys.fp_divmod(polys.int_poly_mul(acc, polys.fp_powmod(conj, k, phi, prime)),
-                                  phi, prime)[1]
-            acc = polys.fp_trim([c % prime for c in acc])
+            acc = acc * _vpow(eps[units * a % n], k, p) % p
         return acc
 
-    ufp = to_fp(u)
-    efp = to_fp(_eps(n))
-    if ufp is None or efp is None:
-        return None
-    lhs = polys.fp_powmod(ufp, d, phi, prime)
-    lhs = polys.fp_divmod(polys.int_poly_mul(lhs, power_side(efp, neg)), phi, prime)[1]
-    lhs = polys.fp_trim([c % prime for c in lhs])
-    rhs = power_side(efp, pos)
-    return lhs == rhs
+    lhs = times_eps_powers(_vpow(acc, d, p), neg)
+    rhs = times_eps_powers(np.full_like(zc, pow(u.den, d, p)), pos)
+    return bool((lhs == rhs).all())
+
+
+def _log_abs_bounds(x):
+    """Upper bounds on log |sigma_c(x)| at the plus representatives c.
+
+    sigma_c(x) is taken in complex double precision on the numerators over
+    their largest |x_i|, whose rounding error stays below
+    (phi + 2) 2^-52 sum_i |x_i / top|; that bound, inflated 2^10 times, is
+    added to the value.  An embedding whose bound is not finite falls back
+    to the exact sum_i |x_i|.  |sigma_(-c)(x)| = |sigma_c(x)| because the
+    coefficients are real.
+    """
+    import numpy as np
+    n = x.level
+    top = max(map(abs, x.nums))
+    coeffs = np.array([c / top for c in x.nums])
+    idx = np.arange(len(coeffs))
+    err = 2.0 ** 10 * (len(coeffs) + 2) * 2.0 ** -52 * float(np.abs(coeffs).sum())
+    shift = log(top) - log(x.den)
+    out = []
+    for c in group_reps(n, True):
+        val = abs(np.exp(2j * np.pi * ((idx * c) % n) / n) @ coeffs)
+        bound = log(val + err) + shift
+        if not isfinite(bound):
+            bound = log(sum(map(abs, x.nums))) - log(x.den)
+        out.append(bound)
+    return np.array(out)
+
+
+def _norm_bound(u, d, pos, neg):
+    """Upper bound on sum_c log(|sigma_c A| + |sigma_c B|) over all units c.
+
+    Per plus representative c it takes log 2 plus the larger of the two
+    sides' logs, built from the bounds on |sigma_c u|, log D and
+    log sigma_c(eps) = 2 log|2 sin(pi c / n)|.  Each log is read to a few
+    units of 2^-52 absolutely and each sum adds 2^-53 of its terms' size per
+    term, so a slack of 2^-24 times (1 + the terms' absolute values + their
+    integer weights) covers the rounding while there are fewer than 2^20
+    terms.
+    """
+    import numpy as np
+    n = u.level
+    reps = np.array(group_reps(n, True))
+    mult = np.where((2 * reps) % n == 0, 1, 2)
+    leps = 2.0 * np.log(np.abs(2.0 * np.sin(np.pi * np.arange(1, n) / n)))
+    leps = np.concatenate(([0.0], leps))
+    la = d * (_log_abs_bounds(u) + log(u.den))
+    lb = np.full_like(la, d * log(u.den))
+    mag = np.abs(la) + np.abs(lb) + 2 * d
+    for a, k in neg:
+        t = float(k) * leps[reps * a % n]
+        la, mag = la + t, mag + np.abs(t) + k
+    for a, k in pos:
+        t = float(k) * leps[reps * a % n]
+        lb, mag = lb + t, mag + np.abs(t) + k
+    per = log(2.0) + np.maximum(la, lb) + 2.0 ** -24 * (1.0 + mag)
+    return float(mult @ per)
 
 
 def verify_exponent_identity(u, j):
-    """Exact test of u = eps_n^j in Q (x) V(n): with d clearing denominators
-    of j, checks u^d * eps^(d j^-) = eps^(d j^+) in the field.  Cheap modular
-    rejection first; acceptance always goes through full rational arithmetic."""
+    """Exact test of u = eps_n^j in Q (x) V(n), certified without field
+    products.
+
+    With u = U/D and d clearing denominators of j, the identity is A = B for
+    the algebraic integers A = U^d eps^(d j^-) and B = D^d eps^(d j^+).  At
+    a prime p = 1 mod n not dividing D, Z[zeta_n] / p splits into phi(n)
+    copies of F_p, one per zeta^c; A and B are compared there, one scalar
+    equation per unit c.  A mismatch at any c proves A != B.  Matches at
+    primes with product P put A - B in P Z[zeta_n], where every nonzero
+    element has |N| >= P^phi(n); since |N(A - B)| <= prod_c (|sigma_c A| +
+    |sigma_c B|), the identity holds once phi(n) log P exceeds an upper
+    bound on sum_c log(|sigma_c A| + |sigma_c B|) (`_norm_bound`).  Only
+    upper bounds on the embeddings enter, so a loose estimate costs primes,
+    never soundness; the floating bounds carry explicit rounding margins.
+    """
     n = u.level
+    if n < 2:
+        raise LevelError("level must be >= 2")
     if j.level != n or not j.plus:
         raise LevelError("exponent must live in Q[G_n^+]")
     d, jd = j.scaled_integral()
@@ -497,18 +604,23 @@ def verify_exponent_identity(u, j):
             pos.append((r, k))
         else:
             neg.append((r, -k))
-    for prime in (1000003, 1000033):
-        res = _modular_power_check(u, d, pos, neg, n, prime)
-        if res is False:
+    phi = len(u.nums)
+    bound = None
+    log_p = 0.0
+    p = _SPLIT_LO
+    while bound is None or phi * log_p * (1 - 2.0 ** -40) <= bound:
+        prime = _split_prime(n, p)
+        p = prime[0]
+        if u.den % p == 0:
+            continue
+        if not _residues_match(u, d, pos, neg, prime):
             return False
-    eps = _eps(n)
-    lhs = u ** d
-    for a, k in neg:
-        lhs = lhs * act(a, eps) ** k
-    rhs = one(n)
-    for a, k in pos:
-        rhs = rhs * act(a, eps) ** k
-    return lhs == rhs
+        log_p += log(p)
+        if bound is None:
+            bound = _norm_bound(u, d, pos, neg)
+            if not isfinite(bound):
+                raise SolveError("norm bound is not finite at level %d" % n)
+    return True
 
 
 def exponent_denominator_profile(j):

@@ -594,6 +594,7 @@ def _gal_fixing_subgroup(level, base):
     return out
 
 
+@lru_cache(maxsize=None)
 def stabilization_b0(m, p, b_max=12):
     """Smallest b such that every prime divisor of the tower levels m*p^c
     has full decomposition group above the level m*p^b, detected by

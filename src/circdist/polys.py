@@ -301,19 +301,6 @@ def fp_resultant(f, g, p):
         f, g = g, r
 
 
-def fp_powmod(base, e, modulus, p):
-    """base^e mod modulus over F_p (e >= 0)."""
-    result = [1]
-    base = fp_divmod(base, modulus, p)[1]
-    while e:
-        if e & 1:
-            result = fp_divmod(fp_mul(result, base, p), modulus, p)[1]
-        e >>= 1
-        if e:
-            base = fp_divmod(fp_mul(base, base, p), modulus, p)[1]
-    return result
-
-
 # ---------------------------------------------------------------------------
 # CRT / rational reconstruction
 

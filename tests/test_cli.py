@@ -159,3 +159,25 @@ def test_text_format():
     code, out, _ = run_cli("idempotent", "--n", "12", "--format", "text")
     assert code == 0
     assert out.startswith("[idempotent]")
+
+
+@pytest.mark.parametrize("command", ["kappa", "boundedness"])
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_depth_below_one_is_a_usage_error(command, depth, capsys):
+    code = main([command, "--table", "pow(phi, one_plus_tau)", "--support",
+                 "closure(24)", "--m", "3", "--p", "2", "--depth", depth])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "depth" in captured.err
+
+
+def test_cli_import_leaves_numpy_and_mpmath_unloaded():
+    # both are imported inside the functions that need them, so a one-shot
+    # command that never reaches a numeric path does not pay for them
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, circdist.cli; "
+         "print(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -302,3 +302,15 @@ def test_mpmath_precision_is_left_as_found():
     assert (mp.dps, iv.dps) == before
     assert solve_exponent(u, check_positivity=False) is not None
     assert (mp.dps, iv.dps) == before
+
+
+def test_construction_checks_raise_when_relations_fail(monkeypatch):
+    failing = dist.Report("relations", [{"check": "norm-relation", "pass": False}])
+    monkeypatch.setattr(dist, "verify_relations", lambda table: failing)
+    S = divisor_closure([12])
+    with pytest.raises(ArithmeticError, match="construction check failed"):
+        phi_table(S)
+    f = phi_table(S, verify=False)
+    with pytest.raises(ArithmeticError, match="norm relations"):
+        power_by_tower(f, RTower.scalar(2))
+    assert power_by_tower(f, RTower.scalar(2), verify=False).value(12) == f.value(12) ** 2
