@@ -8,10 +8,10 @@ boundedness evidence, the norm-compatible family), and `cli`.
 """
 
 from .cyclotomic import (CycElt, GaloisElt, LevelError, PrecisionError,
-                         SubfieldError, act, cyclotomic_polynomial_coeffs,
-                         is_p_unit, is_totally_positive, is_unit, norm_down,
-                         one, raise_level, reduce_mod_ell, sigma_ell, tau,
-                         valuation_at_p, vanishes_at_all_primes_above, zeta)
+                         SubfieldError, act, is_p_unit, is_totally_positive,
+                         is_unit, norm_down, one, raise_level, reduce_mod_ell,
+                         sigma_ell, tau, valuation_at_p,
+                         vanishes_at_all_primes_above, zeta)
 from .distributions import (DistTable, Report, RTower, SupportError,
                             check_euler_conditions, classify_torsion,
                             delta_table, divisor_closure, phi_table,
@@ -23,6 +23,7 @@ from .groupring import (GroupRingElt, HypothesisNotMetError, IdealLattice,
                         annihilator_Tn, annihilator_mu, decomposition_group,
                         eps_n, idempotent_e_n, image_is_p_times_I,
                         project_annihilator, stabilization_b0)
+from .polys import cyclotomic_polynomial as cyclotomic_polynomial_coeffs
 from .coleman import (BoundednessVerdict, KappaDigits, boundedness_report,
                       kappa_digits, ncnd_family, section_independence_check,
                       synthetic_digits, valuation_constancy)

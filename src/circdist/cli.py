@@ -3,9 +3,12 @@ analyses, and emits deterministic JSON or text reports.
 
 Exit codes: 0 when every check passed, 1 on a mathematical failure (a
 verification reported failing entries or an equality check came out false),
-2 on usage or structural errors (bad grammar, missing support, unwritable
-output).  Reports are written atomically and are byte-identical across runs
-of the same configuration.
+2 on usage or structural errors (bad grammar, missing support, a level above
+CIRCDIST_MAX_PHI, unwritable output, no exponent found), 3 on an internal
+failure (an ArithmeticError such as PrecisionError or SubfieldError: a
+numeric stage could not be certified or an internal exact check failed).
+Reports are written atomically and are byte-identical across runs of the
+same configuration.
 """
 
 import argparse
@@ -22,7 +25,8 @@ from .distributions import (DistTable, RTower, SupportError, delta_table,
                             verify_strictness)
 
 SCHEMA = "circdist/1"
-DEFAULT_MAX_PHI = 48
+# phi(135) = 72 admits the README's ncnd example (levels 15, 45, 135)
+DEFAULT_MAX_PHI = 72
 
 
 class TableSpecError(ValueError):
@@ -89,6 +93,7 @@ def parse_support(text):
         levels.append(sc.integer())
     sc.expect(")")
     sc.done()
+    _check_phi_cap(levels)         # phi(d) <= phi(n) for every divisor d of n
     return divisor_closure(levels)
 
 
@@ -187,10 +192,13 @@ def parse_table(text, support):
     return t
 
 
-def _check_phi_cap(support):
+def _check_phi_cap(levels):
+    """Refuse any level whose phi exceeds CIRCDIST_MAX_PHI.  phi(n) >=
+    sqrt(n / 2), so a level above 2 cap^2 is refused without factoring it;
+    `levels` may be a generator, read only up to the first refused level."""
     cap = int(os.environ.get("CIRCDIST_MAX_PHI", DEFAULT_MAX_PHI))
-    for n in support:
-        if polys.euler_phi(n) > cap:
+    for n in levels:
+        if n > 2 * cap * cap or polys.euler_phi(n) > cap:
             raise SupportError(
                 "phi(%d) exceeds CIRCDIST_MAX_PHI = %d" % (n, cap))
 
@@ -283,9 +291,7 @@ def build_parser():
 
 
 def _build_table(args):
-    support = parse_support(args.support)
-    _check_phi_cap(support)
-    return parse_table(args.table, support)
+    return parse_table(args.table, parse_support(args.support))
 
 
 def run(args):
@@ -296,6 +302,8 @@ def run(args):
     if args.command == "strictness":
         rep = verify_strictness(_build_table(args))
         return _emit(args, {**meta, **rep.to_json()}, 0 if rep.passed else 1)
+    if args.command in ("annihilator", "idempotent"):
+        _check_phi_cap([args.n])
     if args.command == "annihilator":
         lattice = groupring.annihilator_In_formula(args.n)
         payload = {**meta, "n": args.n, "formula": lattice.to_json()}
@@ -321,6 +329,9 @@ def run(args):
         ok = all(verdict.bounded(k) for k in kd.k_list)
         return _emit(args, {**meta, **verdict.to_json()}, 0 if ok else 1)
     if args.command == "ncnd":
+        if min(args.p, args.q) >= 2:      # ncnd_family refuses the rest at once
+            # the levels q p^a at least double with a, so few are factored
+            _check_phi_cap(args.q * args.p ** a for a in range(1, args.a_max + 1))
         fam = coleman.ncnd_family(args.p, args.q, args.a_max)
         sec = coleman.section_independence_check(args.p, args.q, args.a_max)
         ok = fam.report.passed and sec.passed
@@ -357,6 +368,9 @@ def main(argv=None):
     except coleman.SolveError as exc:
         print("solve error: %s" % exc, file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

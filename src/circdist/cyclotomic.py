@@ -12,12 +12,20 @@ Products are one integer convolution of the numerators.  Reduction folds
 exponents with z^n = 1 and then divides by Phi_n using only its nonzero
 coefficients (a handful even at levels in the thousands), so levels in the
 several hundreds stay cheap.
+
+Embeddings have one evaluator, shared by total positivity, the exponent
+solver's logarithms and the norm bound of the exponent certificate.  A
+double-precision pass over a per-level table of zeta^(i c) gives every
+sigma_c(x) with one rounding bound; floating point only ever reads a value
+that stands far above that bound.  A real embedding it cannot read is
+re-evaluated in interval arithmetic at doubling precision, so every sign it
+reports is certified.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, log
 
 from . import intlinalg, polys
 from .intlinalg import gauss_solve
@@ -32,7 +40,8 @@ class SubfieldError(ArithmeticError):
 
 
 class PrecisionError(ArithmeticError):
-    """Certified interval evaluation could not separate a sign from zero."""
+    """A numeric stage could not reach a certified result: an embedding not
+    separated from zero, or numeric output that exact checks rejected."""
 
 
 @lru_cache(maxsize=None)
@@ -55,16 +64,6 @@ class _LevelCtx:
                 if c:
                     folded[i] += c
         return polys.int_rem_monic(folded, self.degree, self.phi_terms)
-
-
-def euler_phi(n):
-    return polys.euler_phi(n)
-
-
-def cyclotomic_polynomial_coeffs(n):
-    """Little-endian integer coefficients of the n-th cyclotomic polynomial
-    (monic, degree phi(n))."""
-    return polys.cyclotomic_polynomial(n)
 
 
 _set = object.__setattr__
@@ -94,7 +93,7 @@ class CycElt:
             raise LevelError("level must be >= 1")
         coeffs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c)
                        for c in coeffs)
-        if len(coeffs) != euler_phi(level):
+        if len(coeffs) != polys.euler_phi(level):
             raise ValueError("coefficient vector has wrong length")
         # the lcm of reduced denominators shares no factor with all numerators
         den = lcm(*(c.denominator for c in coeffs))
@@ -204,7 +203,7 @@ class CycElt:
 
 def from_rational(n, q):
     q = Fraction(q)
-    return CycElt._from_ints(n, [q.numerator] + [0] * (euler_phi(n) - 1),
+    return CycElt._from_ints(n, [q.numerator] + [0] * (polys.euler_phi(n) - 1),
                              q.denominator)
 
 
@@ -336,7 +335,7 @@ def lower_level(x, n):
     if m % n:
         raise LevelError("%d does not divide %d" % (n, m))
     d = m // n
-    phim, phin = euler_phi(m), euler_phi(n)
+    phim, phin = polys.euler_phi(m), polys.euler_phi(n)
     big = phim // phin
     ctx = _LevelCtx(m)
     # exponents e = j + d*i, all distinct and < m
@@ -491,7 +490,7 @@ def valuation_at_p(x, p):
         if not y.is_integral():
             raise ArithmeticError("division by 1 - zeta left the integers")
         v += 1
-    return v - euler_phi(n) * vden
+    return v - polys.euler_phi(n) * vden
 
 
 def norm_to_q(x):
@@ -524,88 +523,130 @@ def is_p_unit(x, p):
 
 
 # ---------------------------------------------------------------------------
-# total positivity (certified)
+# embeddings and total positivity (certified)
+
+# A double-precision real part counts as read when it stands this many times
+# above its rounding bound: its sign is then certain and its log is good to
+# 2^-20.  Anything closer to zero goes to the interval evaluation.
+_READ_MARGIN = 2.0 ** 20
 
 
-def plus_reps(n):
-    """Representatives min(a, n-a) of the units mod n modulo negation."""
-    if n <= 2:
-        return [1]
-    return sorted({min(a, n - a) for a in range(1, n) if gcd(a, n) == 1})
-
-
-def _float_embedding_values(x):
+@lru_cache(maxsize=None)
+def _zeta_rows(n):
+    """The plus representatives c at level n and the complex doubles
+    zeta^(i c mod n), one row per c and one column per power i < phi(n)."""
     import numpy as np
-    n = x.level
-    reps = plus_reps(n)
-    coeffs = np.array([c / x.den for c in x.nums])
-    idx = np.arange(len(coeffs))
-    vals = []
-    for c in reps:
-        ang = 2.0 * np.pi * ((idx * c) % n) / n
-        vals.append(float(np.cos(ang) @ coeffs))
-    return reps, vals, float(np.abs(coeffs).sum())
+    from .groupring import group_reps      # groupring imports this module
+    reps = group_reps(n, True)
+    powers = np.exp(2j * np.pi * np.arange(n) / n)
+    table = powers[np.outer(reps, np.arange(polys.euler_phi(n))) % n]
+    table.setflags(write=False)
+    return reps, table
 
 
-def _interval_embedding_sign(x, c, dps):
+@lru_cache(maxsize=8)
+def double_embeddings(x):
+    """sigma_c(x) = sum_i x_i zeta^(i c) at the plus representatives c, in
+    complex double precision.
+
+    Returns (reps, vals, err, shift).  The numerators are divided by their
+    largest |x_i| first, so nothing overflows; then sigma_c(x) is
+    e^shift (vals[k] + d), where err = (phi + 2) 2^-52 sum_i |x_i / top|
+    bounds the rounding of the sum and |d| exceeds it at most by a few
+    units of 2^-52 per table entry.  Callers read a value only far above
+    err: 2^20 err for a real part, 2^10 err added to a modulus.  They share
+    the cached result, so the array is read-only.
+    """
+    import numpy as np
+    reps, table = _zeta_rows(x.level)
+    top = max(map(abs, x.nums))
+    scaled = np.array([c / top for c in x.nums])
+    vals = table @ scaled
+    vals.setflags(write=False)
+    err = (len(scaled) + 2) * 2.0 ** -52 * float(np.abs(scaled).sum())
+    return reps, vals, err, log(top) - log(x.den)
+
+
+@lru_cache(maxsize=None)
+def _cos_enclosures(n, prec):
+    """Intervals at `prec` bits enclosing cos(2 pi r / n), keyed by
+    r <= n / 2 (r and n - r share a cosine), filled as residues are used."""
+    return {}
+
+
+def interval_embedding(x, c):
+    """(sign, log |sigma_c(x)|) of the tau-fixed x at the real embedding c,
+    certified in interval arithmetic.
+
+    The interval sum_i x_i cos(2 pi i c / n) is taken at 128 bits and then
+    at doubling precision until it excludes 0 and its width is below 2^-53
+    of its endpoints; the log is read from it.  Raises PrecisionError past
+    4096 bits.
+    """
     from mpmath import iv
     n = x.level
-    saved = iv.prec              # the interval context has no workdps
-    iv.dps = dps
+    saved = iv.prec              # the interval context has no workprec
+    prec = 128
     try:
-        total = iv.mpf(0)
-        for i, co in enumerate(x.coeffs):
-            if co:
-                t = (2 * i * c) % (2 * n)
-                angle = iv.pi * t / n
-                total += (iv.mpf(co.numerator) / co.denominator) * iv.cos(angle)
+        while prec <= 4096:
+            iv.prec = prec
+            cosines = _cos_enclosures(n, prec)
+            total = iv.mpf(0)
+            for i, a in enumerate(x.nums):
+                if a:
+                    r = i * c % n
+                    r = min(r, n - r)
+                    if r not in cosines:
+                        cosines[r] = iv.cos(iv.pi * (2 * r) / n)
+                    total += a * cosines[r]
+            lo, hi = total.a, total.b
+            if lo > 0 or hi < 0:
+                near = lo if lo > 0 else -hi
+                if hi - lo < 2.0 ** -53 * near:
+                    mag = float(iv.log(near).a) - log(x.den)
+                    return (1 if lo > 0 else -1), mag
+            prec *= 2
     finally:
         iv.prec = saved
-    if total > 0:
-        return 1
-    if total < 0:
-        return -1
-    return 0
+    raise PrecisionError("could not separate embedding %d from zero" % c)
+
+
+def embedding_logs(x):
+    """log sigma_c(x) at the plus representatives c of the tau-fixed x, or
+    None when some sigma_c(x) is not positive.
+
+    Each real part comes from `double_embeddings`; one that does not stand
+    _READ_MARGIN times its rounding bound away from zero is evaluated by
+    `interval_embedding`, which certifies its sign.  A real part read as
+    negative decides at once, without evaluating the rest.
+    """
+    reps, vals, err, shift = double_embeddings(x)
+    read = _READ_MARGIN * err
+    if (vals.real < -read).any():
+        return None
+    logs = []
+    for c, v in zip(reps, vals.real):
+        if v > read:
+            logs.append(log(v) + shift)
+            continue
+        sign, mag = interval_embedding(x, c)
+        if sign < 0:
+            return None
+        logs.append(mag)
+    return logs
 
 
 def is_totally_positive(x):
     """True iff every real embedding of the tau-fixed element x is positive.
 
-    Floating screen with a conservative error bound first; any embedding too
-    close to zero is re-evaluated with certified interval arithmetic at
-    doubling precision.  A nonzero tau-fixed element has no vanishing real
-    embedding, so escalation terminates.
+    Certified by `embedding_logs`: a nonzero tau-fixed element has no
+    vanishing real embedding, so the interval escalation terminates.
     """
-    n = x.level
     if x.is_zero():
         raise ZeroDivisionError("total positivity of zero is undefined")
-    if act(tau(n), x) != x:
+    if act(tau(x.level), x) != x:
         raise ValueError("element is not fixed by conjugation")
-    try:
-        reps, vals, scale = _float_embedding_values(x)
-        bound = 1e-10 * (1.0 + scale)
-        ambiguous = [c for c, v in zip(reps, vals) if abs(v) <= bound]
-        if any(v < -bound for v in vals):
-            return False
-    except OverflowError:
-        reps = plus_reps(n)
-        ambiguous = list(reps)
-        vals = None
-    if vals is not None and not ambiguous:
-        return True
-    for c in (ambiguous if vals is not None else reps):
-        sign = 0
-        dps = 40
-        while dps <= 700:
-            sign = _interval_embedding_sign(x, c, dps)
-            if sign:
-                break
-            dps *= 2
-        if sign == 0:
-            raise PrecisionError("could not separate embedding %d from zero" % c)
-        if sign < 0:
-            return False
-    return True
+    return embedding_logs(x) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,13 @@ P has norm at least P^phi(n).  Error model: the residues are exact integer
 arithmetic; the norm bound is the only floating-point input, every term of
 it is an upper bound with an explicit rounding margin, and an overestimate
 only costs more primes.
+
+All embeddings come from the one evaluator in `cyclotomic`: the solver
+takes its positivity verdict and its logarithms from `embedding_logs` (one
+evaluation of u, interval arithmetic wherever doubles cannot read a value),
+and the norm bound takes moduli from the same double-precision pass.  The
+table log sigma_k(eps_n) = 2 log|2 sin(pi k / n)| is built once per level
+and serves both.
 """
 
 from dataclasses import dataclass, field
@@ -31,8 +38,8 @@ from math import gcd, isfinite, lcm, log
 
 from . import cyclotomic, groupring, intlinalg, polys
 from .cyclotomic import (CycElt, LevelError, act, cyc_from_json, cyc_to_json,
-                         is_totally_positive, norm_down, one, raise_level,
-                         sigma_ell, vanishes_at_all_primes_above, zeta)
+                         norm_down, one, raise_level, sigma_ell,
+                         vanishes_at_all_primes_above, zeta)
 from .groupring import (GroupRingElt, annihilator_In_formula, grelt,
                         group_reps, idempotent_e_n, sigma)
 
@@ -392,63 +399,16 @@ def _annihilator(n):
     return annihilator_In_formula(n)
 
 
-# A double-precision embedding value counts as read only when it exceeds its
-# rounding-error bound by this factor; the log then carries a relative error
-# below 2^-20, well inside what the denominator search tolerates.
-_FLOAT_MARGIN = 2.0 ** 20
-
-
-def _embedding_logs(u):
-    """log u at the real embeddings indexed by the plus representatives.
-
-    The value at c, sum_i u_i cos(2 pi i c / n), is taken in double
-    precision on u / s (s the largest |u_i|), with rounding error below
-    about (phi + 2) 2^-52 sum_i |u_i / s|.  A value not far above that bound,
-    which includes every value that comes out non-positive, is re-evaluated
-    in mpmath: below double precision its sign and size are rounding noise.
-    """
+@lru_cache(maxsize=None)
+def _log_eps(n):
+    """log sigma_k(eps_n) = 2 log(2 sin(pi k / n)) for every residue k mod n
+    (entry 0, never a unit, is 0); k and n - k hold the same double."""
     import numpy as np
-    n = u.level
-    reps = cyclotomic.plus_reps(n)
-    top = max(map(abs, u.nums))
-    scale = Fraction(top, u.den)
-    coeffs = np.array([c / top for c in u.nums])
-    idx = np.arange(len(coeffs))
-    lscale = log(scale.numerator) - log(scale.denominator)
-    err = (len(coeffs) + 2) * 2.0 ** -52 * float(np.abs(coeffs).sum())
-    logs = []
-    for c in reps:
-        ang = 2.0 * np.pi * ((idx * c) % n) / n
-        val = float(np.cos(ang) @ coeffs)
-        if val > _FLOAT_MARGIN * err:
-            logs.append(log(val) + lscale)
-        else:
-            logs.append(_embedding_log_mp(u, c))
-    return reps, logs
-
-
-def _embedding_log_mp(u, c):
-    """log of the embedding of u at c in mpmath, at doubling precision until
-    the value stands above its error bound by double precision."""
-    from mpmath import cos, log as mlog, mp, mpf, pi as mpi
-    n = u.level
-    mag = sum(map(abs, u.nums))
-    dps = 40
-    while dps <= 640:
-        with mp.workdps(dps):
-            total = mpf(0)
-            for i, a in enumerate(u.nums):
-                if a:
-                    total += a * cos(2 * mpi * ((i * c) % n) / n)
-            # cos and its argument add a few ulps per term to the sum's own
-            # rounding; 32 covers them with room
-            err = (len(u.nums) + 32) * mag * mp.eps
-            if total < -err:
-                raise SolveError("embedding value is not positive at %d" % c)
-            if total > 2 ** 53 * err:
-                return float(mlog(total / u.den))
-        dps *= 2
-    raise SolveError("could not separate the embedding at %d from zero" % c)
+    half = np.arange(1, n // 2 + 1)
+    out = np.zeros(n)
+    out[half] = out[n - half] = 2.0 * np.log(2.0 * np.sin(np.pi * half / n))
+    out.setflags(write=False)
+    return out
 
 
 # Split primes p = 1 mod n with 2^30 < p < 2^31: Z[zeta_n] / p is phi(n)
@@ -519,30 +479,14 @@ def _residues_match(u, d, pos, neg, prime):
 
 
 def _log_abs_bounds(x):
-    """Upper bounds on log |sigma_c(x)| at the plus representatives c.
-
-    sigma_c(x) is taken in complex double precision on the numerators over
-    their largest |x_i|, whose rounding error stays below
-    (phi + 2) 2^-52 sum_i |x_i / top|; that bound, inflated 2^10 times, is
-    added to the value.  An embedding whose bound is not finite falls back
-    to the exact sum_i |x_i|.  |sigma_(-c)(x)| = |sigma_c(x)| because the
+    """Upper bounds on log |sigma_c(x)| at the plus representatives c: the
+    modulus from `cyclotomic.double_embeddings` plus its rounding bound
+    inflated 2^10 times.  |sigma_(-c)(x)| = |sigma_c(x)| because the
     coefficients are real.
     """
     import numpy as np
-    n = x.level
-    top = max(map(abs, x.nums))
-    coeffs = np.array([c / top for c in x.nums])
-    idx = np.arange(len(coeffs))
-    err = 2.0 ** 10 * (len(coeffs) + 2) * 2.0 ** -52 * float(np.abs(coeffs).sum())
-    shift = log(top) - log(x.den)
-    out = []
-    for c in group_reps(n, True):
-        val = abs(np.exp(2j * np.pi * ((idx * c) % n) / n) @ coeffs)
-        bound = log(val + err) + shift
-        if not isfinite(bound):
-            bound = log(sum(map(abs, x.nums))) - log(x.den)
-        out.append(bound)
-    return np.array(out)
+    _, vals, err, shift = cyclotomic.double_embeddings(x)
+    return np.log(np.abs(vals) + 2.0 ** 10 * err) + shift
 
 
 def _norm_bound(u, d, pos, neg):
@@ -560,8 +504,7 @@ def _norm_bound(u, d, pos, neg):
     n = u.level
     reps = np.array(group_reps(n, True))
     mult = np.where((2 * reps) % n == 0, 1, 2)
-    leps = 2.0 * np.log(np.abs(2.0 * np.sin(np.pi * np.arange(1, n) / n)))
-    leps = np.concatenate(([0.0], leps))
+    leps = _log_eps(n)
     la = d * (_log_abs_bounds(u) + log(u.den))
     lb = np.full_like(la, d * log(u.den))
     mag = np.abs(la) + np.abs(lb) + 2 * d
@@ -650,14 +593,15 @@ def _integral_coset_representative(j, lattice, p=None):
     return groupring.from_vector(j.level, True, rep)
 
 
-def solve_exponent(u, max_denominator=4096, check_positivity=True,
-                   unit_check_bound=32):
+def solve_exponent(u, max_denominator=4096, unit_check_bound=32):
     """Solve u = eps_n^j for a rational j in Q[G_n^+] e_n, up to the
     annihilator of eps_n; returns None when no verified solution exists.
 
-    Numeric logarithmic solve, continued-fraction reconstruction over a
-    doubling denominator schedule, then the exact power-identity check.
-    The returned representative is the canonical integral one when the
+    One evaluation of u's embeddings (`cyclotomic.embedding_logs`) gives
+    both the total-positivity verdict and the right-hand side of the
+    logarithmic least-squares solve; continued-fraction reconstruction over
+    a doubling denominator schedule follows, then the exact power-identity
+    check.  The returned representative is the canonical integral one when the
     coset contains integral points, else the e_n-projected rational one.
     """
     n = u.level
@@ -667,7 +611,8 @@ def solve_exponent(u, max_denominator=4096, check_positivity=True,
         raise ValueError("cannot solve for the zero element")
     if act(cyclotomic.tau(n), u) != u:
         raise ValueError("element is not fixed by conjugation")
-    if check_positivity and not is_totally_positive(u):
+    logs = cyclotomic.embedding_logs(u)
+    if logs is None:
         raise ValueError("element is not totally positive")
     if u.is_integral() and polys.euler_phi(n) <= unit_check_bound:
         ps = polys.prime_factors(n)
@@ -675,14 +620,8 @@ def solve_exponent(u, max_denominator=4096, check_positivity=True,
         if not ok:
             raise ValueError("element is not a unit (resp. p-unit) at level %d" % n)
     import numpy as np
-    reps, logs = _embedding_logs(u)
-    mu = len(reps)
-    ell = {}
-    from math import pi as PI, sin
-    for dd in reps:
-        ell[dd] = 2.0 * log(2.0 * sin(PI * dd / n))
-    a_mat = np.array([[ell[groupring.canon_rep(c * g, n, True)] for g in reps]
-                      for c in reps])
+    reps = np.array(group_reps(n, True))
+    a_mat = _log_eps(n)[np.outer(reps, reps) % n]
     x = np.linalg.lstsq(a_mat, np.array(logs), rcond=None)[0]
     e_n = idempotent_e_n(n)
     seen = set()

@@ -19,16 +19,12 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import cyclotomic, intlinalg, polys
-from .cyclotomic import CycElt, LevelError, act, one, zeta
+from .cyclotomic import CycElt, LevelError, PrecisionError, act, one, zeta
 
 
 class HypothesisNotMetError(ValueError):
     """A stated hypothesis (such as b >= b_0) is not satisfied; the check is
     inapplicable rather than failed."""
-
-
-class PrecisionError(ArithmeticError):
-    """Numeric stage failed and exact verification could not rescue it."""
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from circdist import groupring
 from circdist.cli import (TableSpecError, main, parse_support, parse_table)
-from circdist.distributions import divisor_closure
+from circdist.cyclotomic import PrecisionError, SubfieldError
+from circdist.distributions import SolveError, divisor_closure
 from circdist.groupring import eps_n
 
 
@@ -181,3 +183,44 @@ def test_cli_import_leaves_numpy_and_mpmath_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("exc,code", [
+    (PrecisionError("could not separate embedding 5 from zero"), 3),
+    (SubfieldError("element is not in the level-12 subfield"), 3),
+    (ArithmeticError("modular inverse reconstruction failed"), 3),
+    (SolveError("no exponent found at level 12"), 2),
+])
+def test_internal_failures_have_their_own_exit_code(exc, code, monkeypatch, capsys):
+    def fail(n):
+        raise exc
+
+    monkeypatch.setattr(groupring, "idempotent_e_n", fail)
+    assert main(["idempotent", "--n", "12"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(exc) in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--table", "phi", "--support", "closure(1000000000000)"],
+    ["idempotent", "--n", "2000003"],
+    ["annihilator", "--n", "97"],
+    ["annihilator", "--n", str(10 ** 40)],
+    ["ncnd", "--p", "3", "--q", "7", "--a-max", "3"],
+    ["ncnd", "--p", "3", "--q", "5", "--a-max", str(10 ** 9)],
+])
+def test_max_phi_caps_every_level(argv, capsys):
+    # each is refused before any work: none factors a level above 2 cap^2
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "CIRCDIST_MAX_PHI" in captured.err
+
+
+def test_max_phi_admits_the_readme_ncnd_levels(monkeypatch, capsys):
+    # levels 15, 45, 135: phi(135) = 72 is the default cap
+    monkeypatch.setenv("CIRCDIST_MAX_PHI", "71")
+    assert main(["ncnd", "--p", "3", "--q", "5", "--a-max", "3"]) == 2
+    assert "phi(135)" in capsys.readouterr().err
+    monkeypatch.delenv("CIRCDIST_MAX_PHI")
+    assert main(["ncnd", "--p", "3", "--q", "5", "--a-max", "3"]) == 0

@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from circdist import cyclotomic as cyc
+from circdist import cyclotomic_polynomial_coeffs
 from circdist.cyclotomic import (CycElt, GaloisElt, LevelError, SubfieldError,
-                                 act, cyclotomic_polynomial_coeffs, euler_phi,
-                                 is_p_unit, is_totally_positive, is_unit,
+                                 act, is_p_unit, is_totally_positive, is_unit,
                                  lower_level, norm_down, norm_to_q, one,
                                  raise_level, reduce_mod_ell, sigma_ell, tau,
                                  valuation_at_p, vanishes_at_all_primes_above,
                                  zeta, zeta_power)
 from circdist.groupring import eps_n, grelt
+from circdist.polys import euler_phi
 
 
 def test_cyclotomic_polynomial_examples():

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from circdist import cyclotomic as cyc
 from circdist import distributions as dist
 from circdist import groupring as gr
-from circdist.cyclotomic import CycElt, act, one, raise_level, zeta, zeta_power
+from circdist.cyclotomic import (CycElt, act, embedding_logs, one, raise_level,
+                                 zeta, zeta_power)
 from circdist.distributions import (DistTable, RTower, SupportError,
                                     check_euler_conditions, classify_torsion,
                                     delta_table, divisor_closure, phi_table,
@@ -279,9 +281,9 @@ def _past_double(n, terms):
 def test_solve_exponent_below_double_precision(n, terms):
     from mpmath import mp, mpf, cos, log, pi
     r, u = _past_double(n, terms)
-    reps, logs = dist._embedding_logs(u)
+    logs = embedding_logs(u)
     with mp.workdps(100):
-        for c, got in zip(reps, logs):
+        for c, got in zip(group_reps(n, True), logs):
             val = sum(mpf(co.numerator) / co.denominator * cos(2 * pi * (i * c % n) / n)
                       for i, co in enumerate(u.coeffs))
             assert abs(got - float(log(val))) < 2.0 ** -20
@@ -294,14 +296,33 @@ def test_solve_exponent_below_double_precision(n, terms):
 def test_mpmath_precision_is_left_as_found():
     from mpmath import iv, mp
     from circdist.cyclotomic import is_totally_positive
-    before = (mp.dps, iv.dps)
+    before = (mp.dps, mp.prec, iv.prec)
     gr.annihilator_In_oracle(12)
-    assert (mp.dps, iv.dps) == before
+    assert (mp.dps, mp.prec, iv.prec) == before
     _, u = _past_double(*PAST_DOUBLE[0])
     assert is_totally_positive(u)          # ambiguous in floats: interval path
-    assert (mp.dps, iv.dps) == before
-    assert solve_exponent(u, check_positivity=False) is not None
-    assert (mp.dps, iv.dps) == before
+    assert (mp.dps, mp.prec, iv.prec) == before
+    assert solve_exponent(u) is not None
+    assert (mp.dps, mp.prec, iv.prec) == before
+
+
+@pytest.mark.parametrize("n,terms", PAST_DOUBLE)
+def test_solve_exponent_evaluates_each_embedding_once(n, terms, monkeypatch):
+    _, u = _past_double(n, terms)
+    intervals = []
+    real_interval = cyc.interval_embedding
+
+    def counted(x, c):
+        intervals.append((x, c))
+        return real_interval(x, c)
+
+    monkeypatch.setattr(cyc, "interval_embedding", counted)
+    cyc.double_embeddings.cache_clear()
+    assert solve_exponent(u) is not None
+    assert cyc.double_embeddings.cache_info().misses == 1
+    assert intervals                       # past double precision somewhere
+    assert len(intervals) == len(set(intervals))
+    assert all(x == u for x, _ in intervals)
 
 
 def test_construction_checks_raise_when_relations_fail(monkeypatch):

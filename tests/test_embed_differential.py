@@ -1,0 +1,166 @@
+"""The one embedding evaluator against the evaluators it replaced.
+
+`cyclotomic.is_totally_positive`, `cyclotomic.embedding_logs` and
+`distributions._log_abs_bounds` all read the shared double-precision pass
+with its interval fallback; `oracle_embed` keeps the separate evaluators
+they had before.  Verdicts and logs must agree on random tau-fixed elements
+at levels up to 120: sums y + tau(y) (often not positive), norms
+y tau(y) - k, elements B w - A with w = zeta + zeta^-1 whose smallest
+embedding is about 2^-bits of their coefficients (so positivity rests on
+the interval fallback), and the three PAST_DOUBLE reproducers.  The moduli
+must never fall below log |sigma_c(x)| taken at high precision.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+import oracle_embed as oracle
+from circdist import distributions as dist
+from circdist.cyclotomic import (CycElt, act, embedding_logs,
+                                 is_totally_positive, one, tau, zeta,
+                                 zeta_power)
+from circdist.groupring import eps_n, grelt, group_reps
+from circdist.polys import euler_phi
+
+CASES = settings(max_examples=80, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+LEVELS = tuple(range(3, 121))
+# eps_n^r draws keep to the solver's range (phi <= 48) and skip n = 2 mod 4
+SOLVE_LEVELS = tuple(n for n in LEVELS if n % 4 != 2 and euler_phi(n) <= 48)
+# w = zeta + zeta^-1 is irrational, so B w - A is never 0
+NEAR_LEVELS = tuple(n for n in LEVELS if n not in (3, 4, 6))
+PAST_DOUBLE = ((96, {1: 2, 23: 3, 29: -3}), (84, {1: 2, 37: -2, 41: -3}),
+               (72, {1: 1, 7: -3, 29: 3}))
+
+
+def _past_double(n, terms):
+    return grelt(n, True, terms).act_on(eps_n(n), assume_tau_fixed=True)
+
+
+@st.composite
+def plain(draw, levels=LEVELS):
+    n = draw(st.sampled_from(levels))
+    size = draw(st.sampled_from((3, 100, 2 ** 70, 2 ** 1100)))
+    phi = euler_phi(n)
+    nums = draw(st.lists(st.integers(-size, size), min_size=phi, max_size=phi)
+                .filter(any))
+    den = draw(st.sampled_from((1, 1, 7, 36)))
+    return CycElt(n, tuple(Fraction(c, den) for c in nums))
+
+
+@st.composite
+def sums(draw):
+    y = draw(plain())
+    return y + act(tau(y.level), y)
+
+
+@st.composite
+def norms(draw):
+    y = draw(plain())
+    return y * act(tau(y.level), y) - draw(st.sampled_from((0, 0, 1, 2)))
+
+
+def near_zero_element(n, bits, seed, delta):
+    """B w - A with A = floor(B w_min) + delta: all embeddings but the one
+    at the smallest conjugate w_min are about B, that one lies in
+    (0, 1) - delta, so the element is totally positive iff delta <= 0."""
+    from mpmath import cos, floor, mp, pi
+    big = (1 << bits) + seed
+    cstar = max(group_reps(n, True))      # 2 cos(2 pi c / n) falls with c
+    with mp.workdps(bits // 3 + 40):
+        a = int(floor(big * 2 * cos(2 * pi * cstar / n))) + delta
+    w = zeta(n) + zeta_power(n, -1)
+    return w * big - a
+
+
+@st.composite
+def near_zero(draw):
+    n = draw(st.sampled_from(NEAR_LEVELS))
+    bits = draw(st.sampled_from((30, 60, 120, 200, 700)))
+    seed = draw(st.integers(0, 2 ** 20))
+    x = near_zero_element(n, bits, seed, draw(st.sampled_from((-1, 0, 1))))
+    if draw(st.booleans()):                    # a totally positive factor
+        y = draw(plain(levels=(n,)))
+        x = x * (y * act(tau(n), y))
+    return x
+
+
+@st.composite
+def eps_powers(draw):
+    n = draw(st.sampled_from(SOLVE_LEVELS))
+    reps = group_reps(n, True)
+    terms = {draw(st.sampled_from(reps)): draw(st.integers(-3, 3)),
+             draw(st.sampled_from(reps)): draw(st.integers(-3, 3)),
+             1: draw(st.integers(0, 2))}
+    return grelt(n, True, terms).act_on(eps_n(n), assume_tau_fixed=True)
+
+
+tau_fixed = st.one_of(sums(), norms(), near_zero(), eps_powers())
+
+
+@CASES
+@given(tau_fixed)
+@example(_past_double(*PAST_DOUBLE[0]))
+@example(_past_double(*PAST_DOUBLE[1]))
+@example(_past_double(*PAST_DOUBLE[2]))
+@example(near_zero_element(97, 700, 5, 0))
+@example(near_zero_element(97, 700, 5, 1))
+def test_positivity_verdicts_match(x):
+    assert is_totally_positive(x) == oracle.is_totally_positive(x)
+
+
+@CASES
+@given(st.one_of(eps_powers(), near_zero(), norms()))
+@example(_past_double(*PAST_DOUBLE[0]))
+@example(_past_double(*PAST_DOUBLE[1]))
+@example(_past_double(*PAST_DOUBLE[2]))
+@example(near_zero_element(60, 120, 3, 0))
+def test_solver_logs_agree(u):
+    if not oracle.is_totally_positive(u):
+        assert embedding_logs(u) is None
+        return
+    reps, old = oracle.embedding_logs(u)
+    new = embedding_logs(u)
+    assert list(group_reps(u.level, True)) == reps
+    assert all(abs(a - b) < 2.0 ** -20 for a, b in zip(new, old)), (new, old)
+
+
+def _log_abs_embeddings(x):
+    """log |sigma_c(x)| at the plus representatives, at a precision well
+    past the cancellation in the sum."""
+    from mpmath import cospi, log, mp, mpf, sinpi
+    n = x.level
+    bits = max(abs(c) for c in x.nums).bit_length()
+    out = []
+    with mp.workdps(bits // 3 + 60):
+        cos_r = [cospi(mpf(2 * r) / n) for r in range(n)]
+        sin_r = [sinpi(mpf(2 * r) / n) for r in range(n)]
+        for c in group_reps(n, True):
+            re = sum(a * cos_r[i * c % n] for i, a in enumerate(x.nums) if a)
+            im = sum(a * sin_r[i * c % n] for i, a in enumerate(x.nums) if a)
+            out.append(float(log(mp.sqrt(re * re + im * im))) - math.log(x.den))
+    return out
+
+
+@settings(CASES, max_examples=40)
+@given(st.one_of(plain(), near_zero()))
+@example(near_zero_element(97, 700, 5, 0))
+def test_modulus_bounds_never_below_the_embeddings(x):
+    bounds = dist._log_abs_bounds(x)
+    exact = _log_abs_embeddings(x)
+    assert all(b >= e for b, e in zip(bounds, exact)), (list(bounds), exact)
+
+
+def test_near_zero_elements_need_the_interval_fallback():
+    # the construction does what the docstring says: the double pass cannot
+    # read the small embedding, and delta decides the verdict
+    from circdist.cyclotomic import double_embeddings
+    for delta, positive in ((-1, True), (0, True), (1, False)):
+        x = near_zero_element(97, 200, 11, delta)
+        _, vals, err, _ = double_embeddings(x)
+        assert min(abs(vals.real)) < 2.0 ** 20 * err
+        assert is_totally_positive(x) is positive
+    assert is_totally_positive(one(97) * 3)

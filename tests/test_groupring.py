@@ -261,6 +261,12 @@ def test_stabilization_and_image_claim():
         image_is_p_times_I(15, 2, 1)
 
 
+def test_stabilization_failure_is_the_exported_precision_error():
+    import circdist
+    with pytest.raises(circdist.PrecisionError, match="b = 0"):
+        stabilization_b0.__wrapped__(35, 5, b_max=0)
+
+
 def test_image_claim_at_levels_480_and_544():
     for m, p in [(30, 2), (34, 2)]:
         b0 = stabilization_b0(m, p)
