@@ -94,6 +94,8 @@ def kappa_digits(f, m, p, depth, k_list=None):
     below n."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if not polys.is_probable_prime(p):
+        raise ValueError("p = %d is not a prime" % p)
     if k_list is None:
         k_list = tuple(range(max(1, depth - 1)))
     k_list = tuple(sorted(set(int(k) for k in k_list)))

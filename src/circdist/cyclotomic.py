@@ -18,8 +18,16 @@ solver's logarithms and the norm bound of the exponent certificate.  A
 double-precision pass over a per-level table of zeta^(i c) gives every
 sigma_c(x) with one rounding bound; floating point only ever reads a value
 that stands far above that bound.  A real embedding it cannot read is
-re-evaluated in interval arithmetic at doubling precision, so every sign it
-reports is certified.
+re-evaluated exactly at doubling fixed-point precision: integer floor and
+ceiling bounds on 2^prec cos(2 pi r / n), rounded outwards from mpmath's
+interval cosine, are summed against the integer numerators, so every sign
+it reports is certified.
+
+The norm to Q is a multimodular resultant (`polys.cyclo_norm`).  Its CRT
+run needs an upper bound on |N(x)|: by default the l1 bound of the
+coefficients, or one the caller passes to `norm_to_q`, `is_unit` and
+`is_p_unit`, as the exponent solver does with the sum of its embedding
+moduli.  Valuations at prime-power levels are read from the norm.
 """
 
 from dataclasses import dataclass
@@ -53,7 +61,6 @@ class _LevelCtx:
         self.phi_poly = polys.cyclotomic_polynomial(n)
         self.degree = len(self.phi_poly) - 1
         self.phi_terms = polys.monic_lower_terms(self.phi_poly)
-        self._pi_inverse = None
 
     def reduce_int_vec(self, vec):
         """Reduce an integer coefficient vector of any length mod Phi_n."""
@@ -462,64 +469,58 @@ def _prime_power_split(n):
     return ps[0]
 
 
+def _order_at(v, p):
+    """Exponent of the prime p in the nonzero integer v."""
+    e = 0
+    while v % p == 0:
+        v //= p
+        e += 1
+    return e
+
+
 def valuation_at_p(x, p):
     """Valuation of nonzero x at the unique prime above p; the level must be
-    a power of p and 1 - zeta is the uniformizer."""
+    a power of p and 1 - zeta is the uniformizer.
+
+    That prime has residue degree 1 and p = (1 - zeta)^phi(n) up to a unit,
+    so the valuation is v_p(N(den x)) - phi(n) v_p(den) for the common
+    denominator den of x."""
     n = x.level
     if n < 2 or _prime_power_split(n) != p:
         raise LevelError("level %d is not a power of %d" % (n, p))
     if x.is_zero():
         raise ZeroDivisionError("valuation of zero")
-    den = x.denominator_lcm()
-    y = x * den
-    vden = 0
-    dd = den
-    while dd % p == 0:
-        dd //= p
-        vden += 1
-    ctx = _LevelCtx(n)
-    if ctx._pi_inverse is None:
-        ctx._pi_inverse = inverse(one(n) - zeta(n))
-    phi_mod = [c % p for c in ctx.phi_poly]
-    v = 0
-    while True:
-        res = polys.fp_trim([c % p for c in y.nums])
-        if polys.fp_resultant(phi_mod, res, p) != 0:
-            break
-        y = y * ctx._pi_inverse
-        if not y.is_integral():
-            raise ArithmeticError("division by 1 - zeta left the integers")
-        v += 1
-    return v - polys.euler_phi(n) * vden
+    nrm = norm_to_q(x * x.den).numerator
+    return _order_at(nrm, p) - polys.euler_phi(n) * _order_at(x.den, p)
 
 
-def norm_to_q(x):
-    """Field norm down to Q, as an exact Fraction."""
-    return polys.cyclo_norm(list(x.coeffs), x.level)
+def norm_to_q(x, log_bound=None):
+    """Field norm down to Q, as an exact Fraction; log_bound, when given, is
+    an upper bound on log |N(x)| that shortens the CRT run
+    (`polys.cyclo_norm`)."""
+    return polys.cyclo_norm(list(x.coeffs), x.level, log_bound)
 
 
-def is_unit(x):
+def is_unit(x, log_bound=None):
     """Global unit test: integral coefficients and |norm| = 1."""
     if x.is_zero():
         return False
     if not x.is_integral():
         return False
-    return abs(norm_to_q(x)) == 1
+    return abs(norm_to_q(x, log_bound)) == 1
 
 
-def is_p_unit(x, p):
+def is_p_unit(x, p, log_bound=None):
     """p-unit test: integral coefficients and |norm| a power of p."""
     if x.is_zero():
         return False
     if not x.is_integral():
         return False
-    nrm = abs(norm_to_q(x))
+    nrm = abs(norm_to_q(x, log_bound))
     val = nrm.numerator
     if nrm.denominator != 1 or val == 0:
         return False
-    while val % p == 0:
-        val //= p
-    return val == 1
+    return val == p ** _order_at(val, p)
 
 
 # ---------------------------------------------------------------------------
@@ -567,47 +568,74 @@ def double_embeddings(x):
     return reps, vals, err, log(top) - log(x.den)
 
 
+def _scaled(v, prec, ceil):
+    """The floor (or the ceiling) of the mpmath raw float v times 2^prec."""
+    sign, man, exp, _ = v
+    man = -int(man) if sign else int(man)
+    shift = exp + prec
+    if shift >= 0:
+        return man << shift
+    return -(-man >> -shift) if ceil else man >> -shift
+
+
 @lru_cache(maxsize=None)
-def _cos_enclosures(n, prec):
-    """Intervals at `prec` bits enclosing cos(2 pi r / n), keyed by
-    r <= n / 2 (r and n - r share a cosine), filled as residues are used."""
+def _cos_bounds(n, prec):
+    """Integers lo <= 2^prec cos(2 pi r / n) <= hi, keyed by r <= n / 2
+    (r and n - r share a cosine), filled as residues are used."""
     return {}
+
+
+def _cos_bound(n, r, prec):
+    # mpmath's interval cosine of an enclosure of 2 pi r / n, at 20 guard
+    # bits, rounded outwards to the grid 2^-prec
+    from mpmath.libmp import (from_int, mpf_div, mpf_mul, mpf_pi, mpi_cos,
+                              round_ceiling, round_floor)
+    wp = prec + 20
+    angle = tuple(mpf_div(mpf_mul(mpf_pi(wp, rnd), from_int(2 * r)),
+                          from_int(n), wp, rnd)
+                  for rnd in (round_floor, round_ceiling))
+    lo, hi = mpi_cos(angle, wp)
+    return _scaled(lo, prec, False), _scaled(hi, prec, True)
 
 
 def interval_embedding(x, c):
     """(sign, log |sigma_c(x)|) of the tau-fixed x at the real embedding c,
-    certified in interval arithmetic.
+    certified by an exact fixed-point sum.
 
-    The interval sum_i x_i cos(2 pi i c / n) is taken at 128 bits and then
-    at doubling precision until it excludes 0 and its width is below 2^-53
-    of its endpoints; the log is read from it.  Raises PrecisionError past
-    4096 bits.
+    At prec bits, sum_i x_i cos(2 pi i c / n) times 2^prec lies between
+    the integers lo = sum_i x_i lo_i and hi = sum_i x_i hi_i, where lo_i
+    and hi_i are the floor and ceiling bounds of the cosines (taken the
+    other way round where x_i < 0); nothing is rounded after the cosines.
+    prec starts at 128 bits and doubles until [lo, hi] excludes 0 and is
+    narrower than 2^-53 of its endpoints; the log is read from the endpoint
+    nearer zero.  Raises PrecisionError past 4096 bits.
     """
-    from mpmath import iv
     n = x.level
-    saved = iv.prec              # the interval context has no workprec
     prec = 128
-    try:
-        while prec <= 4096:
-            iv.prec = prec
-            cosines = _cos_enclosures(n, prec)
-            total = iv.mpf(0)
-            for i, a in enumerate(x.nums):
-                if a:
-                    r = i * c % n
-                    r = min(r, n - r)
-                    if r not in cosines:
-                        cosines[r] = iv.cos(iv.pi * (2 * r) / n)
-                    total += a * cosines[r]
-            lo, hi = total.a, total.b
-            if lo > 0 or hi < 0:
-                near = lo if lo > 0 else -hi
-                if hi - lo < 2.0 ** -53 * near:
-                    mag = float(iv.log(near).a) - log(x.den)
-                    return (1 if lo > 0 else -1), mag
-            prec *= 2
-    finally:
-        iv.prec = saved
+    while prec <= 4096:
+        bounds = _cos_bounds(n, prec)
+        lo = hi = 0
+        for i, a in enumerate(x.nums):
+            if a:
+                r = i * c % n
+                r = min(r, n - r)
+                if r not in bounds:
+                    bounds[r] = _cos_bound(n, r, prec)
+                cl, ch = bounds[r]
+                if a > 0:
+                    lo += a * cl
+                    hi += a * ch
+                else:
+                    lo += a * ch
+                    hi += a * cl
+        if lo > 0 or hi < 0:
+            near = lo if lo > 0 else -hi
+            if (hi - lo) << 53 < near:
+                # near = f 2^e with 1/2 <= f < 1, so the value is f 2^(e - prec)
+                e = near.bit_length()
+                mag = log(near / (1 << e)) + (e - prec) * log(2.0) - log(x.den)
+                return (1 if lo > 0 else -1), mag
+        prec *= 2
     raise PrecisionError("could not separate embedding %d from zero" % c)
 
 

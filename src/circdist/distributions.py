@@ -489,6 +489,18 @@ def _log_abs_bounds(x):
     return np.log(np.abs(vals) + 2.0 ** 10 * err) + shift
 
 
+def _log_norm_bound(x):
+    """Upper bound on log |N(x)| = sum_c log |sigma_c(x)| over all units c,
+    from the bounds of `_log_abs_bounds`, with the slack of `_norm_bound`
+    for the rounding of the sum."""
+    import numpy as np
+    n = x.level
+    reps = np.array(group_reps(n, True))
+    mult = np.where((2 * reps) % n == 0, 1, 2)     # c and -c, unless equal
+    logs = _log_abs_bounds(x)
+    return float(mult @ (logs + 2.0 ** -24 * (1.0 + np.abs(logs))))
+
+
 def _norm_bound(u, d, pos, neg):
     """Upper bound on sum_c log(|sigma_c A| + |sigma_c B|) over all units c.
 
@@ -603,6 +615,12 @@ def solve_exponent(u, max_denominator=4096, unit_check_bound=32):
     a doubling denominator schedule follows, then the exact power-identity
     check.  The returned representative is the canonical integral one when the
     coset contains integral points, else the e_n-projected rational one.
+
+    An integral u at phi(n) <= unit_check_bound must be a unit (a p-unit at
+    a level p^k).  Its norm is an exact resultant whose CRT run stops at
+    twice the bound `_log_norm_bound(u)`: the sum of the upper bounds on
+    log |sigma_c(u)| from the same double-precision pass, a cache hit, which
+    the power-identity certificate already trusts.
     """
     n = u.level
     if n < 2:
@@ -616,7 +634,9 @@ def solve_exponent(u, max_denominator=4096, unit_check_bound=32):
         raise ValueError("element is not totally positive")
     if u.is_integral() and polys.euler_phi(n) <= unit_check_bound:
         ps = polys.prime_factors(n)
-        ok = cyclotomic.is_p_unit(u, ps[0]) if len(ps) == 1 else cyclotomic.is_unit(u)
+        bound = _log_norm_bound(u)
+        ok = (cyclotomic.is_p_unit(u, ps[0], bound) if len(ps) == 1
+              else cyclotomic.is_unit(u, bound))
         if not ok:
             raise ValueError("element is not a unit (resp. p-unit) at level %d" % n)
     import numpy as np

@@ -250,6 +250,8 @@ def decomposition_group(n, ell):
     """Decomposition subgroup of the prime ell | n in G_n^+, as a sorted
     tuple of plus representatives: via CRT it is the image of
     (Z/ell^a)^x x <ell mod m> for n = ell^a m."""
+    if ell < 2:
+        raise ValueError("%d is not a prime" % ell)
     if n % ell:
         raise LevelError("%d does not divide %d" % (ell, n))
     q = 1
@@ -595,6 +597,8 @@ def stabilization_b0(m, p, b_max=12):
     """Smallest b such that every prime divisor of the tower levels m*p^c
     has full decomposition group above the level m*p^b, detected by
     containment at two consecutive higher levels."""
+    if not polys.is_probable_prime(p):
+        raise ValueError("p = %d is not a prime" % p)
     for b in range(b_max + 1):
         good = True
         for ell in sorted(set(polys.prime_factors(m)) | {p}):

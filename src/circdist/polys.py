@@ -17,7 +17,7 @@ inverses modulo a cyclotomic polynomial with exact verification.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, log
 
 try:
     from gmpy2 import mpz
@@ -389,9 +389,17 @@ def int_content_and_primitive(coeffs):
     return g, [v // g for v in nums], den
 
 
-def cyclo_norm(coeffs, n):
-    """Field norm from Q(zeta_n) of the element with the given rational
-    coefficient vector (length phi(n)), computed as Res(Phi_n, x) by CRT."""
+def cyclo_norm(coeffs, n, log_bound=None):
+    """Field norm from Q(zeta_n) of the element x with the given rational
+    coefficient vector (length phi(n)), computed as Res(Phi_n, x) by CRT.
+
+    The resultant of x's primitive integer part is read as a symmetric
+    residue, so the run stops once the product of the primes exceeds twice
+    a bound on its absolute value.  That bound is (sum |x_i|)^phi(n) for the
+    primitive part, or, when the caller passes log_bound >= log |N(x)|
+    (the exponent solver sums its embedding moduli, which are upper bounds
+    with explicit rounding margins), whichever of the two is smaller.
+    """
     phi = list(cyclotomic_polynomial(n))
     deg = len(phi) - 1
     content, prim, den = int_content_and_primitive(list(coeffs))
@@ -400,6 +408,13 @@ def cyclo_norm(coeffs, n):
     # |Res(Phi, prim)| <= (sum |prim coeffs|)^deg
     s = sum(abs(c) for c in prim)
     bound = 2 * max(1, s) ** deg + 1
+    # |Res(Phi, prim)| = |N(x)| (den / content)^deg; the slack covers the
+    # rounding of the logs and their sum
+    stop = float("inf")
+    if log_bound is not None:
+        terms = (log_bound, deg * log(den), -deg * log(content))
+        stop = (log(2.0) + sum(terms)
+                + 2.0 ** -24 * (1.0 + sum(map(abs, terms))))
     m = 1
     res = 0
     for p in crt_primes():
@@ -410,7 +425,7 @@ def cyclo_norm(coeffs, n):
             res, m = rp, p
         else:
             res, m = crt_pair(res, m, rp, p), m * p
-        if m > bound:
+        if m > bound or log(m) > stop:
             break
     val = symmetric_residue(res, m)
     return Fraction(val) * Fraction(content, den) ** deg

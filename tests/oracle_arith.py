@@ -5,7 +5,9 @@ numerators over one denominator, kept here only as an oracle: elements as
 tuples of Fractions, products as four non-negative Kronecker products packed
 through ``bytes.join``, and reduction modulo Phi_n through a dense table of
 the rows z^j mod Phi_n for phi(n) <= j < n.  Every function returns the
-coefficient tuple of its result.
+coefficient tuple of its result, except `valuation_at_p`: the valuation at
+a prime-power level as it was computed before it came from the norm, by
+dividing by 1 - zeta until the residue mod p no longer vanishes.
 """
 
 from fractions import Fraction
@@ -13,7 +15,8 @@ from functools import lru_cache
 from math import lcm
 
 from circdist import polys
-from circdist.cyclotomic import LevelError, SubfieldError, relative_galois_group
+from circdist.cyclotomic import (LevelError, SubfieldError, inverse, one,
+                                 relative_galois_group, zeta)
 from circdist.intlinalg import gauss_solve
 
 
@@ -221,3 +224,35 @@ def norm_down(x, n):
         red = reduce_int_vec(m, int_poly_mul(na, nb))
         prod = tuple(Fraction(c, da * db) for c in red)
     return lower_level_coeffs(m, prod, n)
+
+
+# ---------------------------------------------------------------------------
+# valuation at the prime above p, by repeated division
+
+
+@lru_cache(maxsize=None)
+def _pi_inverse(n):
+    return inverse(one(n) - zeta(n))
+
+
+def valuation_at_p(x, p):
+    """Valuation of the nonzero x at level p^k: divide den x by 1 - zeta
+    while Res(Phi_n, den x) vanishes mod p, less phi(n) v_p(den)."""
+    n = x.level
+    den = x.den
+    y = x * den
+    vden = 0
+    while den % p == 0:
+        den //= p
+        vden += 1
+    phi_mod = [c % p for c in polys.cyclotomic_polynomial(n)]
+    v = 0
+    while True:
+        res = polys.fp_trim([c % p for c in y.nums])
+        if polys.fp_resultant(phi_mod, res, p) != 0:
+            break
+        y = y * _pi_inverse(n)
+        if not y.is_integral():
+            raise ArithmeticError("division by 1 - zeta left the integers")
+        v += 1
+    return v - polys.euler_phi(n) * vden

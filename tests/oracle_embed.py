@@ -4,10 +4,14 @@ These are the evaluators circdist used before it had one: a float screen
 and a fresh-cosine interval fallback for total positivity, a float pass
 with an mpmath fallback for the exponent solver's logarithms, and a complex
 float pass for the norm bound's moduli.  Each builds its own cosine rows for
-the plus representatives; they are kept here only as oracles.
+the plus representatives.  Last comes the interval fallback of the one
+evaluator as it was before its sums became exact fixed-point integers: the
+same schedule on mpmath interval objects.  They are kept here only as
+oracles.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isfinite, log
 
 from circdist.cyclotomic import PrecisionError, act, tau
@@ -165,3 +169,43 @@ def log_abs_bounds(x):
             bound = log(sum(map(abs, x.nums))) - log(x.den)
         out.append(bound)
     return np.array(out)
+
+
+# -- the interval fallback on mpmath interval objects -------------------------
+
+
+@lru_cache(maxsize=None)
+def _cos_enclosures(n, prec):
+    return {}
+
+
+def interval_embedding(x, c):
+    """(sign, log |sigma_c(x)|) from the interval sum of x_i cos(2 pi i c / n)
+    at 128 bits, then doubling precision until it excludes 0 and is
+    narrower than 2^-53 of its endpoints; PrecisionError past 4096 bits."""
+    from mpmath import iv
+    n = x.level
+    saved = iv.prec
+    prec = 128
+    try:
+        while prec <= 4096:
+            iv.prec = prec
+            cosines = _cos_enclosures(n, prec)
+            total = iv.mpf(0)
+            for i, a in enumerate(x.nums):
+                if a:
+                    r = i * c % n
+                    r = min(r, n - r)
+                    if r not in cosines:
+                        cosines[r] = iv.cos(iv.pi * (2 * r) / n)
+                    total += a * cosines[r]
+            lo, hi = total.a, total.b
+            if lo > 0 or hi < 0:
+                near = lo if lo > 0 else -hi
+                if hi - lo < 2.0 ** -53 * near:
+                    mag = float(iv.log(near).a) - log(x.den)
+                    return (1 if lo > 0 else -1), mag
+            prec *= 2
+    finally:
+        iv.prec = saved
+    raise PrecisionError("could not separate embedding %d from zero" % c)

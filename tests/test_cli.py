@@ -173,16 +173,49 @@ def test_depth_below_one_is_a_usage_error(command, depth, capsys):
     assert captured.out == "" and "depth" in captured.err
 
 
+# the README commands that reach no numeric path: (argv, exit code)
+EXACT_COMMANDS = (
+    (["verify", "--table", "phi", "--support", "closure(60)"], 0),
+    (["strictness", "--table", "delta(3)", "--support", "closure(15)"], 1),
+    (["idempotent", "--n", "24"], 0),
+    (["ncnd", "--p", "3", "--q", "5", "--a-max", "3"], 0),
+    (["euler", "--table", "phi", "--support", "closure(21)", "--m", "3",
+      "--r", "7"], 0),
+    (["torsion", "--table", "delta(3,5)", "--support", "closure(45,12)"], 0),
+    (["valuation", "--table", "pow(phi, 3)", "--support", "closure(9,8,25)"], 0),
+)
+
+
 def test_cli_import_leaves_numpy_and_mpmath_unloaded():
     # both are imported inside the functions that need them, so a one-shot
     # command that never reaches a numeric path does not pay for them
+    loaded = "sorted(m for m in ('numpy', 'mpmath') if m in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, circdist.cli; "
-         "print(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))"],
+        [sys.executable, "-c", "import sys, circdist.cli; print(%s)" % loaded],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # each exact README command, run in a fresh interpreter, loads neither
+    script = ("import json, sys; from circdist.cli import main; "
+              "code = main(json.loads(sys.argv[1])); "
+              "sys.stderr.write('\\n%%d %%r' %% (code, %s))" % loaded)
+    for argv, code in EXACT_COMMANDS:
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                              capture_output=True, text=True)
+        assert proc.stderr.splitlines()[-1] == "%d []" % code, (argv, proc.stderr)
+
+
+@pytest.mark.parametrize("command", ["kappa", "boundedness"])
+@pytest.mark.parametrize("p", ["0", "1", "4"])
+def test_p_not_prime_is_a_usage_error(command, p):
+    # --p 1 used to spin in decomposition_group; each now exits at once
+    proc = subprocess.run(
+        [sys.executable, "-m", "circdist.cli", command, "--table",
+         "pow(phi, one_plus_tau)", "--support", "closure(3)", "--m", "3",
+         "--p", p, "--depth", "1"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and "not a prime" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("exc,code", [

@@ -9,16 +9,23 @@ y tau(y) - k, elements B w - A with w = zeta + zeta^-1 whose smallest
 embedding is about 2^-bits of their coefficients (so positivity rests on
 the interval fallback), and the three PAST_DOUBLE reproducers.  The moduli
 must never fall below log |sigma_c(x)| taken at high precision.
+
+`interval_embedding` sums integers at the scale 2^prec over outward-rounded
+cosine bounds; `oracle_embed.interval_embedding` is the same schedule on
+mpmath interval objects.  At every real embedding of the near-zero
+elements, the eps powers and the PAST_DOUBLE reproducers the two must give
+the same sign and logs within 2^-50, or both raise PrecisionError.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oracle_embed as oracle
-from circdist import distributions as dist
-from circdist.cyclotomic import (CycElt, act, embedding_logs,
+from circdist import cyclotomic as cyc, distributions as dist
+from circdist.cyclotomic import (CycElt, PrecisionError, act, embedding_logs,
                                  is_totally_positive, one, tau, zeta,
                                  zeta_power)
 from circdist.groupring import eps_n, grelt, group_reps
@@ -108,7 +115,13 @@ tau_fixed = st.one_of(sums(), norms(), near_zero(), eps_powers())
 @example(_past_double(*PAST_DOUBLE[2]))
 @example(near_zero_element(97, 700, 5, 0))
 @example(near_zero_element(97, 700, 5, 1))
+@example(zeta(4) + zeta_power(4, -1))
 def test_positivity_verdicts_match(x):
+    if x.is_zero():              # y + tau(y) vanishes for imaginary y
+        for verdict in (is_totally_positive, oracle.is_totally_positive):
+            with pytest.raises(ZeroDivisionError):
+                verdict(x)
+        return
     assert is_totally_positive(x) == oracle.is_totally_positive(x)
 
 
@@ -164,3 +177,45 @@ def test_near_zero_elements_need_the_interval_fallback():
         assert min(abs(vals.real)) < 2.0 ** 20 * err
         assert is_totally_positive(x) is positive
     assert is_totally_positive(one(97) * 3)
+
+
+def _interval_outcome(evaluate, x, c):
+    try:
+        return evaluate(x, c)
+    except PrecisionError:
+        return None
+
+
+@settings(CASES, max_examples=40)
+@given(st.one_of(near_zero(), eps_powers()))
+@example(_past_double(*PAST_DOUBLE[0]))
+@example(_past_double(*PAST_DOUBLE[1]))
+@example(_past_double(*PAST_DOUBLE[2]))
+@example(near_zero_element(97, 700, 5, 1))
+@example(near_zero_element(97, 4200, 5, 0))     # beyond 4096 bits at one c
+def test_fixed_point_intervals_match_interval_objects(x):
+    for c in group_reps(x.level, True):
+        new = _interval_outcome(cyc.interval_embedding, x, c)
+        old = _interval_outcome(oracle.interval_embedding, x, c)
+        if old is None or new is None:
+            assert old is None and new is None, (c, old, new)
+            continue
+        assert new[0] == old[0], (c, old, new)
+        assert abs(new[1] - old[1]) <= 2.0 ** -50 * max(1.0, abs(old[1])), (c, old, new)
+
+
+def test_beyond_4096_bits_is_a_precision_error():
+    x = near_zero_element(97, 4200, 5, 0)
+    with pytest.raises(PrecisionError):
+        cyc.interval_embedding(x, max(group_reps(97, True)))
+
+
+def test_cosine_bounds_enclose_the_cosine():
+    from mpmath import cospi, mp, mpf
+    for n in (3, 4, 6, 8, 12, 97, 120):
+        for prec in (128, 1024):
+            with mp.workprec(prec + 80):
+                for r in range(n // 2 + 1):
+                    lo, hi = cyc._cos_bound(n, r, prec)
+                    scaled = cospi(mpf(2 * r) / n) * mpf(2) ** prec
+                    assert lo <= scaled <= hi and hi - lo <= 2, (n, r, prec)

@@ -75,6 +75,16 @@ def test_decomposition_group_examples():
     assert set(d) == members and len(members) == len(group_reps(15, True))
     with pytest.raises(LevelError):
         decomposition_group(15, 7)
+    # ell = 1 divides every level and used to loop for ever; ell = 0 divided by 0
+    for ell in (1, 0, -3):
+        with pytest.raises(ValueError):
+            decomposition_group(15, ell)
+
+
+def test_stabilization_needs_a_prime():
+    for p in (0, 1, 4, 9):
+        with pytest.raises(ValueError):
+            gr.stabilization_b0(3, p)
 
 
 def bfs_subgroup_join(n, h, k):
