@@ -8,14 +8,22 @@ representatives", so two lattices are equal iff their HNF rows are identical.
 
 The annihilator of the totally positive element eps_n = (1-z_n)^(1+tau) is
 computed two ways: structurally, as the kernel of multiplication by the
-decomposition-group idempotent e_n (with shortcut bases when e_n collapses
-to 1 or to 1 - e_H), and analytically, from certified logarithmic embeddings
-with exact verification of every kernel vector (the independent oracle).
+decomposition-group idempotent e_n, and analytically, from certified
+logarithmic embeddings with exact verification of every kernel vector (the
+independent oracle).  The structural route has shortcut bases: 0 when e_n
+is 1, and when e_n = 1 - e_H the H-coset indicator rows, each coset marked
+off from its least member so that the rows come out in canonical HNF.
+
+The annihilators of mu_n, -z_n and -z_(2n) are single congruences
+sum_a c_a e_a = 0 mod N, written down in canonical HNF by
+intlinalg.congruence_hnf; decomposition groups and the Galois groups
+fixing a subfield are filtered from the plus representatives directly.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 
 from . import cyclotomic, intlinalg, polys
@@ -33,18 +41,24 @@ class HypothesisNotMetError(ValueError):
 
 @lru_cache(maxsize=None)
 def units(n):
+    """The units 1 <= a < n mod n, ascending: the multiples of the prime
+    factors of n sieved out of range(n)."""
     if n <= 2:
         return (1,)
-    return tuple(a for a in range(1, n) if gcd(a, n) == 1)
+    keep = bytearray(b"\x01") * n
+    for p in polys.prime_factors(n):
+        keep[::p] = bytes(-(-n // p))
+    return tuple(compress(range(n), keep))
 
 
 @lru_cache(maxsize=None)
 def group_reps(n, plus):
+    """Ascending representatives of G_n, or of G_n^+ when plus: for n > 2
+    the units come in pairs a, n - a, so those below n/2 are the first half."""
     if n <= 2:
         return (1,)
-    if not plus:
-        return units(n)
-    return tuple(sorted({min(a, n - a) for a in units(n)}))
+    reps = units(n)
+    return reps[:len(reps) // 2] if plus else reps
 
 
 def canon_rep(a, n, plus):
@@ -264,11 +278,11 @@ def decomposition_group(n, ell):
         while f not in frob:
             frob.add(f)
             f = (f * ell) % m
-    members = set()
-    for x in units(n):
-        if m == 1 or (x % m) in frob:
-            members.add(canon_rep(x, n, True))
-    return tuple(sorted(members))
+    reps = group_reps(n, True)
+    if m == 1:
+        return reps
+    # the plus class {r, n - r} is a member when either unit is
+    return tuple(r for r in reps if r % m in frob or (n - r) % m in frob)
 
 
 @lru_cache(maxsize=None)
@@ -363,9 +377,18 @@ class IdealLattice:
             vec = [int(c) for c in vec]
         else:
             vec = list(x)
+            ncols = len(group_reps(self.level, self.plus))
+            if len(vec) != ncols:
+                raise ValueError("vector of length %d for a lattice with %d columns"
+                                 % (len(vec), ncols))
         return intlinalg.hnf_contains([list(r) for r in self.hnf], vec)
 
+    def _check(self, other):
+        if other.level != self.level or other.plus != self.plus:
+            raise LevelError("group-ring mismatch")
+
     def contains_lattice(self, other):
+        self._check(other)
         return all(self.contains(list(row)) for row in other.hnf)
 
     def basis_elements(self):
@@ -376,6 +399,7 @@ class IdealLattice:
                             tuple(tuple(k * v for v in row) for row in self.hnf))
 
     def index_in(self, other):
+        self._check(other)
         return intlinalg.lattice_index([list(r) for r in self.hnf],
                                        [list(r) for r in other.hnf])
 
@@ -402,20 +426,23 @@ def annihilator_In_formula(n):
         return IdealLattice.zero(n, True)
     if (len(terms) == 2 and terms.get(triv) == 1
             and set(terms.values()) == {Fraction(1), Fraction(-1)}):
-        # e_n = 1 - e_H: the kernel is spanned by the H-coset indicator sums
+        # e_n = 1 - e_H: the kernel is spanned by the H-coset indicator
+        # sums.  Each coset is marked off from its least member, so the
+        # disjoint 0/1 rows come out in ascending pivot order: canonical HNF.
         h = next(s for s in terms if s != triv)
-        seen = set()
-        rows = []
         idx = rep_index(n, True)
-        for g in reps:
-            coset = frozenset(canon_rep(g * x, n, True) for x in h)
-            if coset not in seen:
-                seen.add(coset)
+        marked = [False] * len(reps)
+        rows = []
+        for i, g in enumerate(reps):
+            if not marked[i]:
                 row = [0] * len(reps)
-                for r in coset:
-                    row[idx[r]] = 1
-                rows.append(row)
-        return IdealLattice.from_rows(n, True, rows)
+                for x in h:
+                    r = g * x % n
+                    j = idx[min(r, n - r)]
+                    marked[j] = True
+                    row[j] = 1
+                rows.append(tuple(row))
+        return IdealLattice(n, True, tuple(rows))
     e = idempotent_e_n(n)
     scale = e.denominator_lcm()
     rows = []
@@ -508,21 +535,32 @@ def _mp_kernel(rows, eps):
 # annihilators of roots of unity
 
 
-def _root_annihilator_lattice(n, reps, exps, order):
-    """Lattice {c : sum c_g exps[g] = 0 mod order} in Z[G], canonical HNF."""
-    mu = len(reps)
-    row = [exps[g] for g in reps] + [order]
-    kern = intlinalg.right_kernel([row], mu + 1)
-    rows = [r[:mu] for r in kern]
-    return IdealLattice.from_rows(n, False, rows)
-
-
-def _dlog_linear(k0, t, L):
-    """Solve k0*e = t (mod L); the target is a power of the base by construction."""
+def _root_exponents(n, root):
+    """(exps, order) for the root of unity x named by root: "mu" for z_n,
+    "T" for -z_n, "T*" for -z_(2n) (the same as "T" when n is even).  x has
+    order `order`, and sigma_a(x) = x^exps[i] for the i-th unit a of G_n, so
+    c annihilates x iff sum_i c_i exps[i] = 0 mod order."""
+    reps = group_reps(n, False)
+    if root == "mu":
+        L, k0, targets = n, 1, reps
+    elif root == "T*" and n % 2:
+        # -z_(2n) = z_(4n)^(2n+2); sigma_a acts through the unit mod 2n over a
+        L, k0 = 4 * n, 2 * n + 2
+        targets = [2 * n + 2 * (a if a % 2 else a + n) for a in reps]
+    else:
+        # -z_n = z_(2n)^(n+2)
+        L, k0 = 2 * n, n + 2
+        targets = [n + 2 * a for a in reps]
+    # solve k0 e = t (mod L): each target is a power of x by construction
     d = gcd(k0, L)
-    if t % d:
-        raise ArithmeticError("discrete log does not exist")
-    return (t // d) * pow(k0 // d, -1, L // d) % (L // d)
+    order = L // d
+    inv = pow(k0 // d, -1, order)
+    exps = []
+    for t in targets:
+        if t % d:
+            raise ArithmeticError("discrete log does not exist")
+        exps.append(t // d * inv % order)
+    return exps, order
 
 
 def annihilator_Tn(n, starred=False):
@@ -530,32 +568,14 @@ def annihilator_Tn(n, starred=False):
     of -z_(2n) carried over through Q(2n) = Q(n)."""
     if n < 2:
         raise LevelError("level must be >= 2")
-    reps = group_reps(n, False)
-    if starred and n % 2 == 1:
-        L = 4 * n
-        k0 = (2 * n + 2) % L
-        order = L // gcd(k0, L)
-        exps = {}
-        for a in reps:
-            atil = a if a % 2 == 1 else a + n   # the unit mod 2n over a
-            t = (2 * n + 2 * atil) % L
-            exps[a] = _dlog_linear(k0, t, L)
-    else:
-        L = 2 * n
-        k0 = (n + 2) % L
-        order = L // gcd(k0, L)
-        exps = {}
-        for a in reps:
-            t = (n + 2 * a) % L
-            exps[a] = _dlog_linear(k0, t, L)
-    return _root_annihilator_lattice(n, reps, exps, order)
+    exps, order = _root_exponents(n, "T*" if starred else "T")
+    return IdealLattice(n, False, tuple(map(tuple, intlinalg.congruence_hnf(exps, order))))
 
 
 def annihilator_mu(n):
     """Annihilator in Z[G_n] of the full group mu_n (equivalently of z_n)."""
-    reps = group_reps(n, False)
-    exps = {a: a % n for a in reps}
-    return _root_annihilator_lattice(n, reps, exps, n)
+    exps, order = _root_exponents(n, "mu")
+    return IdealLattice(n, False, tuple(map(tuple, intlinalg.congruence_hnf(exps, order))))
 
 
 def project_annihilator(m, n, lattice):
@@ -584,12 +604,9 @@ def project_annihilator(m, n, lattice):
 def _gal_fixing_subgroup(level, base):
     """Plus representatives at `level` of Gal fixing the level-`base` field:
     classes of units congruent to +-1 mod base."""
-    out = set()
-    for x in units(level):
-        r = x % base
-        if r == 1 % base or r == (base - 1) % base:
-            out.add(canon_rep(x, level, True))
-    return out
+    fixed = {1 % base, (base - 1) % base}
+    return {r for r in group_reps(level, True)
+            if r % base in fixed or (level - r) % base in fixed}
 
 
 @lru_cache(maxsize=None)

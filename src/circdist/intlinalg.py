@@ -3,9 +3,10 @@
 Matrices are lists of rows, rows are lists of Python ints (Fractions in the
 rational helpers).  Everything is exact; no floating point enters here.  The
 workhorses are a row-style Hermite normal form with optional transform
-tracking, integer kernels and lattice saturation derived from it, and the
+tracking, integer kernels and lattice saturation derived from it, the
 coset decomposition used to pick integral (or p-integral) representatives
-modulo a saturated lattice.
+modulo a saturated lattice, and congruence_hnf, which writes down the HNF
+of a single-congruence lattice {c : c . e = 0 mod N} with no elimination.
 
 Conventions:
   * HNF is row-style and canonical: pivots positive, entries above a pivot
@@ -21,6 +22,7 @@ Conventions:
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 
 
 def xgcd(a, b):
@@ -157,6 +159,45 @@ def left_kernel(rows):
         return []
     _, _, _, kernel = _echelonize(rows, track=True)
     return hnf(kernel)
+
+
+def congruence_hnf(coeffs, modulus):
+    """Canonical HNF of {c in Z^mu : sum_i c_i coeffs[i] = 0 mod modulus},
+    built row by row without elimination.
+
+    With g_i = gcd(coeffs[i:], modulus) (so g_mu = modulus), row i has pivot
+    d_i = g_(i+1) / g_i: the least c_i that the later columns can complete.
+    Starting from the residue T = -d_i e_i still to be cancelled, each later
+    column k with d_k > 1 takes the unique t_k in [0, d_k) with
+    t_k e_k = T (mod g_(k+1)), which leaves T = 0 mod g_(k+1); columns with
+    d_k = 1 stay 0.  Every row is checked to satisfy the congruence, and
+    prod d_i = modulus / g_0 is the index of the lattice, so the rows span
+    it; being upper triangular with reduced entries they are its canonical
+    HNF.
+    """
+    mu = len(coeffs)
+    e = [c % modulus for c in coeffs]
+    g = [modulus] * (mu + 1)
+    for i in range(mu - 1, -1, -1):
+        g[i] = gcd(e[i], g[i + 1])
+    d = [g[i + 1] // g[i] for i in range(mu)]
+    # (column, (e_k / g_k)^-1 mod d_k) for the columns with d_k > 1
+    steps = [(k, pow(e[k] // g[k], -1, d[k])) for k in range(mu) if d[k] > 1]
+    rows = []
+    for i in range(mu):
+        row = [0] * mu
+        row[i] = d[i]
+        t_res = -d[i] * e[i] % modulus
+        for k, inv in steps:
+            if k > i:
+                t = t_res // g[k] * inv % d[k]
+                if t:
+                    row[k] = t
+                    t_res = (t_res - t * e[k]) % modulus
+        if t_res:
+            raise ArithmeticError("congruence HNF row %d misses the congruence" % i)
+        rows.append(row)
+    return rows
 
 
 def transpose(rows, ncols):

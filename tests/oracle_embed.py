@@ -203,7 +203,9 @@ def interval_embedding(x, c):
             if lo > 0 or hi < 0:
                 near = lo if lo > 0 else -hi
                 if hi - lo < 2.0 ** -53 * near:
-                    mag = float(iv.log(near).a) - log(x.den)
+                    # one rounding, at the end: float(log(near)) - log(den)
+                    # loses ~1e-15 to cancellation when both logs are ~7
+                    mag = float(iv.log(near / x.den).a)
                     return (1 if lo > 0 else -1), mag
             prec *= 2
     finally:

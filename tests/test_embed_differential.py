@@ -43,6 +43,15 @@ PAST_DOUBLE = ((96, {1: 2, 23: 3, 29: -3}), (84, {1: 2, 37: -2, 41: -3}),
                (72, {1: 1, 7: -3, 29: 3}))
 
 
+# a draw at level 48 whose log |sigma_23| = 1.13795702607268880 the oracle
+# once read as 1.1379570260726872, subtracting two logs near 7 and 6
+LEVEL48_LOG = CycElt(48, tuple(Fraction(c) for c in (
+    "305661291551/27", "2495739656345/432", "10911722206/81", "-2505403355/36",
+    "-22089583978/81", "-2505403355/36", "10911722206/81", "2495739656345/432",
+    0, 0, 0, "29706925495/432", "11044791989/81", "357914765/432",
+    "-10911722206/81", "-2495739656345/432")))
+
+
 def _past_double(n, terms):
     return grelt(n, True, terms).act_on(eps_n(n), assume_tau_fixed=True)
 
@@ -193,6 +202,7 @@ def _interval_outcome(evaluate, x, c):
 @example(_past_double(*PAST_DOUBLE[2]))
 @example(near_zero_element(97, 700, 5, 1))
 @example(near_zero_element(97, 4200, 5, 0))     # beyond 4096 bits at one c
+@example(LEVEL48_LOG)
 def test_fixed_point_intervals_match_interval_objects(x):
     for c in group_reps(x.level, True):
         new = _interval_outcome(cyc.interval_embedding, x, c)

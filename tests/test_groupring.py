@@ -257,6 +257,35 @@ def test_hnf_canonicity_of_lattices():
     assert a == b and a.hnf == b.hnf
 
 
+def test_lattice_membership_needs_one_entry_per_column():
+    lat = annihilator_mu(12)
+    assert lat.contains([12, 0, 0, 0]) and not lat.contains([1, 0, 0, 0])
+    for vec in ([12, 0, 0, 0, 5], [12, 0, 0], []):
+        with pytest.raises(ValueError):
+            lat.contains(vec)
+    # the zero lattice still knows its columns
+    with pytest.raises(ValueError):
+        IdealLattice.zero(12, True).contains([0, 0, 0])
+    assert not IdealLattice.zero(12, True).contains([0, 1])
+
+
+def test_lattice_comparisons_need_the_same_group_ring():
+    mu12, mu24 = annihilator_mu(12), annihilator_mu(24)
+    for other in (mu24, annihilator_In_formula(12)):
+        with pytest.raises(LevelError):
+            mu12.contains_lattice(other)
+        with pytest.raises(LevelError):
+            mu12.index_in(other)
+    # same level, different plus flag
+    i15, mu15 = annihilator_In_formula(15), annihilator_mu(15)
+    with pytest.raises(LevelError):
+        i15.contains_lattice(mu15)
+    with pytest.raises(LevelError):
+        mu15.index_in(i15)
+    assert annihilator_Tn(12).contains_lattice(mu12)
+    assert mu12.index_in(annihilator_Tn(12)) == 1
+
+
 def test_stabilization_and_image_claim():
     for m, p in [(12, 3), (15, 5), (20, 5)]:
         b0 = stabilization_b0(m, p)

@@ -4,10 +4,10 @@ reference in oracle_hnf that reduces only at the end.
 The HNF is unique, so hnf, left_kernel, right_kernel and saturate must
 return identical rows on every input: random shapes up to 10 x 10, rank
 deficient inputs, entries up to 2^40, and the single-congruence kernels
-behind the root-of-unity annihilators.
+behind the root-of-unity annihilators.  intlinalg.congruence_hnf, which
+writes those lattices down without a kernel, must return the kernel's
+rows cut to their first mu entries.
 """
-
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -67,15 +67,38 @@ def test_wide_entries_match_oracle(rows):
 
 @pytest.mark.parametrize("n", range(2, 41))
 def test_root_annihilator_kernels_match_oracle(n):
-    """Every [exps..., order] row that _root_annihilator_lattice solves for
-    annihilator_mu and annihilator_Tn (plain and starred), and the lattices
-    built from those kernels."""
-    with mock.patch.object(la, "right_kernel", wraps=la.right_kernel) as spy:
-        lattices = [gr.annihilator_mu(n), gr.annihilator_Tn(n),
-                    gr.annihilator_Tn(n, starred=True)]
-    assert len(spy.call_args_list) == len(lattices)
-    for call, lattice in zip(spy.call_args_list, lattices):
-        rows, ncols = call.args
+    """The kernel of every [exps..., order] row behind annihilator_mu and
+    annihilator_Tn (plain and starred), and the lattices those return."""
+    for root, lattice in (("mu", gr.annihilator_mu(n)), ("T", gr.annihilator_Tn(n)),
+                          ("T*", gr.annihilator_Tn(n, starred=True))):
+        exps, order = gr._root_exponents(n, root)
+        rows, ncols = [exps + [order]], len(exps) + 1
         kern = oracle.right_kernel(rows, ncols)
         assert la.right_kernel(rows, ncols) == kern
         assert [list(r) for r in lattice.hnf] == oracle.hnf([r[:ncols - 1] for r in kern])
+
+
+# oracle_hnf's elimination is unreduced: past ~20 columns with 40-bit
+# entries it has taken from seconds to minutes per kernel, so wider rows
+# are checked against intlinalg.right_kernel, which the tests above pin
+# to oracle_hnf
+ORACLE_MAX_COLUMNS = 20
+
+
+@st.composite
+def congruences(draw):
+    modulus = draw(st.one_of(st.integers(1, 12), st.integers(1, 2 ** 40)))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.sampled_from((modulus, -modulus)),
+                      st.integers(-4 * modulus, 4 * modulus),
+                      st.integers(-2 ** 42, 2 ** 42))
+    return draw(st.lists(entry, max_size=40)), modulus
+
+
+@QUICK
+@given(congruences())
+def test_congruence_hnf_matches_kernel(case):
+    coeffs, modulus = case
+    mu = len(coeffs)
+    kernel = oracle.right_kernel if mu + 1 <= ORACLE_MAX_COLUMNS else la.right_kernel
+    expected = [r[:mu] for r in kernel([coeffs + [modulus]], mu + 1)]
+    assert la.congruence_hnf(coeffs, modulus) == expected
