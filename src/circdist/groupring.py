@@ -6,6 +6,20 @@ representatives to exact rationals.  Ideal lattices are integer matrices in
 canonical Hermite normal form over the fixed coordinate order "ascending
 representatives", so two lattices are equal iff their HNF rows are identical.
 
+Products use discrete-log coordinates.  G_n is a product of cyclic groups
+<g_i> of orders d_i (one per odd prime-power factor of n, and <-1> x <5>
+for 2^a), so Z[G_n] is a multi-cyclic convolution algebra.  Writing each
+unit prod g_i^(e_i) as the Kronecker index sum e_i R_1...R_(i-1) with radix
+R_i = 2 d_i - 1 turns a product of two dense operands into one integer
+polynomial product (polys.int_poly_mul) of their numerators: the exponents
+add digit by digit without a carry, and a cached fold table sends each
+product index to the representative it names (r and n - r together in the
+plus quotient, where the plus representatives lift to themselves).  The
+coordinates are built per level by walking the generators, with a check
+that the walk is a bijection onto the units.  Products with few terms, such
+as sigma_g * x, keep the pairwise loop, which is cheaper there.  The
+idempotency certificate of e_n is one such convolution.
+
 The annihilator of the totally positive element eps_n = (1-z_n)^(1+tau) is
 computed two ways: structurally, as the kernel of multiplication by the
 decomposition-group idempotent e_n, and analytically, from certified
@@ -75,6 +89,98 @@ def rep_index(n, plus):
     return {r: i for i, r in enumerate(reps)}
 
 
+def _unit_positions(n, plus):
+    """Position in group_reps(n, plus) of the class of every unit 1 <= u < n
+    (in the plus quotient r and n - r share one)."""
+    at = rep_index(n, plus)
+    if plus and n > 2:
+        at.update({n - r: i for r, i in at.items()})
+    return at
+
+
+# ---------------------------------------------------------------------------
+# discrete-log coordinates and the convolution product
+
+
+def _cyclic_factors(n):
+    """(generator, order) pairs writing (Z/n)^x as a product of cyclic
+    groups: a primitive root of each odd prime-power factor p^k, and -1 and
+    5 for 2^a (-1 alone for a = 2), each lifted by CRT to 1 mod the rest."""
+    out = []
+    for p in polys.prime_factors(n):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        if p == 2:
+            gens = ([(q - 1, 2)] if q >= 4 else []) + ([(5, q // 4)] if q >= 8 else [])
+        else:
+            qs = polys.prime_factors(p - 1)
+            g = next(g for g in range(2, p)
+                     if all(pow(g, (p - 1) // f, p) != 1 for f in qs))
+            if q > p and pow(g, p - 1, p * p) == 1:
+                g += p      # g + p generates mod p^k when g fails mod p^2
+            gens = [(g, q - q // p)]
+        rest = n // q
+        for g, d in gens:
+            out.append((1 + rest * ((g - 1) * pow(rest, -1, q) % q), d))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _coordinates(n, plus):
+    """(index, fold) for the convolution product in Z[G_n] (Z[G_n^+]).
+
+    With generators g_i of orders d_i from `_cyclic_factors`, the unit
+    prod g_i^(e_i), 0 <= e_i < d_i, has Kronecker index sum e_i R_(i-1)...R_1
+    in radix R_i = 2 d_i - 1, so the exponents of a product of two units
+    add digit by digit without a carry.  index maps each unit to its index;
+    fold maps every index with digits s_i < R_i to the position of the unit
+    prod g_i^(s_i) in group_reps(n, plus), so r and n - r fold together in
+    the plus quotient.  Both come from walking the generators, O(phi(n))
+    and O(2^k phi(n)) for k cyclic factors; the walk must reach every unit
+    exactly once, which is checked."""
+    walk, keys, full, radix = [1], [0], [1], 1
+    for g, d in _cyclic_factors(n):
+        pw = [1]
+        for _ in range(2 * d - 2):
+            pw.append(pw[-1] * g % n)
+        walk = [u * w % n for w in pw[:d] for u in walk]
+        keys = [k + e * radix for e in range(d) for k in keys]
+        full = [u * w % n for w in pw for u in full]
+        radix *= 2 * d - 1
+    reps = units(n)
+    if len(walk) != len(reps) or set(walk) != set(reps):
+        raise ArithmeticError("discrete-log coordinates of level %d are not a "
+                              "bijection onto its units" % n)
+    return dict(zip(walk, keys)), tuple(map(_unit_positions(n, plus).__getitem__, full))
+
+
+def _kronecker(index, items):
+    """Dense coefficient list of (rep, int) pairs at their Kronecker indices."""
+    keys = [index[r] for r, _ in items]
+    out = [0] * (max(keys) + 1)
+    for k, (_, v) in zip(keys, items):
+        out[k] = v
+    return out
+
+
+def _convolve(n, plus, a, b):
+    """Product of two nonzero elements of Z[G_n] (Z[G_n^+]), given as
+    (rep, int) pairs with reps in group_reps(n, plus): one integer
+    polynomial product of their Kronecker forms, folded back.  Returns the
+    integer coefficient at each position of group_reps(n, plus).  A plus
+    representative lifts to itself in Z[G_n], and the product of the lifts
+    maps to the product in the quotient."""
+    index, fold = _coordinates(n, plus)
+    pa = _kronecker(index, a)
+    prod = polys.int_poly_mul(pa, pa if a is b else _kronecker(index, b))
+    out = [0] * len(group_reps(n, plus))
+    for f, v in zip(fold, prod):
+        if v:
+            out[f] += v
+    return out
+
+
 # ---------------------------------------------------------------------------
 # group-ring elements
 
@@ -109,6 +215,11 @@ class GroupRingElt:
             d = lcm(d, c.denominator)
         return d
 
+    def _numerators(self):
+        """(d, [(rep, d*c)]) with d the denominator lcm."""
+        d = self.denominator_lcm()
+        return d, [(r, c.numerator * (d // c.denominator)) for r, c in self.coeffs]
+
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):
@@ -138,12 +249,23 @@ class GroupRingElt:
                                 tuple((r, c * q) for r, c in self.coeffs))
         self._check(other)
         n, plus = self.level, self.plus
-        acc = {}
-        for r1, c1 in self.coeffs:
-            for r2, c2 in other.coeffs:
-                r = canon_rep(r1 * r2, n, plus)
-                acc[r] = acc.get(r, Fraction(0)) + c1 * c2
-        return grelt(n, plus, acc)
+        # the pairwise loop costs in proportion to s*t, the convolution to
+        # mu (measured crossover s*t between mu/3 and mu/2 for mu from 6 to
+        # 972), so sparse operands, such as a sigma_g, take the loop
+        if 3 * len(self.coeffs) * len(other.coeffs) <= len(group_reps(n, plus)):
+            acc = {}
+            for r1, c1 in self.coeffs:
+                for r2, c2 in other.coeffs:
+                    r = canon_rep(r1 * r2, n, plus)
+                    acc[r] = acc.get(r, Fraction(0)) + c1 * c2
+            return grelt(n, plus, acc)
+        # on integer numerators: self = a/da, other = b/db, product ab/(da db)
+        da, a = self._numerators()
+        db, b = other._numerators()
+        den = da * db
+        prod = _convolve(n, plus, a, a if self is other else b)
+        return GroupRingElt(n, plus, tuple(
+            (r, Fraction(v, den)) for r, v in zip(group_reps(n, plus), prod) if v))
 
     __rmul__ = __mul__
 
@@ -326,20 +448,32 @@ def idempotent_e_n(n):
     full-group average when n is a prime power.  Verified idempotent."""
     if n < 2:
         raise LevelError("level must be >= 2")
-    acc = grelt(n, True, {})
-    for h, c in sorted(_e_n_expansion(n).items(), key=lambda t: sorted(t[0])):
-        acc = acc + e_subgroup(n, True, h) * c
-    # e*e == e, checked on integer numerators: with c = d*e, c*c == d*c
-    d = acc.denominator_lcm()
-    c = [(r, int(v * d)) for r, v in acc.coeffs]
-    sq = {}
-    for r1, c1 in c:
-        for r2, c2 in c:
-            r = canon_rep(r1 * r2, n, True)
-            sq[r] = sq.get(r, 0) + c1 * c2
-    if {r: v for r, v in sq.items() if v} != {r: d * v for r, v in c}:
+    terms = _e_n_expansion(n)
+    # sum of c_H e_H over one denominator: e_H puts 1/|H| on each member
+    den = lcm(*(c.denominator * len(h) for h, c in terms.items()))
+    reps = group_reps(n, True)
+    pos = rep_index(n, True)
+    nums = [0] * len(reps)
+    for h, c in terms.items():
+        v = c.numerator * (den // (c.denominator * len(h)))
+        for r in h:
+            nums[pos[r]] += v
+    e = GroupRingElt(n, True, tuple(
+        (r, Fraction(v, den)) for r, v in zip(reps, nums) if v))
+    _certify_idempotent(e)
+    return e
+
+
+def _certify_idempotent(e):
+    """Raise ArithmeticError unless e*e == e, checked on integer numerators
+    as one generic convolution product: with c = d*e, c*c == d*c."""
+    d, c = e._numerators()
+    pos = rep_index(e.level, e.plus)
+    dc = [0] * len(pos)
+    for r, v in c:
+        dc[pos[r]] = d * v
+    if c and _convolve(e.level, e.plus, c, c) != dc:
         raise ArithmeticError("e_n failed the idempotency check")
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +577,17 @@ def annihilator_In_formula(n):
                     row[j] = 1
                 rows.append(tuple(row))
         return IdealLattice(n, True, tuple(rows))
+    # row g is the numerator vector of sigma_g * d * e_n: its entry at rep r
+    # is that of d * e_n at g^-1 r, so each row permutes one vector
     e = idempotent_e_n(n)
     scale = e.denominator_lcm()
+    vec = [int(c * scale) for c in e.to_vector()]
+    index, fold = _coordinates(n, True)
+    keys = [index[r] for r in reps]
     rows = []
     for g in reps:
-        prod = sigma(n, g, True) * e * scale
-        rows.append([int(c) for c in prod.to_vector()])
+        k = index[pow(g, -1, n)]
+        rows.append([vec[fold[k + kr]] for kr in keys])
     kernel = intlinalg.left_kernel(rows)
     return IdealLattice(n, True, tuple(tuple(r) for r in kernel))
 
@@ -585,16 +724,23 @@ def project_annihilator(m, n, lattice):
         raise LevelError("lattice level mismatch")
     if m % n:
         raise LevelError("%d does not divide %d" % (n, m))
-    reps_m = group_reps(m, lattice.plus)
-    idx_n = rep_index(n, lattice.plus)
+    cols = _push_columns(m, n, lattice.plus)
+    width = len(group_reps(n, lattice.plus))
     rows = []
     for row in lattice.hnf:
-        out = [0] * len(idx_n)
-        for r, v in zip(reps_m, row):
+        out = [0] * width
+        for j, v in zip(cols, row):
             if v:
-                out[idx_n[canon_rep(r % n if n > 1 else 1, n, lattice.plus)]] += v
+                out[j] += v
         rows.append(out)
     return IdealLattice.from_rows(n, lattice.plus, rows)
+
+
+@lru_cache(maxsize=None)
+def _push_columns(m, n, plus):
+    """Position at level n (n | m) of the image of each level-m representative."""
+    at = _unit_positions(n, plus)
+    return tuple(at[r % n if n > 1 else 1] for r in group_reps(m, plus))
 
 
 # ---------------------------------------------------------------------------

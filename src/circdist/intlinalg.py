@@ -218,9 +218,17 @@ def saturate(rows, ncols):
     return right_kernel(right_kernel(rows, ncols), ncols)
 
 
+def _check_length(hnf_rows, v):
+    if hnf_rows and len(v) != len(hnf_rows[0]):
+        raise ValueError("vector of length %d for rows of length %d"
+                         % (len(v), len(hnf_rows[0])))
+
+
 def hnf_contains(hnf_rows, vec):
-    """Membership of an integer vector in the lattice spanned by HNF rows."""
+    """Membership of an integer vector in the lattice spanned by HNF rows
+    (ValueError when the lengths differ)."""
     v = list(vec)
+    _check_length(hnf_rows, v)
     for row in hnf_rows:
         j = next(k for k, a in enumerate(row) if a)
         if v[j] % row[j]:
@@ -232,8 +240,10 @@ def hnf_contains(hnf_rows, vec):
 
 
 def hnf_coords(hnf_rows, vec):
-    """Integer coordinates of vec on the HNF rows, or None if not a member."""
+    """Integer coordinates of vec on the HNF rows, or None if not a member
+    (ValueError when the lengths differ)."""
     v = list(vec)
+    _check_length(hnf_rows, v)
     coords = []
     for row in hnf_rows:
         j = next(k for k, a in enumerate(row) if a)

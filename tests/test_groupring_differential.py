@@ -1,0 +1,188 @@
+"""Group-ring products, e_n and the annihilator of eps_n against the loops
+in oracle_groupring that they replaced.
+
+* `*` (both the convolution and the pairwise path it keeps for sparse
+  operands) and the convolution itself equal the pairwise loop on dense,
+  sparse and rational operands in Z[G_n] and Z[G_n^+], at every
+  2 <= n < 300 and at hypothesis draws; at the fixed levels 1215 and 3645
+  the dense oracle runs where it takes at most a few seconds, and
+  elsewhere products are checked against the oracle on sparse operands and
+  through the projection to a lower level;
+* idempotent_e_n and annihilator_In_formula equal the oracle at every
+  2 <= n < 300 (the oracle takes the general kernel path at every level, so
+  the zero and coset shortcuts are checked too), and where
+  annihilator_In_formula takes the general path its kernel input is the
+  oracle's, row for row;
+* the idempotency certificate rejects e_n with one coefficient changed,
+  and the coordinate walk rejects wrong generator orders;
+* project_annihilator's cached column map gives the rows of the canon_rep
+  loop at every divisor of every level below 120.
+"""
+
+import random
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import oracle_groupring as oracle
+from circdist import groupring as gr
+from circdist import intlinalg, polys
+
+LEVELS = range(2, 300)
+FIXED_LEVELS = (1215, 3645)
+DENSE_ORACLE_MAX_PAIRS = 324 ** 2    # ~1 s: one dense product in Z[G_1215^+]
+SLOW = settings(max_examples=6, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+QUICK = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def elements(draw, n, plus):
+    """Dense (every representative) or sparse (1 to 3 terms), with small or
+    multi-word integer coefficients or rationals.  The coefficients come
+    from a drawn seed, so that dense elements at large levels stay cheap
+    to generate."""
+    dense = draw(st.booleans())
+    terms = None if dense else draw(st.integers(1, 3))
+    return random_elt(random.Random(draw(st.integers(0, 2 ** 32))), n, plus, terms,
+                      rational=draw(st.booleans()), bits=draw(st.sampled_from((3, 70))))
+
+
+def random_elt(rng, n, plus, terms=None, rational=True, bits=3):
+    reps = gr.group_reps(n, plus)
+    support = reps if terms is None else rng.sample(reps, min(terms, len(reps)))
+    bound = 2 ** bits
+    return gr.grelt(n, plus, {r: Fraction(rng.randint(-bound, bound),
+                                          rng.choice((1, 2, 3, 12, 35, 97)) if rational else 1)
+                              for r in support})
+
+
+def convolved(x, y):
+    """x * y through the convolution whatever the operands' support."""
+    dx, a = x._numerators()
+    dy, b = y._numerators()
+    prod = gr._convolve(x.level, x.plus, a, b)
+    return gr.from_vector(x.level, x.plus, [Fraction(v, dx * dy) for v in prod])
+
+
+def check_product(x, y):
+    want = oracle.mul(x, y)
+    assert x * y == want
+    if x.coeffs and y.coeffs:
+        assert convolved(x, y) == want
+
+
+@QUICK
+@given(st.data(), st.integers(2, 299), st.booleans())
+def test_products_match_loop(data, n, plus):
+    x = data.draw(elements(n, plus))
+    y = data.draw(elements(n, plus))
+    check_product(x, y)
+    assert x * x == oracle.mul(x, x)
+
+
+def test_products_match_loop_at_every_level():
+    rng = random.Random(8)
+    for n in LEVELS:
+        for plus in (True, False):
+            dense = random_elt(rng, n, plus)
+            check_product(random_elt(rng, n, plus, terms=1, rational=False), dense)
+            check_product(random_elt(rng, n, plus, terms=3), dense)
+            check_product(random_elt(rng, n, plus, terms=2), random_elt(rng, n, plus, terms=2))
+        if polys.euler_phi(n) <= 120:
+            check_product(random_elt(rng, n, True), random_elt(rng, n, True))
+
+
+@SLOW
+@given(st.data(), st.sampled_from(FIXED_LEVELS), st.booleans())
+def test_products_at_fixed_levels(data, n, plus):
+    x = data.draw(elements(n, plus))
+    y = data.draw(elements(n, plus))
+    if len(x.coeffs) * len(y.coeffs) <= DENSE_ORACLE_MAX_PAIRS:
+        check_product(x, y)
+    else:
+        # multiplication commutes with the projection to level n/9, where
+        # the oracle is affordable
+        low = n // 9
+        xl, yl = x.project(to_level=low), y.project(to_level=low)
+        assert (x * y).project(to_level=low) == oracle.mul(xl, yl)
+
+
+def test_squares_use_one_operand():
+    rng = random.Random(9)
+    for n in (1215, 1001):
+        x = random_elt(rng, n, True, terms=40)
+        assert x * x == oracle.mul(x, x)
+
+
+def test_idempotent_and_annihilator_match_oracle():
+    general = 0
+    for n in LEVELS:
+        e = gr.idempotent_e_n(n)
+        assert e == oracle.idempotent_e_n(n), n
+        with mock.patch.object(intlinalg, "left_kernel", wraps=intlinalg.left_kernel) as spy:
+            got = gr.annihilator_In_formula(n)
+        assert got == oracle.annihilator_In_formula(n), n
+        if spy.called:
+            # the general path: the same kernel input, row for row
+            assert spy.call_args.args[0] == oracle.kernel_rows(n), n
+            general += 1
+    assert general > 20
+
+
+@pytest.mark.parametrize("n", [12, 15, 35, 60, 105, 231, 1215])
+def test_certificate_rejects_a_changed_coefficient(n):
+    e = gr.idempotent_e_n(n)
+    gr._certify_idempotent(e)
+    reps = gr.group_reps(n, True)
+    coeffs = dict(e.coeffs)
+    rng = random.Random(n)
+    for r in {reps[0], reps[-1], rng.choice(reps)}:
+        # idempotents of Q[G] have coefficients in (1/|G|) Z, and 7 divides
+        # no |G| here, so these changes cannot land on another idempotent
+        for delta in (Fraction(1, 7), Fraction(-3, 7)):
+            bad = gr.grelt(n, True, {**coeffs, r: coeffs.get(r, 0) + delta})
+            assert not oracle.is_idempotent(bad)
+            with pytest.raises(ArithmeticError):
+                gr._certify_idempotent(bad)
+
+
+def test_coordinates_multiply_units():
+    # fold[index[u] + index[v]] is the position of u*v, for all units u, v
+    for n in range(1, 120):
+        for plus in (True, False):
+            index, fold = gr._coordinates(n, plus)
+            pos = gr.rep_index(n, plus)
+            us = gr.units(n)
+            assert sorted(index) == list(us), n
+            for u in us:
+                for v in us:
+                    assert fold[index[u] + index[v]] == pos[gr.canon_rep(u * v, n, plus)]
+
+
+def test_coordinates_reject_a_walk_that_misses_units():
+    gr._coordinates.cache_clear()
+    try:
+        for n, wrong in ((35, lambda fs: [(g, d // 2) for g, d in fs]),
+                         (64, lambda fs: [(g, 2 * d) for g, d in fs]),
+                         (45, lambda fs: [(fs[0][0], fs[0][1])] * 2),
+                         # the right count, but g^2 has half the order of g
+                         (35, lambda fs: [(g * g % 35, d) for g, d in fs])):
+            factors = gr._cyclic_factors(n)
+            with mock.patch.object(gr, "_cyclic_factors", lambda n: wrong(factors)):
+                with pytest.raises(ArithmeticError):
+                    gr._coordinates(n, True)
+    finally:
+        gr._coordinates.cache_clear()
+
+
+def test_projections_match_loop():
+    for m in range(2, 120):
+        lattices = (gr.annihilator_Tn(m), gr.annihilator_In_formula(m))
+        for n in (d for d in range(1, m + 1) if m % d == 0):
+            for lat in lattices:
+                got = gr.project_annihilator(m, n, lat)
+                assert got == oracle.project_annihilator(m, n, lat), (m, n, lat.plus)

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from circdist import intlinalg as la
 
 
@@ -74,6 +76,16 @@ def test_membership_and_coords():
     assert la.hnf_contains(h, v)
     assert la.hnf_coords(h, v) == [2, 5]
     assert not la.hnf_contains(h, [1, 0, 0])
+
+
+def test_membership_needs_the_row_length():
+    # zip used to cut the vector to the row length: [1, 0, 5] was a member
+    for vec in ([1, 0, 5], [1], []):
+        for query in (la.hnf_contains, la.hnf_coords):
+            with pytest.raises(ValueError):
+                query([[1, 0]], vec)
+    # a zero lattice has no rows to take a length from
+    assert la.hnf_contains([], [0, 0]) and la.hnf_coords([], []) == []
 
 
 def test_lattice_index():
