@@ -19,9 +19,11 @@ double-precision pass over a per-level table of zeta^(i c) gives every
 sigma_c(x) with one rounding bound; floating point only ever reads a value
 that stands far above that bound.  A real embedding it cannot read is
 re-evaluated exactly at doubling fixed-point precision: integer floor and
-ceiling bounds on 2^prec cos(2 pi r / n), rounded outwards from mpmath's
-interval cosine, are summed against the integer numerators, so every sign
-it reports is certified.
+ceiling bounds on 2^prec cos(2 pi r / n) are summed against the integer
+numerators, so every sign it reports is certified.  The bounds are one
+table per level and precision, built in integers alone: pi from Machin's
+formula, 2^w zeta_n from its Taylor series, and its powers from one
+recurrence, each rounding carried as an integer error bound.
 
 The norm to Q is a multimodular resultant (`polys.cyclo_norm`).  Its CRT
 run needs an upper bound on |N(x)|: by default the l1 bound of the
@@ -33,7 +35,7 @@ moduli.  Valuations at prime-power levels are read from the norm.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, log
+from math import gcd, isqrt, lcm, log
 
 from . import intlinalg, polys
 from .intlinalg import gauss_solve
@@ -568,34 +570,118 @@ def double_embeddings(x):
     return reps, vals, err, log(top) - log(x.den)
 
 
-def _scaled(v, prec, ceil):
-    """The floor (or the ceiling) of the mpmath raw float v times 2^prec."""
-    sign, man, exp, _ = v
-    man = -int(man) if sign else int(man)
-    shift = exp + prec
-    if shift >= 0:
-        return man << shift
-    return -(-man >> -shift) if ceil else man >> -shift
+def _ceil_div(a, b):
+    return -(-a // b)
+
+
+def _atan_inv(x, w):
+    """(a, e) with |a - 2^w atan(1/x)| <= e, for an integer x >= 2.
+
+    The series sum_k (-1)^k / ((2k + 1) x^(2k + 1)) in fixed point: p is
+    the floor of 2^w / x^(2k + 1) and 0 <= 2^w / x^(2k + 1) - p < ep, each
+    term p // (2k + 1) lies less than ep / (2k + 1) + 1 below its true
+    value, and once p reaches 0 the alternating tail is below ep."""
+    x2 = x * x
+    p, ep = (1 << w) // x, 1
+    total = err = k = 0
+    while p:
+        t = p // (2 * k + 1)
+        total += -t if k & 1 else t
+        err += _ceil_div(ep, 2 * k + 1) + 1
+        p, ep = p // x2, _ceil_div(ep, x2) + 1
+        k += 1
+    return total, err + ep
+
+
+# The Taylor series of the root of unity stops at its first term below this
+# many units of 2^-w (once the terms halve); the tail bound covers any value
+_SERIES_STOP = 1
+
+
+def _unit_root(n, w):
+    """(c, s, h): integers with |(c + i s) - 2^w e^(2 pi i / n)| <= h.
+
+    pi comes from Machin's formula 16 atan(1/5) - 4 atan(1/239) at g extra
+    bits; t = 2^w 2 pi / n, floored, is off by at most et.  The Taylor
+    terms t_k of e^(i t / 2^w) are floored one from the last, so the error
+    e_k of t_k obeys e_k <= e_(k-1) t / (k 2^w) + 1.  The series stops at
+    the first k >= 2 t / 2^w with t_k < _SERIES_STOP; from there the true
+    terms at least halve, so the tail from k on is below 2 (t_k + e_k).
+    R = e_1 + ... + e_(k-1) + 2 (t_k + e_k) bounds the error of c and of s,
+    so the modulus error is at most sqrt(2) R + et, since
+    |e^(ia) - e^(ib)| <= |a - b|."""
+    g = w.bit_length() + 5
+    a5, e5 = _atan_inv(5, w + g)
+    a239, e239 = _atan_inv(239, w + g)
+    pi_g, e_pi = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+    t = 2 * pi_g // (n << g)
+    et = _ceil_div(2 * e_pi, n << g) + 1
+    c, s = 1 << w, 0
+    term, e, k, r = 1 << w, 0, 0, 0
+    while True:
+        k += 1
+        term = term * t // k >> w
+        e = _ceil_div(e * t, k << w) + 1
+        if term < _SERIES_STOP and k << w >= 2 * t:
+            break
+        r += e
+        sign = -1 if k & 2 else 1           # i^k is sign or sign * i
+        if k & 1:
+            s += sign * term
+        else:
+            c += sign * term
+    r += 2 * (term + e)
+    return c, s, isqrt(2 * r * r) + 1 + et
+
+
+def _cos_fixed(n, w):
+    """Pairs (x, d) for r = 0, 1, ..., n // 2 with |x - 2^w cos(2 pi r / n)|
+    <= d, from one recurrence: z_0 = 2^w and z_(r+1) = z_r u / 2^w, floored
+    in each part, with u = 2^w zeta_n up to h (`_unit_root`).  If z_r is
+    within d of 2^w zeta_n^r, the exact product is within d + h + d h / 2^w
+    of 2^w zeta_n^(r+1), and the floors add less than sqrt(2); d is carried
+    as an integer step by step, so it grows by about h + 2 per step."""
+    c, s, h = _unit_root(n, w)
+    out = []
+    x, y, d = 1 << w, 0, 0
+    for _ in range(n // 2 + 1):
+        out.append((x, d))
+        x, y = (x * c - y * s) >> w, (x * s + y * c) >> w
+        d += h + 2 + _ceil_div(d * h, 1 << w)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _cos_bounds(n, prec):
-    """Integers lo <= 2^prec cos(2 pi r / n) <= hi, keyed by r <= n / 2
-    (r and n - r share a cosine), filled as residues are used."""
-    return {}
+    """Integers (lo, hi) with lo <= 2^prec cos(2 pi r / n) <= hi and
+    hi - lo <= 2, for every r <= n / 2 (r and n - r share a cosine).
+
+    `_cos_fixed` at w = prec + 20 + bitlen(n) bits, each x -/+ d rounded
+    outwards to the grid 2^-prec: the n.bit_length() guard bits absorb the
+    growth of d over n / 2 steps.  Raises ArithmeticError if an entry is
+    wider than 2 or misses a known value (cos 0 = 1, cos pi = -1,
+    cos pi/2 = 0)."""
+    shift = 20 + n.bit_length()
+    table = tuple(((x - d) >> shift, -((-x - d) >> shift))
+                  for x, d in _cos_fixed(n, prec + shift))
+    one = 1 << prec
+    known = [(0, one)]
+    if n % 2 == 0:
+        known.append((n // 2, -one))
+    if n % 4 == 0:
+        known.append((n // 4, 0))
+    for r, v in known:
+        lo, hi = table[r]
+        if not lo <= v <= hi:
+            raise ArithmeticError("cos(2 pi %d / %d) escaped its bounds" % (r, n))
+    if any(hi - lo > 2 for lo, hi in table):
+        raise ArithmeticError("a level-%d cosine bound is wider than 2^-%d"
+                              % (n, prec - 1))
+    return table
 
 
 def _cos_bound(n, r, prec):
-    # mpmath's interval cosine of an enclosure of 2 pi r / n, at 20 guard
-    # bits, rounded outwards to the grid 2^-prec
-    from mpmath.libmp import (from_int, mpf_div, mpf_mul, mpf_pi, mpi_cos,
-                              round_ceiling, round_floor)
-    wp = prec + 20
-    angle = tuple(mpf_div(mpf_mul(mpf_pi(wp, rnd), from_int(2 * r)),
-                          from_int(n), wp, rnd)
-                  for rnd in (round_floor, round_ceiling))
-    lo, hi = mpi_cos(angle, wp)
-    return _scaled(lo, prec, False), _scaled(hi, prec, True)
+    return _cos_bounds(n, prec)[r]
 
 
 def interval_embedding(x, c):
@@ -618,10 +704,7 @@ def interval_embedding(x, c):
         for i, a in enumerate(x.nums):
             if a:
                 r = i * c % n
-                r = min(r, n - r)
-                if r not in bounds:
-                    bounds[r] = _cos_bound(n, r, prec)
-                cl, ch = bounds[r]
+                cl, ch = bounds[min(r, n - r)]
                 if a > 0:
                     lo += a * cl
                     hi += a * ch

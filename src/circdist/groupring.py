@@ -433,11 +433,14 @@ def _subgroup_join(n, h, k):
     """Subgroup of G_n^+ generated by two subgroups (given as rep sets).
 
     G_n^+ is abelian, so the join is the product HK: the union of the
-    cosets xH for x in K."""
+    cosets xH for x in K.  Products of units are units, so each one's
+    representative is min(p, n - p) with no unit check."""
     members = set(h)
     for x in k:
         if x not in members:
-            members.update(canon_rep(x * y, n, True) for y in h)
+            for y in h:
+                p = x * y % n
+                members.add(min(p, n - p))
     return frozenset(members)
 
 

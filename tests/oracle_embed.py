@@ -6,8 +6,9 @@ with an mpmath fallback for the exponent solver's logarithms, and a complex
 float pass for the norm bound's moduli.  Each builds its own cosine rows for
 the plus representatives.  Last comes the interval fallback of the one
 evaluator as it was before its sums became exact fixed-point integers: the
-same schedule on mpmath interval objects.  They are kept here only as
-oracles.
+same schedule on mpmath interval objects.  Then the cosine bounds the
+fixed-point sums read before they came from one recurrence per level: one
+mpmath interval cosine per residue.  They are kept here only as oracles.
 """
 
 from fractions import Fraction
@@ -211,3 +212,30 @@ def interval_embedding(x, c):
     finally:
         iv.prec = saved
     raise PrecisionError("could not separate embedding %d from zero" % c)
+
+
+# -- per-residue cosine bounds from mpmath's interval cosine -----------------
+
+
+def _scaled(v, prec, ceil):
+    """The floor (or the ceiling) of the mpmath raw float v times 2^prec."""
+    sign, man, exp, _ = v
+    man = -int(man) if sign else int(man)
+    shift = exp + prec
+    if shift >= 0:
+        return man << shift
+    return -(-man >> -shift) if ceil else man >> -shift
+
+
+def cos_bound(n, r, prec):
+    """Integers lo <= 2^prec cos(2 pi r / n) <= hi: mpmath's interval cosine
+    of an enclosure of 2 pi r / n, at 20 guard bits, rounded outwards to
+    the grid 2^-prec."""
+    from mpmath.libmp import (from_int, mpf_div, mpf_mul, mpf_pi, mpi_cos,
+                              round_ceiling, round_floor)
+    wp = prec + 20
+    angle = tuple(mpf_div(mpf_mul(mpf_pi(wp, rnd), from_int(2 * r)),
+                          from_int(n), wp, rnd)
+                  for rnd in (round_floor, round_ceiling))
+    lo, hi = mpi_cos(angle, wp)
+    return _scaled(lo, prec, False), _scaled(hi, prec, True)

@@ -15,6 +15,16 @@ cosine bounds; `oracle_embed.interval_embedding` is the same schedule on
 mpmath interval objects.  At every real embedding of the near-zero
 elements, the eps powers and the PAST_DOUBLE reproducers the two must give
 the same sign and logs within 2^-50, or both raise PrecisionError.
+
+The cosine bounds come from one integer table per level and precision;
+every entry must enclose the cosine, be at most 2 wide and lie within 2 of
+the bound `oracle_embed.cos_bound` rounds from mpmath's interval cosine.
+Each stage of the table carries an integer error bound, and each bound is
+checked on its own at the working scale, where the final rounding to the
+2^-prec grid cannot hide a missing term: the Machin arctangents, the root
+of unity fed the far ends of a widened pi enclosure or cut off at a large
+series tail, and the recurrence fed roots whose error bound is as tight as
+an integer allows.  Level 10935 at 1024 bits needs every guard bit.
 """
 
 import math
@@ -229,3 +239,105 @@ def test_cosine_bounds_enclose_the_cosine():
                     lo, hi = cyc._cos_bound(n, r, prec)
                     scaled = cospi(mpf(2 * r) / n) * mpf(2) ** prec
                     assert lo <= scaled <= hi and hi - lo <= 2, (n, r, prec)
+
+
+@pytest.mark.parametrize("levels,precs", [
+    (range(2, 400), (128,)),
+    ((405, 972, 1215), (128, 1024)),
+])
+def test_cosine_table_matches_the_interval_cosine(levels, precs):
+    from mpmath import cospi, mp, mpf
+    for n in levels:
+        for prec in precs:
+            table = cyc._cos_bounds(n, prec)
+            assert len(table) == n // 2 + 1
+            with mp.workprec(prec + 80):
+                for r, (lo, hi) in enumerate(table):
+                    scaled = cospi(mpf(2 * r) / n) * mpf(2) ** prec
+                    lo_oracle, _ = oracle.cos_bound(n, r, prec)
+                    assert lo <= scaled <= hi, (n, r, prec)
+                    assert hi - lo <= 2 and abs(lo - lo_oracle) <= 2, (n, r, prec)
+
+
+def _unit_root_error(c, s, n, w):
+    from mpmath import cospi, mpf, sinpi, sqrt
+    return sqrt((c - cospi(mpf(2) / n) * 2 ** w) ** 2
+                + (s - sinpi(mpf(2) / n) * 2 ** w) ** 2)
+
+
+def _check_cos_fixed(levels, scales):
+    from mpmath import cospi, mpf
+    for n in levels:
+        for w in scales:
+            for r, (x, d) in enumerate(cyc._cos_fixed(n, w)):
+                assert abs(x - cospi(mpf(2 * r) / n) * 2 ** w) <= d, (n, w, r)
+
+
+def test_machin_arctangents_are_enclosed():
+    from mpmath import atan, mp, mpf
+    with mp.workprec(400):
+        for x in (2, 5, 239):
+            for w in range(300):
+                a, e = cyc._atan_inv(x, w)
+                assert abs(a - atan(mpf(1) / x) * 2 ** w) <= e, (x, w)
+
+
+def test_unit_root_bound_covers_every_pi_in_its_enclosure(monkeypatch):
+    # pi = 16 atan(1/5) - 4 atan(1/239); moving both arctangents by 2^20
+    # in opposite directions, and widening their bounds to match, moves pi
+    # by 20 * 2^20 units, so the root's bound must carry pi's error
+    from mpmath import mp
+    exact = cyc._atan_inv
+    for sign in (1, -1):
+        def widened(x, w):
+            a, e = exact(x, w)
+            return a + ((sign if x == 5 else -sign) << 20), e + (1 << 20)
+        monkeypatch.setattr(cyc, "_atan_inv", widened)
+        with mp.workprec(400):
+            for n in range(1, 60):
+                for w in (16, 64, 200):
+                    c, s, h = cyc._unit_root(n, w)
+                    assert _unit_root_error(c, s, n, w) <= h, (sign, n, w)
+
+
+def test_unit_root_bound_covers_the_series_tail(monkeypatch):
+    # stopping the Taylor series at terms below 2^16 units leaves a tail
+    # far above the rounding errors: the bound must still hold
+    from mpmath import mp
+    for stop in (1, 1 << 16):
+        monkeypatch.setattr(cyc, "_SERIES_STOP", stop)
+        with mp.workprec(400):
+            for n in range(1, 60):
+                for w in (24, 64, 200):
+                    c, s, h = cyc._unit_root(n, w)
+                    assert _unit_root_error(c, s, n, w) <= h, (stop, n, w)
+
+
+def test_recurrence_bounds_hold_at_the_working_scale(monkeypatch):
+    from mpmath import cospi, mp, mpf, nint, sinpi
+    with mp.workprec(400):
+        _check_cos_fixed(range(1, 130), (4, 8, 16, 32, 64))
+
+        # roots within a hair of their integer error bound leave the
+        # floors of the recurrence nothing to hide behind
+        def tight(n, w):
+            c0 = int(nint(cospi(mpf(2) / n) * 2 ** w))
+            s0 = int(nint(sinpi(mpf(2) / n) * 2 ** w))
+            _, c, s = max((_unit_root_error(c0 + i, s0 + j, n, w) % 1,
+                           c0 + i, s0 + j)
+                          for i in (-1, 0, 1) for j in (-1, 0, 1))
+            return c, s, int(mp.ceil(_unit_root_error(c, s, n, w)))
+        monkeypatch.setattr(cyc, "_unit_root", tight)
+        _check_cos_fixed(range(1, 130), (8, 16, 32, 64))
+
+
+def test_cosine_table_at_level_10935():
+    # 10935 = 5 * 3^7, the depth-7 level of the (5,3) tower: n / 2 steps
+    # need the n.bit_length() guard bits to keep every entry 2 wide
+    from mpmath import cospi, mp, mpf
+    table = cyc._cos_bounds(10935, 1024)
+    assert max(hi - lo for lo, hi in table) <= 2
+    with mp.workprec(1024 + 80):
+        for r in (1, 2, 1000, 2734, 5466, 5467):
+            lo, hi = table[r]
+            assert lo <= cospi(mpf(2 * r) / 10935) * mpf(2) ** 1024 <= hi, r

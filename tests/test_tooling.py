@@ -1,5 +1,11 @@
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+from circdist.cyclotomic import cyc_to_json
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "circdist"
 
@@ -41,3 +47,36 @@ def test_numpy_and_mpmath_are_imported_inside_functions():
             if any(name.split(".")[0] in heavy for name in names):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert list(SRC.glob("*.py")) and not found, found
+
+
+def _loads_mpmath(script, *args):
+    """Run script in a fresh interpreter; True if mpmath got imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = "import sys; %s; print('mpmath' in sys.modules)" % script
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1] == "True"
+
+
+def test_interval_fallback_leaves_mpmath_unloaded():
+    # the certified cosines are pure integers: an exponent solve and a
+    # positivity verdict that both need the interval fallback (a nonempty
+    # cosine table shows it ran) import no mpmath
+    from test_distributions import PAST_DOUBLE
+    from test_embed_differential import near_zero_element
+    solve = ("from circdist import cyclotomic as cyc, distributions as dist; "
+             "from circdist.groupring import eps_n, grelt; "
+             "u = grelt(%d, True, %r).act_on(eps_n(%d), assume_tau_fixed=True); "
+             "assert dist.solve_exponent(u) is not None; "
+             "assert cyc._cos_bounds.cache_info().currsize"
+             % (PAST_DOUBLE[0][0], PAST_DOUBLE[0][1], PAST_DOUBLE[0][0]))
+    assert not _loads_mpmath(solve)
+    positive = ("import json; from circdist import cyclotomic as cyc; "
+                "x = cyc.cyc_from_json(json.loads(sys.argv[1])); "
+                "assert not cyc.is_totally_positive(x); "
+                "assert cyc._cos_bounds.cache_info().currsize")
+    x = near_zero_element(97, 700, 5, 1)
+    assert not _loads_mpmath(positive, json.dumps(cyc_to_json(x)))
