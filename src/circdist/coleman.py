@@ -22,7 +22,7 @@ from . import cyclotomic, groupring, polys
 from .cyclotomic import LevelError, act, norm_down, one, valuation_at_p
 from .distributions import (DistTable, Report, SolveError, _annihilator,
                             _integral_coset_representative, solve_exponent)
-from .groupring import (GroupRingElt, canon_rep, eps_n, grelt, group_reps,
+from .groupring import (GroupRingElt, eps_n, grelt, group_reps,
                         group_sum, stabilization_b0)
 
 
@@ -229,18 +229,16 @@ class NcndFamily:
 def _section_lift(elt, target_level, choose):
     """Lift a plus group-ring element one level up a p-power tower by picking
     one preimage representative per group element (a set-theoretic section
-    of the projection).  choose selects among the candidate representatives."""
-    n = elt.level
-    out = {}
+    of the projection).  choose selects among the positions of the candidate
+    representatives, in ascending order."""
     preimages = {}
-    for x in groupring.units(target_level):
-        r = canon_rep(x, target_level, True)
-        down = canon_rep(x % n, n, True)
-        preimages.setdefault(down, set()).add(r)
-    for g, c in elt.coeffs:
-        r = choose(sorted(preimages[g]))
-        out[r] = out.get(r, Fraction(0)) + c
-    return grelt(target_level, True, out)
+    for i, g in enumerate(groupring._push_columns(target_level, elt.level, True, True)):
+        preimages.setdefault(g, []).append(i)
+    nums = [0] * len(group_reps(target_level, True))
+    for g, v in enumerate(elt.nums):
+        if v:
+            nums[choose(preimages[g])] = v
+    return GroupRingElt(target_level, True, tuple(nums), elt.den)
 
 
 def ncnd_family(p, q, a_max, section="smallest"):

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, log
 
-from . import intlinalg, polys
+from . import polys
 from .intlinalg import gauss_solve
 
 
@@ -306,15 +306,12 @@ def apply_integer_exponents(x, terms):
     pos = one(n)
     xinv = None
     for a, k in terms:
-        if k == 0:
-            continue
-        base = act(a, x)
-        if k < 0:
+        if k > 0:
+            pos = pos * act(a, x) ** k
+        elif k < 0:
             if xinv is None:
                 xinv = inverse(x)
-            base = act(a, xinv)
-            k = -k
-        pos = pos * base ** k
+            pos = pos * act(a, xinv) ** -k
     return pos
 
 
@@ -424,14 +421,7 @@ def sigma_ell(ell, n):
     m = n // q
     if m == 1:
         return GaloisElt(n, 1)
-    inv = pow(ell % m, -1, m)
-    if q == 1:
-        return GaloisElt(n, inv % n)
-    g, u, v = intlinalg.xgcd(q, m)
-    if g != 1:
-        raise ArithmeticError("ell-part %d and cofactor %d are not coprime" % (q, m))
-    a = (1 * v * m + inv * u * q) % n
-    return GaloisElt(n, a)
+    return GaloisElt(n, polys.crt_pair(1, q, pow(ell % m, -1, m), m))
 
 
 # ---------------------------------------------------------------------------
@@ -678,10 +668,6 @@ def _cos_bounds(n, prec):
         raise ArithmeticError("a level-%d cosine bound is wider than 2^-%d"
                               % (n, prec - 1))
     return table
-
-
-def _cos_bound(n, r, prec):
-    return _cos_bounds(n, prec)[r]
 
 
 def interval_embedding(x, c):

@@ -237,10 +237,8 @@ class RTower:
             parts.append((q, a % q if base % p == 0 else 1))
         x, mod = 0, 1
         for q, r in parts:
-            g, u, v = intlinalg.xgcd(mod, q)
-            x = (x * v * q + r * u * mod) % (mod * q)
-            mod *= q
-        return x % target
+            x, mod = polys.crt_pair(x, mod, r, q), mod * q
+        return x
 
     def at_level(self, n):
         if self.kind == "preset":
@@ -551,13 +549,12 @@ def verify_exponent_identity(u, j):
         raise LevelError("level must be >= 2")
     if j.level != n or not j.plus:
         raise LevelError("exponent must live in Q[G_n^+]")
-    d, jd = j.scaled_integral()
+    d = j.den
     pos, neg = [], []
-    for r, c in jd.coeffs:
-        k = int(c)
+    for r, k in zip(group_reps(n, True), j.nums):
         if k > 0:
             pos.append((r, k))
-        else:
+        elif k < 0:
             neg.append((r, -k))
     phi = len(u.nums)
     bound = None

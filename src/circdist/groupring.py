@@ -1,10 +1,12 @@
 """Exact algebra in Z[G_n] and Z[G_n^+] for G_n = (Z/n)^x.
 
 Group elements are reduced representatives a with 1 <= a < n (for the plus
-quotient, the smaller of {a, n-a}); group-ring elements are sparse maps from
-representatives to exact rationals.  Ideal lattices are integer matrices in
-canonical Hermite normal form over the fixed coordinate order "ascending
-representatives", so two lattices are equal iff their HNF rows are identical.
+quotient, the smaller of {a, n-a}).  A group-ring element holds one integer
+numerator per representative, in ascending order, over one positive
+denominator, normalized as CycElt is; canon_rep is needed only where a
+caller names a group element by any integer (grelt, coefficient).  Ideal
+lattices are integer matrices in canonical Hermite normal form over the same
+coordinate order, so two lattices are equal iff their HNF rows are identical.
 
 Products use discrete-log coordinates.  G_n is a product of cyclic groups
 <g_i> of orders d_i (one per odd prime-power factor of n, and <-1> x <5>
@@ -13,12 +15,14 @@ unit prod g_i^(e_i) as the Kronecker index sum e_i R_1...R_(i-1) with radix
 R_i = 2 d_i - 1 turns a product of two dense operands into one integer
 polynomial product (polys.int_poly_mul) of their numerators: the exponents
 add digit by digit without a carry, and a cached fold table sends each
-product index to the representative it names (r and n - r together in the
-plus quotient, where the plus representatives lift to themselves).  The
-coordinates are built per level by walking the generators, with a check
-that the walk is a bijection onto the units.  Products with few terms, such
-as sigma_g * x, keep the pairwise loop, which is cheaper there.  The
-idempotency certificate of e_n is one such convolution.
+product index to the position of the representative it names (r and n - r
+together in the plus quotient, where the plus representatives lift to
+themselves).  The coordinates are built per level by walking the
+generators, with a check that the walk is a bijection onto the units.
+Products with few terms, such as sigma_g * x, keep the pairwise loop over
+the same indices, which is cheaper there.  The idempotency certificate of
+e_n is one such convolution.  Projections to a lower level or to the plus
+quotient read one cached column map per pair of levels.
 
 The annihilator of the totally positive element eps_n = (1-z_n)^(1+tau) is
 computed two ways: structurally, as the kernel of multiplication by the
@@ -36,7 +40,7 @@ fixing a subfield are filtered from the plus representatives directly.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from math import gcd, lcm
 
@@ -89,9 +93,11 @@ def rep_index(n, plus):
     return {r: i for i, r in enumerate(reps)}
 
 
+@lru_cache(maxsize=None)
 def _unit_positions(n, plus):
     """Position in group_reps(n, plus) of the class of every unit 1 <= u < n
-    (in the plus quotient r and n - r share one)."""
+    (in the plus quotient r and n - r share one).  Cached: callers must not
+    mutate it."""
     at = rep_index(n, plus)
     if plus and n > 2:
         at.update({n - r: i for r, i in at.items()})
@@ -122,7 +128,7 @@ def _cyclic_factors(n):
             gens = [(g, q - q // p)]
         rest = n // q
         for g, d in gens:
-            out.append((1 + rest * ((g - 1) * pow(rest, -1, q) % q), d))
+            out.append((polys.crt_pair(1, rest, g, q), d))
     return out
 
 
@@ -155,25 +161,30 @@ def _coordinates(n, plus):
     return dict(zip(walk, keys)), tuple(map(_unit_positions(n, plus).__getitem__, full))
 
 
-def _kronecker(index, items):
-    """Dense coefficient list of (rep, int) pairs at their Kronecker indices."""
-    keys = [index[r] for r, _ in items]
-    out = [0] * (max(keys) + 1)
-    for k, (_, v) in zip(keys, items):
+@lru_cache(maxsize=None)
+def _rep_keys(n, plus):
+    """Kronecker index of each entry of group_reps(n, plus)."""
+    return tuple(map(_coordinates(n, plus)[0].__getitem__, group_reps(n, plus)))
+
+
+def _kronecker(terms):
+    """Dense coefficient list of (Kronecker index, int) terms."""
+    out = [0] * (max(k for k, _ in terms) + 1)
+    for k, v in terms:
         out[k] = v
     return out
 
 
 def _convolve(n, plus, a, b):
     """Product of two nonzero elements of Z[G_n] (Z[G_n^+]), given as
-    (rep, int) pairs with reps in group_reps(n, plus): one integer
-    polynomial product of their Kronecker forms, folded back.  Returns the
-    integer coefficient at each position of group_reps(n, plus).  A plus
-    representative lifts to itself in Z[G_n], and the product of the lifts
-    maps to the product in the quotient."""
-    index, fold = _coordinates(n, plus)
-    pa = _kronecker(index, a)
-    prod = polys.int_poly_mul(pa, pa if a is b else _kronecker(index, b))
+    (Kronecker index, int) terms: one integer polynomial product of their
+    Kronecker forms, folded back.  Returns the integer coefficient at each
+    position of group_reps(n, plus).  A plus representative lifts to itself
+    in Z[G_n], and the product of the lifts maps to the product in the
+    quotient."""
+    fold = _coordinates(n, plus)[1]
+    pa = _kronecker(a)
+    prod = polys.int_poly_mul(pa, pa if a is b else _kronecker(b))
     out = [0] * len(group_reps(n, plus))
     for f, v in zip(fold, prod):
         if v:
@@ -187,38 +198,50 @@ def _convolve(n, plus, a, b):
 
 @dataclass(frozen=True)
 class GroupRingElt:
-    """Element of Q[G_n] (or Q[G_n^+] when plus): sorted sparse coefficients."""
+    """Element of Q[G_n] (or Q[G_n^+] when plus) as integer numerators over
+    one denominator: nums[i] / den is the coefficient of the i-th entry of
+    group_reps(level, plus), with den > 0 and gcd(den, *nums) = 1 (so zero
+    has den = 1).  ``coeffs`` is the sorted tuple of nonzero (rep, Fraction)
+    pairs, built on first use."""
 
     level: int
     plus: bool
-    coeffs: tuple   # tuple of (rep, Fraction), sorted by rep, zeros dropped
+    nums: tuple
+    den: int
 
-    def as_dict(self):
-        return dict(self.coeffs)
+    @classmethod
+    def _from_ints(cls, level, plus, nums, den):
+        """Element nums / den (den > 0, one numerator per representative),
+        normalized."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [v // g for v in nums]
+                den //= g
+        return cls(level, plus, tuple(nums), den)
+
+    @cached_property
+    def coeffs(self):
+        den = self.den
+        return tuple((r, Fraction(v, den))
+                     for r, v in zip(group_reps(self.level, self.plus), self.nums) if v)
 
     def coefficient(self, a):
-        r = canon_rep(a, self.level, self.plus)
-        return dict(self.coeffs).get(r, Fraction(0))
+        i = _unit_positions(self.level, self.plus)[canon_rep(a, self.level, self.plus)]
+        return Fraction(self.nums[i], self.den)
 
     def augmentation(self):
-        return sum((c for _, c in self.coeffs), Fraction(0))
-
-    def support(self):
-        return tuple(r for r, _ in self.coeffs)
+        return Fraction(sum(self.nums), self.den)
 
     def is_integral(self):
-        return all(c.denominator == 1 for _, c in self.coeffs)
+        return self.den == 1
 
     def denominator_lcm(self):
-        d = 1
-        for _, c in self.coeffs:
-            d = lcm(d, c.denominator)
-        return d
+        return self.den
 
-    def _numerators(self):
-        """(d, [(rep, d*c)]) with d the denominator lcm."""
-        d = self.denominator_lcm()
-        return d, [(r, c.numerator * (d // c.denominator)) for r, c in self.coeffs]
+    def _terms(self):
+        """(Kronecker index, numerator) of each nonzero coefficient."""
+        return [(k, v) for k, v in zip(_rep_keys(self.level, self.plus), self.nums) if v]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -226,46 +249,43 @@ class GroupRingElt:
         if self.level != other.level or self.plus != other.plus:
             raise LevelError("group-ring mismatch")
 
-    def __add__(self, other):
+    def _add(self, other, sign):
         self._check(other)
-        acc = dict(self.coeffs)
-        for r, c in other.coeffs:
-            acc[r] = acc.get(r, Fraction(0)) + c
-        return grelt(self.level, self.plus, acc)
+        d = lcm(self.den, other.den)
+        fa, fb = d // self.den, sign * (d // other.den)
+        return GroupRingElt._from_ints(self.level, self.plus,
+                                       [a * fa + b * fb for a, b in zip(self.nums, other.nums)], d)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._add(other, -1)
 
     def __neg__(self):
-        return GroupRingElt(self.level, self.plus,
-                            tuple((r, -c) for r, c in self.coeffs))
+        return GroupRingElt(self.level, self.plus, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                return grelt(self.level, self.plus, {})
-            return GroupRingElt(self.level, self.plus,
-                                tuple((r, c * q) for r, c in self.coeffs))
+            return GroupRingElt._from_ints(self.level, self.plus,
+                                           [a * other.numerator for a in self.nums],
+                                           self.den * other.denominator)
         self._check(other)
         n, plus = self.level, self.plus
+        a = self._terms()
+        b = a if other is self else other._terms()
         # the pairwise loop costs in proportion to s*t, the convolution to
         # mu (measured crossover s*t between mu/3 and mu/2 for mu from 6 to
         # 972), so sparse operands, such as a sigma_g, take the loop
-        if 3 * len(self.coeffs) * len(other.coeffs) <= len(group_reps(n, plus)):
-            acc = {}
-            for r1, c1 in self.coeffs:
-                for r2, c2 in other.coeffs:
-                    r = canon_rep(r1 * r2, n, plus)
-                    acc[r] = acc.get(r, Fraction(0)) + c1 * c2
-            return grelt(n, plus, acc)
-        # on integer numerators: self = a/da, other = b/db, product ab/(da db)
-        da, a = self._numerators()
-        db, b = other._numerators()
-        den = da * db
-        prod = _convolve(n, plus, a, a if self is other else b)
-        return GroupRingElt(n, plus, tuple(
-            (r, Fraction(v, den)) for r, v in zip(group_reps(n, plus), prod) if v))
+        if 3 * len(a) * len(b) <= len(self.nums):
+            fold = _coordinates(n, plus)[1]
+            prod = [0] * len(self.nums)
+            for ka, va in a:
+                for kb, vb in b:
+                    prod[fold[ka + kb]] += va * vb
+        else:
+            prod = _convolve(n, plus, a, b)
+        return GroupRingElt._from_ints(n, plus, prod, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -290,18 +310,12 @@ class GroupRingElt:
             raise LevelError("%d does not divide %d" % (n, self.level))
         if self.plus and not plus:
             raise LevelError("cannot lift from the plus quotient")
-        acc = {}
-        for r, c in self.coeffs:
-            rr = canon_rep(r % n if n > 1 else 1, n, plus)
-            acc[rr] = acc.get(rr, Fraction(0)) + c
-        return grelt(n, plus, acc)
+        return GroupRingElt._from_ints(n, plus, _push(self.nums, self.level, n, self.plus, plus),
+                                       self.den)
 
     def to_vector(self):
-        idx = rep_index(self.level, self.plus)
-        vec = [Fraction(0)] * len(idx)
-        for r, c in self.coeffs:
-            vec[idx[r]] = c
-        return vec
+        den = self.den
+        return [Fraction(v, den) for v in self.nums]
 
     def act_on(self, x, assume_tau_fixed=False):
         """Multiplicative action x^self; coefficients must be integers.
@@ -312,35 +326,29 @@ class GroupRingElt:
         """
         if x.level != self.level:
             raise LevelError("level mismatch")
-        if not self.is_integral():
+        if self.den != 1:
             raise ValueError("exponent has non-integer coefficients")
         if self.plus and not assume_tau_fixed:
             if act(cyclotomic.tau(x.level), x) != x:
                 raise ValueError("plus-quotient exponent on a non-tau-fixed element")
-        terms = [(r, int(c)) for r, c in self.coeffs]
-        return cyclotomic.apply_integer_exponents(x, terms)
+        return cyclotomic.apply_integer_exponents(
+            x, zip(group_reps(self.level, self.plus), self.nums))
 
     def scaled_integral(self):
         """(d, d*self) with d the smallest positive integer clearing denominators."""
-        d = self.denominator_lcm()
-        return d, self * d
+        return self.den, GroupRingElt(self.level, self.plus, self.nums, 1)
 
 
 def grelt(level, plus, coeffs):
-    """Normalized constructor from a {rep: coefficient} mapping."""
-    items = []
+    """Normalized constructor from a {rep: coefficient} mapping; keys are
+    any integers naming units mod level, and zero coefficients are dropped."""
+    at = _unit_positions(level, plus)
+    vec = [0] * len(group_reps(level, plus))
     for r, c in coeffs.items():
         q = Fraction(c)
         if q:
-            items.append((canon_rep(r, level, plus), q))
-    items.sort()
-    merged = []
-    for r, c in items:
-        if merged and merged[-1][0] == r:
-            merged[-1] = (r, merged[-1][1] + c)
-        else:
-            merged.append((r, c))
-    return GroupRingElt(level, plus, tuple((r, c) for r, c in merged if c))
+            vec[at[canon_rep(r, level, plus)]] += q
+    return from_vector(level, plus, vec)
 
 
 def identity(n, plus):
@@ -352,8 +360,14 @@ def sigma(n, a, plus=False):
 
 
 def from_vector(n, plus, vec):
-    reps = group_reps(n, plus)
-    return grelt(n, plus, {r: v for r, v in zip(reps, vec)})
+    """Element with coefficient vec[i] at the i-th entry of group_reps(n, plus)."""
+    mu = len(group_reps(n, plus))
+    if len(vec) != mu:
+        raise ValueError("vector of length %d for %d representatives" % (len(vec), mu))
+    vec = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in vec]
+    # the lcm of reduced denominators shares no factor with all numerators
+    den = lcm(*(c.denominator for c in vec))
+    return GroupRingElt(n, plus, tuple(c.numerator * (den // c.denominator) for c in vec), den)
 
 
 def subgroup_sum(n, plus, members):
@@ -454,15 +468,13 @@ def idempotent_e_n(n):
     terms = _e_n_expansion(n)
     # sum of c_H e_H over one denominator: e_H puts 1/|H| on each member
     den = lcm(*(c.denominator * len(h) for h, c in terms.items()))
-    reps = group_reps(n, True)
-    pos = rep_index(n, True)
-    nums = [0] * len(reps)
+    pos = _unit_positions(n, True)
+    nums = [0] * len(group_reps(n, True))
     for h, c in terms.items():
         v = c.numerator * (den // (c.denominator * len(h)))
         for r in h:
             nums[pos[r]] += v
-    e = GroupRingElt(n, True, tuple(
-        (r, Fraction(v, den)) for r, v in zip(reps, nums) if v))
+    e = GroupRingElt._from_ints(n, True, nums, den)
     _certify_idempotent(e)
     return e
 
@@ -470,12 +482,8 @@ def idempotent_e_n(n):
 def _certify_idempotent(e):
     """Raise ArithmeticError unless e*e == e, checked on integer numerators
     as one generic convolution product: with c = d*e, c*c == d*c."""
-    d, c = e._numerators()
-    pos = rep_index(e.level, e.plus)
-    dc = [0] * len(pos)
-    for r, v in c:
-        dc[pos[r]] = d * v
-    if c and _convolve(e.level, e.plus, c, c) != dc:
+    c = e._terms()
+    if c and _convolve(e.level, e.plus, c, c) != [e.den * v for v in e.nums]:
         raise ArithmeticError("e_n failed the idempotency check")
 
 
@@ -508,10 +516,9 @@ class IdealLattice:
         if isinstance(x, GroupRingElt):
             if x.level != self.level or x.plus != self.plus:
                 raise LevelError("group-ring mismatch")
-            vec = x.to_vector()
-            if any(c.denominator != 1 for c in vec):
+            if x.den != 1:
                 return False
-            vec = [int(c) for c in vec]
+            vec = list(x.nums)
         else:
             vec = list(x)
             ncols = len(group_reps(self.level, self.plus))
@@ -567,26 +574,23 @@ def annihilator_In_formula(n):
         # sums.  Each coset is marked off from its least member, so the
         # disjoint 0/1 rows come out in ascending pivot order: canonical HNF.
         h = next(s for s in terms if s != triv)
-        idx = rep_index(n, True)
+        at = _unit_positions(n, True)
         marked = [False] * len(reps)
         rows = []
         for i, g in enumerate(reps):
             if not marked[i]:
                 row = [0] * len(reps)
                 for x in h:
-                    r = g * x % n
-                    j = idx[min(r, n - r)]
+                    j = at[g * x % n]
                     marked[j] = True
                     row[j] = 1
                 rows.append(tuple(row))
         return IdealLattice(n, True, tuple(rows))
     # row g is the numerator vector of sigma_g * d * e_n: its entry at rep r
     # is that of d * e_n at g^-1 r, so each row permutes one vector
-    e = idempotent_e_n(n)
-    scale = e.denominator_lcm()
-    vec = [int(c * scale) for c in e.to_vector()]
+    vec = idempotent_e_n(n).nums
     index, fold = _coordinates(n, True)
-    keys = [index[r] for r in reps]
+    keys = _rep_keys(n, True)
     rows = []
     for g in reps:
         k = index[pow(g, -1, n)]
@@ -727,23 +731,25 @@ def project_annihilator(m, n, lattice):
         raise LevelError("lattice level mismatch")
     if m % n:
         raise LevelError("%d does not divide %d" % (n, m))
-    cols = _push_columns(m, n, lattice.plus)
-    width = len(group_reps(n, lattice.plus))
-    rows = []
-    for row in lattice.hnf:
-        out = [0] * width
-        for j, v in zip(cols, row):
-            if v:
-                out[j] += v
-        rows.append(out)
-    return IdealLattice.from_rows(n, lattice.plus, rows)
+    plus = lattice.plus
+    return IdealLattice.from_rows(n, plus, [_push(row, m, n, plus, plus) for row in lattice.hnf])
 
 
 @lru_cache(maxsize=None)
-def _push_columns(m, n, plus):
-    """Position at level n (n | m) of the image of each level-m representative."""
-    at = _unit_positions(n, plus)
+def _push_columns(m, n, plus, to_plus):
+    """Position in group_reps(n, to_plus) (n | m) of the image of each entry
+    of group_reps(m, plus)."""
+    at = _unit_positions(n, to_plus)
     return tuple(at[r % n if n > 1 else 1] for r in group_reps(m, plus))
+
+
+def _push(nums, m, n, plus, to_plus):
+    """Coefficient vector at level n of the push-forward of nums at level m."""
+    out = [0] * len(group_reps(n, to_plus))
+    for j, v in zip(_push_columns(m, n, plus, to_plus), nums):
+        if v:
+            out[j] += v
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -134,21 +134,6 @@ def int_rem_monic(a, degree, terms):
     return a
 
 
-def mobius(n):
-    m = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            m = -m
-        d += 1
-    if n > 1:
-        m = -m
-    return m
-
-
 def prime_factors(n):
     out = []
     d = 2

@@ -1,7 +1,8 @@
 """Reference group-ring products for the differential tests.
 
 These are the loops circdist used before products became one Kronecker
-convolution over discrete-log coordinates, kept here only as oracles:
+convolution over discrete-log coordinates, and before group-ring elements
+held integer numerators, kept here only as oracles:
 
 * `mul` multiplies every pair of terms, reduces the product of the two
   representatives with `canon_rep` and adds `Fraction`s in a dict, O(mu^2);
@@ -9,7 +10,11 @@ convolution over discrete-log coordinates, kept here only as oracles:
   group-ring addition and checks c*c == d*c with the same pairwise loop;
 * `annihilator_In_formula` (general path) builds each row sigma_g * d * e_n
   as a `Fraction` product and takes the integer left kernel of the rows;
-* `project_annihilator` maps every nonzero entry through `canon_rep`.
+* `project_annihilator` maps every nonzero entry through `canon_rep`;
+* `project` pushes each (rep, Fraction) term through `canon_rep` and adds
+  the images in a dict;
+* `section_lift` groups the units of the upper level by the `canon_rep` of
+  their images, two `canon_rep`s per unit, and picks one preimage per term.
 """
 
 from fractions import Fraction
@@ -17,7 +22,7 @@ from fractions import Fraction
 from circdist import intlinalg
 from circdist.groupring import (IdealLattice, LevelError, _e_n_expansion,
                                 canon_rep, e_subgroup, grelt, group_reps,
-                                rep_index, sigma)
+                                rep_index, sigma, units)
 
 
 def mul(x, y):
@@ -85,3 +90,32 @@ def project_annihilator(m, n, lattice):
                 out[idx_n[canon_rep(r % n if n > 1 else 1, n, lattice.plus)]] += v
         rows.append(out)
     return IdealLattice.from_rows(n, lattice.plus, rows)
+
+
+def project(x, n, plus):
+    """Push x along G_m -> G_n (n | m) and/or G -> G^+."""
+    if x.level % n:
+        raise LevelError("%d does not divide %d" % (n, x.level))
+    if x.plus and not plus:
+        raise LevelError("cannot lift from the plus quotient")
+    acc = {}
+    for r, c in x.coeffs:
+        rr = canon_rep(r % n if n > 1 else 1, n, plus)
+        acc[rr] = acc.get(rr, Fraction(0)) + c
+    return grelt(n, plus, acc)
+
+
+def section_lift(elt, target_level, choose):
+    """One preimage representative at target_level per term of the plus
+    element elt; choose picks among the sorted candidate representatives."""
+    n = elt.level
+    out = {}
+    preimages = {}
+    for x in units(target_level):
+        r = canon_rep(x, target_level, True)
+        down = canon_rep(x % n, n, True)
+        preimages.setdefault(down, set()).add(r)
+    for g, c in elt.coeffs:
+        r = choose(sorted(preimages[g]))
+        out[r] = out.get(r, Fraction(0)) + c
+    return grelt(target_level, True, out)

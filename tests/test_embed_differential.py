@@ -236,7 +236,7 @@ def test_cosine_bounds_enclose_the_cosine():
         for prec in (128, 1024):
             with mp.workprec(prec + 80):
                 for r in range(n // 2 + 1):
-                    lo, hi = cyc._cos_bound(n, r, prec)
+                    lo, hi = cyc._cos_bounds(n, prec)[r]
                     scaled = cospi(mpf(2 * r) / n) * mpf(2) ** prec
                     assert lo <= scaled <= hi and hi - lo <= 2, (n, r, prec)
 

@@ -318,3 +318,10 @@ def test_group_ring_serialization():
     obj = gr.gr_to_json(x)
     assert obj == {"level": 12, "plus": True, "coeffs": {"1": "1/2", "5": "-2"}}
     assert gr.gr_from_json(obj) == x
+
+
+def test_from_vector_needs_one_entry_per_representative():
+    assert gr.from_vector(12, True, [1, Fraction(2, 4)]) == grelt(12, True, {1: 1, 5: Fraction(1, 2)})
+    for vec in ([1, 2, 3], [7], []):
+        with pytest.raises(ValueError):
+            gr.from_vector(12, True, vec)

@@ -16,19 +16,25 @@ in oracle_groupring that they replaced.
 * the idempotency certificate rejects e_n with one coefficient changed,
   and the coordinate walk rejects wrong generator orders;
 * project_annihilator's cached column map gives the rows of the canon_rep
-  loop at every divisor of every level below 120.
+  loop at every divisor of every level below 120, and the same map gives
+  GroupRingElt.project (full to full, full to plus, plus to plus) and both
+  sections of coleman._section_lift at every divisor pair m | M < 120;
+* grelt normalizes rational draws to integer numerators over one
+  denominator (den > 0, gcd(den, *nums) = 1, zero with den = 1), and coeffs
+  and the JSON form read back the value drawn.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracle_groupring as oracle
+from circdist import coleman, intlinalg, polys
 from circdist import groupring as gr
-from circdist import intlinalg, polys
 
 LEVELS = range(2, 300)
 FIXED_LEVELS = (1215, 3645)
@@ -62,10 +68,8 @@ def random_elt(rng, n, plus, terms=None, rational=True, bits=3):
 
 def convolved(x, y):
     """x * y through the convolution whatever the operands' support."""
-    dx, a = x._numerators()
-    dy, b = y._numerators()
-    prod = gr._convolve(x.level, x.plus, a, b)
-    return gr.from_vector(x.level, x.plus, [Fraction(v, dx * dy) for v in prod])
+    prod = gr._convolve(x.level, x.plus, x._terms(), y._terms())
+    return gr.from_vector(x.level, x.plus, [Fraction(v, x.den * y.den) for v in prod])
 
 
 def check_product(x, y):
@@ -186,3 +190,49 @@ def test_projections_match_loop():
             for lat in lattices:
                 got = gr.project_annihilator(m, n, lat)
                 assert got == oracle.project_annihilator(m, n, lat), (m, n, lat.plus)
+
+
+def test_element_projections_match_loop():
+    rng = random.Random(10)
+    for big in range(2, 120):
+        for n in (d for d in range(1, big + 1) if big % d == 0):
+            for plus, to_plus in ((False, False), (False, True), (True, True)):
+                for terms in (None, 2):
+                    x = random_elt(rng, big, plus, terms)
+                    got = x.project(to_level=n, to_plus=to_plus)
+                    assert got == oracle.project(x, n, to_plus), (big, n, plus, to_plus)
+
+
+def test_section_lifts_match_loop():
+    rng = random.Random(11)
+    sections = (lambda cands: cands[0], lambda cands: cands[-1])
+    for big in range(2, 120):
+        for m in (d for d in range(1, big + 1) if big % d == 0):
+            x = random_elt(rng, m, True)
+            for choose in sections:
+                assert (coleman._section_lift(x, big, choose)
+                        == oracle.section_lift(x, big, choose)), (m, big)
+
+
+@QUICK
+@given(st.data(), st.integers(2, 299), st.booleans())
+def test_grelt_normalizes_rational_draws(data, n, plus):
+    # keys are any integers naming units (r + k*n, and n - r in the plus
+    # quotient), and coefficients may cancel to zero
+    us = gr.units(n)
+    terms = data.draw(st.dictionaries(
+        st.builds(lambda u, k: u + k * n, st.sampled_from(us), st.integers(-2, 2)),
+        st.fractions(min_value=-50, max_value=50, max_denominator=60), max_size=6))
+    x = gr.grelt(n, plus, terms)
+    assert len(x.nums) == len(gr.group_reps(n, plus))
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1 and x.coeffs == ()
+    want = {}
+    for r, c in terms.items():
+        rr = gr.canon_rep(r, n, plus)
+        want[rr] = want.get(rr, Fraction(0)) + c
+    assert x.coeffs == tuple(sorted((r, c) for r, c in want.items() if c))
+    assert x.to_vector() == [Fraction(v, x.den) for v in x.nums]
+    assert gr.grelt(n, plus, dict(x.coeffs)) == x
+    assert gr.gr_from_json(gr.gr_to_json(x)) == x

@@ -2,12 +2,14 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 from circdist.cyclotomic import cyc_to_json
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "circdist"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "circdist"
 
 
 def test_library_has_no_assert_statements():
@@ -19,6 +21,25 @@ def test_library_has_no_assert_statements():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_every_module_level_function_is_used():
+    # a module-level def whose name appears on no other line of the
+    # library, the tests, the benchmark or the README is dead code
+    lines = []
+    for path in ([ROOT / "README.md"] + sorted((ROOT / "src").rglob("*.py"))
+                 + sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))):
+        lines += [(path, i, line) for i, line in enumerate(path.read_text().splitlines(), 1)]
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                word = re.compile(r"\b%s\b" % re.escape(node.name))
+                if not any(word.search(line) for p, i, line in lines
+                           if (p, i) != (path, node.lineno)):
+                    unused.append("%s:%d %s" % (path.name, node.lineno, node.name))
+    assert list(SRC.glob("*.py")) and not unused, unused
 
 
 def _imports_at_load(tree):
