@@ -19,7 +19,7 @@ import tempfile
 
 from . import coleman, distributions, groupring, polys
 from .cyclotomic import LevelError
-from .distributions import (DistTable, RTower, SupportError, delta_table,
+from .distributions import (RTower, SupportError, delta_table,
                             divisor_closure, phi_table, power_by_tower,
                             table_conj, table_product, verify_relations,
                             verify_strictness)

@@ -15,12 +15,12 @@ eps at non-prime-power levels), and the constancy check for valuations of
 prime-power-level values.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from . import cyclotomic, groupring, polys
-from .cyclotomic import LevelError, act, norm_down, one, valuation_at_p
-from .distributions import (DistTable, Report, SolveError, _annihilator,
+from . import groupring, polys
+from .cyclotomic import norm_down, one, valuation_at_p
+from .distributions import (Report, SolveError, _annihilator,
                             _integral_coset_representative, solve_exponent)
 from .groupring import (GroupRingElt, eps_n, grelt, group_reps,
                         group_sum, stabilization_b0)

@@ -37,11 +37,11 @@ from functools import lru_cache
 from math import gcd, isfinite, lcm, log
 
 from . import cyclotomic, groupring, intlinalg, polys
-from .cyclotomic import (CycElt, LevelError, act, cyc_from_json, cyc_to_json,
+from .cyclotomic import (LevelError, act, cyc_from_json, cyc_to_json,
                          norm_down, one, raise_level, sigma_ell,
                          vanishes_at_all_primes_above, zeta)
-from .groupring import (GroupRingElt, annihilator_In_formula, grelt,
-                        group_reps, idempotent_e_n, sigma)
+from .groupring import (annihilator_In_formula, grelt, group_reps,
+                        idempotent_e_n, sigma)
 
 
 class SupportError(ValueError):

@@ -25,12 +25,13 @@ e_n is one such convolution.  Projections to a lower level or to the plus
 quotient read one cached column map per pair of levels.
 
 The annihilator of the totally positive element eps_n = (1-z_n)^(1+tau) is
-computed two ways: structurally, as the kernel of multiplication by the
-decomposition-group idempotent e_n, and analytically, from certified
-logarithmic embeddings with exact verification of every kernel vector (the
-independent oracle).  The structural route has shortcut bases: 0 when e_n
-is 1, and when e_n = 1 - e_H the H-coset indicator rows, each coset marked
-off from its least member so that the rows come out in canonical HNF.
+computed two ways.  Structurally, as the kernel of multiplication by the
+decomposition-group idempotent e_n: 0 at a prime power, else spanned over Q
+by the coset sums of the minimal decomposition groups D_l (Sinnott, Invent.
+Math. 62, 1980), each coset marked off from its least member so that one
+subgroup's rows are in canonical HNF and several subgroups' rows are
+saturated.  Analytically, from certified logarithmic embeddings with exact
+verification of every kernel vector (the independent oracle).
 
 The annihilators of mu_n, -z_n and -z_(2n) are single congruences
 sum_a c_a e_a = 0 mod N, written down in canonical HNF by
@@ -45,7 +46,7 @@ from itertools import compress
 from math import gcd, lcm
 
 from . import cyclotomic, intlinalg, polys
-from .cyclotomic import CycElt, LevelError, PrecisionError, act, one, zeta
+from .cyclotomic import LevelError, PrecisionError, act, one, zeta
 
 
 class HypothesisNotMetError(ValueError):
@@ -504,10 +505,6 @@ class IdealLattice:
     def from_rows(cls, level, plus, rows):
         return cls(level, plus, tuple(tuple(r) for r in intlinalg.hnf(rows)))
 
-    @classmethod
-    def zero(cls, level, plus):
-        return cls(level, plus, ())
-
     @property
     def rank(self):
         return len(self.hnf)
@@ -559,44 +556,38 @@ def eps_n(n):
 
 
 def annihilator_In_formula(n):
-    """Annihilator of eps_n in Z[G_n^+] via the idempotent: the integer
-    kernel of right multiplication by e_n, saturated, in HNF."""
+    """Annihilator of eps_n in Z[G_n^+], the integer kernel of e_n, in HNF:
+    the saturated coset rows of the minimal D_l (a coset sum of a larger
+    D_l is a sum of coset sums of a smaller one), 0 at a prime power where
+    e_n = 1.  The rank is certified as mu (1 - e_n(1)), the number of
+    characters e_n kills."""
     if n < 2:
         raise LevelError("level must be >= 2")
-    terms = _e_n_expansion(n)
     reps = group_reps(n, True)
-    triv = frozenset({1})
-    if terms == {triv: Fraction(1)}:
-        return IdealLattice.zero(n, True)
-    if (len(terms) == 2 and terms.get(triv) == 1
-            and set(terms.values()) == {Fraction(1), Fraction(-1)}):
-        # e_n = 1 - e_H: the kernel is spanned by the H-coset indicator
-        # sums.  Each coset is marked off from its least member, so the
-        # disjoint 0/1 rows come out in ascending pivot order: canonical HNF.
-        h = next(s for s in terms if s != triv)
-        at = _unit_positions(n, True)
-        marked = [False] * len(reps)
-        rows = []
-        for i, g in enumerate(reps):
-            if not marked[i]:
-                row = [0] * len(reps)
-                for x in h:
-                    j = at[g * x % n]
-                    marked[j] = True
-                    row[j] = 1
-                rows.append(tuple(row))
-        return IdealLattice(n, True, tuple(rows))
-    # row g is the numerator vector of sigma_g * d * e_n: its entry at rep r
-    # is that of d * e_n at g^-1 r, so each row permutes one vector
-    vec = idempotent_e_n(n).nums
-    index, fold = _coordinates(n, True)
-    keys = _rep_keys(n, True)
+    mu = len(reps)
+    primes = polys.prime_factors(n)
     rows = []
-    for g in reps:
-        k = index[pow(g, -1, n)]
-        rows.append([vec[fold[k + kr]] for kr in keys])
-    kernel = intlinalg.left_kernel(rows)
-    return IdealLattice(n, True, tuple(tuple(r) for r in kernel))
+    if len(primes) > 1:
+        groups = {frozenset(decomposition_group(n, ell)) for ell in primes}
+        minimal = [h for h in groups if not any(k < h for k in groups)]
+        at = _unit_positions(n, True)
+        for h in minimal:
+            marked = [False] * mu
+            for i, g in enumerate(reps):
+                if not marked[i]:
+                    row = [0] * mu
+                    for x in h:
+                        j = at[g * x % n]
+                        marked[j] = True
+                        row[j] = 1
+                    rows.append(row)
+        if len(minimal) > 1:
+            rows = intlinalg.saturate(rows, mu)
+    killed = mu - sum(c * (mu // len(h)) for h, c in _e_n_expansion(n).items())
+    if len(rows) != killed:
+        raise ArithmeticError("I_%d has rank %d, but e_n kills %s characters"
+                              % (n, len(rows), killed))
+    return IdealLattice(n, True, tuple(map(tuple, rows)))
 
 
 def annihilator_In_oracle(n, max_phi=16):

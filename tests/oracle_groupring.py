@@ -8,8 +8,10 @@ held integer numerators, kept here only as oracles:
   representatives with `canon_rep` and adds `Fraction`s in a dict, O(mu^2);
 * `idempotent_e_n` sums c_H e_H over the subgroup expansion by repeated
   group-ring addition and checks c*c == d*c with the same pairwise loop;
-* `annihilator_In_formula` (general path) builds each row sigma_g * d * e_n
-  as a `Fraction` product and takes the integer left kernel of the rows;
+* `annihilator_In_formula` builds each row sigma_g * d * e_n as a
+  `Fraction` product and takes the integer left kernel of the mu rows at
+  every level, as circdist did before I_n became the saturation of the
+  coset rows of the minimal decomposition groups;
 * `project_annihilator` maps every nonzero entry through `canon_rep`;
 * `project` pushes each (rep, Fraction) term through `canon_rep` and adds
   the images in a dict;
@@ -72,8 +74,7 @@ def kernel_rows(n):
 
 
 def annihilator_In_formula(n):
-    """The general path for every level: the integer left kernel of
-    `kernel_rows`."""
+    """The integer left kernel of `kernel_rows`, at every level."""
     kernel = intlinalg.left_kernel(kernel_rows(n))
     return IdealLattice(n, True, tuple(tuple(r) for r in kernel))
 

@@ -132,7 +132,7 @@ def test_idempotent_examples():
 
 def test_annihilator_zero_cases():
     for n in (3, 4, 5, 7, 8, 9, 16, 25):
-        assert annihilator_In_formula(n) == IdealLattice.zero(n, True)
+        assert annihilator_In_formula(n) == IdealLattice(n, True, ())
 
 
 def test_annihilator_I12():
@@ -265,8 +265,8 @@ def test_lattice_membership_needs_one_entry_per_column():
             lat.contains(vec)
     # the zero lattice still knows its columns
     with pytest.raises(ValueError):
-        IdealLattice.zero(12, True).contains([0, 0, 0])
-    assert not IdealLattice.zero(12, True).contains([0, 1])
+        IdealLattice(12, True, ()).contains([0, 0, 0])
+    assert not IdealLattice(12, True, ()).contains([0, 1])
 
 
 def test_lattice_comparisons_need_the_same_group_ring():
@@ -287,7 +287,7 @@ def test_lattice_comparisons_need_the_same_group_ring():
 
 
 def test_stabilization_and_image_claim():
-    for m, p in [(12, 3), (15, 5), (20, 5)]:
+    for m, p in [(12, 3), (15, 5), (20, 5), (30, 2), (34, 2)]:
         b0 = stabilization_b0(m, p)
         assert image_is_p_times_I(m, p, b0)
         assert image_is_p_times_I(m, p, b0 + 1)

@@ -9,12 +9,15 @@ in oracle_groupring that they replaced.
   elsewhere products are checked against the oracle on sparse operands and
   through the projection to a lower level;
 * idempotent_e_n and annihilator_In_formula equal the oracle at every
-  2 <= n < 300 (the oracle takes the general kernel path at every level, so
-  the zero and coset shortcuts are checked too), and where
-  annihilator_In_formula takes the general path its kernel input is the
-  oracle's, row for row;
+  2 <= n < 300; the oracle is the integer left kernel of the mu rows
+  sigma_g * d * e_n at every level, so it checks the zero lattice of prime
+  powers, the coset rows of one minimal decomposition group and the
+  saturated coset rows of several.  At 408, 420, 455 and 1155, levels
+  where the saturation adds vectors that the coset rows do not span, the
+  rows equal the oracle too, and at 1155 that gain is asserted;
 * the idempotency certificate rejects e_n with one coefficient changed,
-  and the coordinate walk rejects wrong generator orders;
+  the rank certificate of annihilator_In_formula rejects a basis that has
+  lost a row, and the coordinate walk rejects wrong generator orders;
 * project_annihilator's cached column map gives the rows of the canon_rep
   loop at every divisor of every level below 120, and the same map gives
   GroupRingElt.project (full to full, full to plus, plus to plus) and both
@@ -33,6 +36,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracle_groupring as oracle
+import oracle_lattice
 from circdist import coleman, intlinalg, polys
 from circdist import groupring as gr
 
@@ -123,18 +127,45 @@ def test_squares_use_one_operand():
 
 
 def test_idempotent_and_annihilator_match_oracle():
-    general = 0
     for n in LEVELS:
         e = gr.idempotent_e_n(n)
         assert e == oracle.idempotent_e_n(n), n
-        with mock.patch.object(intlinalg, "left_kernel", wraps=intlinalg.left_kernel) as spy:
-            got = gr.annihilator_In_formula(n)
-        assert got == oracle.annihilator_In_formula(n), n
-        if spy.called:
-            # the general path: the same kernel input, row for row
-            assert spy.call_args.args[0] == oracle.kernel_rows(n), n
-            general += 1
-    assert general > 20
+        assert gr.annihilator_In_formula(n) == oracle.annihilator_In_formula(n), n
+
+
+def coset_lattice(n):
+    """HNF of the coset rows of every decomposition group of level n."""
+    rows = []
+    for ell in polys.prime_factors(n):
+        rows += oracle_lattice.coset_rows(n, gr.decomposition_group(n, ell))
+    return gr.IdealLattice.from_rows(n, True, rows)
+
+
+@pytest.mark.parametrize("n", [408, 420, 455, 1155])
+def test_saturated_annihilator_matches_oracle(n):
+    got = gr.annihilator_In_formula(n)
+    assert got == oracle.annihilator_In_formula(n)
+    if n == 1155:
+        # the coset rows span a proper sublattice of full rank: the
+        # saturation is what completes them
+        cosets = coset_lattice(n)
+        assert got.contains_lattice(cosets) and cosets.rank == got.rank
+        assert cosets != got
+
+
+@pytest.mark.parametrize("target, name, broken", [
+    # the saturated basis loses its last row
+    (intlinalg, "saturate", lambda real: lambda rows, ncols: real(rows, ncols)[:-1]),
+    # D_3, one of the four minimal decomposition groups at 1155, is replaced
+    # by the whole group, which is not minimal, so the D_3 coset rows are lost
+    (gr, "decomposition_group",
+     lambda real: lambda n, ell: gr.group_reps(n, True) if ell == 3 else real(n, ell)),
+], ids=["saturate", "decomposition_group"])
+def test_annihilator_rank_certificate_rejects_a_lost_row(target, name, broken):
+    gr._e_n_expansion(1155)     # cached from the true decomposition groups
+    with mock.patch.object(target, name, broken(getattr(target, name))):
+        with pytest.raises(ArithmeticError, match="rank"):
+            gr.annihilator_In_formula(1155)
 
 
 @pytest.mark.parametrize("n", [12, 15, 35, 60, 105, 231, 1215])

@@ -9,7 +9,9 @@ At every level 2 <= n < 400:
   also the rows of the kernel oracle (which takes ~3 s for those levels
   and ~150 s for the whole grid);
 * annihilator_In_formula returns the coset oracle's rows wherever
-  e_n = 1 - e_H;
+  e_n = 1 - e_H, which are the levels with one minimal decomposition group
+  (test_groupring_differential compares every level with the kernel
+  oracle);
 * decomposition_group agrees for every prime l | n, and
   _gal_fixing_subgroup for every divisor base of n.
 

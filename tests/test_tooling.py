@@ -42,6 +42,23 @@ def test_every_module_level_function_is_used():
     assert list(SRC.glob("*.py")) and not unused, unused
 
 
+def test_every_module_level_import_is_used():
+    # a name imported at module level that the module never reads is dead;
+    # the package's __init__ imports only to re-export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += ["%s:%d %s" % (path.name, node.lineno, name)
+                           for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                           if name not in read]
+    assert list(SRC.glob("*.py")) and not unused, unused
+
+
 def _imports_at_load(tree):
     """Import statements that run when the module is imported: everything
     outside function bodies (module level, class bodies, if/try blocks)."""
