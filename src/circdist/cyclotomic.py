@@ -5,8 +5,10 @@ Elements are rational coefficient vectors on the power basis
 polynomial, and stored as integer numerators over one positive common
 denominator that shares no factor with all of them.  The compatible-system
 convention is zeta_(mn)^m = zeta_n, so coercion up a level sends z_n^i to
-z_m^((m/n) i) and coercion down verifies subfield membership exactly instead
-of assuming it.
+z_m^((m/n) i).  Coercion down goes one prime q at a time: where q^2 divides
+the level it keeps every q-th coefficient, elsewhere it takes the relative
+trace over Q(zeta_(m/q)) divided by q - 1, and each step verifies subfield
+membership exactly instead of assuming it.
 
 Products are one integer convolution of the numerators.  Reduction folds
 exponents with z^n = 1 and then divides by Phi_n using only its nonzero
@@ -38,7 +40,6 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm, log
 
 from . import polys
-from .intlinalg import gauss_solve
 
 
 class LevelError(ValueError):
@@ -200,9 +201,6 @@ class CycElt:
     def is_zero(self):
         return not any(self.nums)
 
-    def is_rational(self):
-        return not any(self.nums[1:])
-
     def denominator_lcm(self):
         return self.den
 
@@ -252,16 +250,6 @@ class GaloisElt:
             raise LevelError("level must be >= 1")
         if n > 1 and (not 1 <= self.a < n or gcd(self.a, n) != 1):
             raise ValueError("a = %d is not a reduced unit mod %d" % (self.a, n))
-
-    def compose(self, other):
-        if other.level != self.level:
-            raise LevelError("level mismatch")
-        n = self.level
-        return GaloisElt(n, (self.a * other.a) % n if n > 1 else 1)
-
-    def inverse(self):
-        n = self.level
-        return GaloisElt(n, pow(self.a, -1, n) if n > 1 else 1)
 
 
 def tau(n):
@@ -332,62 +320,38 @@ def raise_level(x, m):
 def lower_level(x, n):
     """Rewrite x at level n (n | x.level); exact membership check included.
 
-    Writes x on the basis z_m^j z_n^i (j < phi(m)/phi(n), i < phi(n)) and
-    demands that every j != 0 block vanishes.
+    Descends one prime q at a time from m to m' = m / q.  If q | m', then
+    Phi_m(X) = Phi_m'(X^q), so the power basis of level m is z_m^(j + q i)
+    (j < q, i < phi(m')) and x lies in Q(zeta_m') iff its coefficients off
+    the multiples of q vanish.  Otherwise z_m^k = z_m'^(u k) z_q^(v k) with
+    u q + v m' = 1, the trace to level m' sends z_m^k to z_m'^(u k) times
+    q - 1 (if q | k) or -1, and the candidate Tr(x) / (q - 1) is accepted
+    only if it raises back to x.  Raises SubfieldError at the first step
+    whose check fails.
     """
     m = x.level
-    if m == n:
-        return x
     if m % n:
         raise LevelError("%d does not divide %d" % (n, m))
-    d = m // n
-    phim, phin = polys.euler_phi(m), polys.euler_phi(n)
-    big = phim // phin
-    ctx = _LevelCtx(m)
-    # exponents e = j + d*i, all distinct and < m
-    unit_of_coord = {}
-    dense = []           # (pair index, exponent)
-    pairs = []
-    for j in range(big):
-        for i in range(phin):
-            e = j + d * i
-            pairs.append((j, i, e))
-            if e < phim:
-                unit_of_coord[e] = len(pairs) - 1
-            else:
-                dense.append((len(pairs) - 1, e))
-    coeffs = {}
-    if dense:
-        # power-basis coordinates of z_m^e for the exponents e >= phi(m)
-        reduced = {e: ctx.reduce_int_vec([0] * e + [1]) for _, e in dense}
-        rows = []
-        rhs = []
-        free_coords = [k for k in range(phim) if k not in unit_of_coord]
-        if len(free_coords) != len(dense):
-            raise ArithmeticError("level-%d basis change is not square" % n)
-        for k in free_coords:
-            rows.append([Fraction(reduced[e][k]) for _, e in dense])
-            rhs.append(x.coeffs[k])
-        sol = gauss_solve(rows, rhs)
-        if sol is None:
-            raise SubfieldError("element is not in the level-%d subfield" % n)
-        for (idx, _), v in zip(dense, sol):
-            coeffs[idx] = v
-    for k, idx in unit_of_coord.items():
-        v = x.coeffs[k]
-        for (didx, e) in dense:
-            c = coeffs[didx]
-            if c:
-                v -= c * reduced[e][k]
-        coeffs[idx] = v
-    out = [Fraction(0)] * phin
-    for (j, i, _), idx in zip(pairs, range(len(pairs))):
-        c = coeffs.get(idx, Fraction(0))
-        if j == 0:
-            out[i] = c
-        elif c:
-            raise SubfieldError("element is not in the level-%d subfield" % n)
-    return CycElt(n, tuple(out))
+    for q in polys.prime_factors(m // n):
+        while x.level % (n * q) == 0:
+            m = x.level
+            low = m // q
+            if low % q == 0:
+                if any(c for k, c in enumerate(x.nums) if k % q):
+                    raise SubfieldError("element is not in the level-%d subfield" % n)
+                x = CycElt._from_ints(low, x.nums[::q], x.den)
+                continue
+            u = pow(q, -1, low) if low > 1 else 0
+            trace = [0] * low
+            for k, c in enumerate(x.nums):
+                if c:
+                    trace[u * k % low] += c * (q - 1) if k % q == 0 else -c
+            y = CycElt._from_ints(low, _LevelCtx(low).reduce_int_vec(trace),
+                                  x.den * (q - 1))
+            if raise_level(y, m) != x:
+                raise SubfieldError("element is not in the level-%d subfield" % n)
+            x = y
+    return x
 
 
 def relative_galois_group(m, n):

@@ -30,8 +30,8 @@ decomposition-group idempotent e_n: 0 at a prime power, else spanned over Q
 by the coset sums of the minimal decomposition groups D_l (Sinnott, Invent.
 Math. 62, 1980), each coset marked off from its least member so that one
 subgroup's rows are in canonical HNF and several subgroups' rows are
-saturated.  Analytically, from certified logarithmic embeddings with exact
-verification of every kernel vector (the independent oracle).
+saturated.  Analytically, from double-precision log embeddings, each kernel
+vector verified exactly (the independent oracle).
 
 The annihilators of mu_n, -z_n and -z_(2n) are single congruences
 sum_a c_a e_a = 0 mod N, written down in canonical HNF by
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, lcm, log, pi, sin
 
 from . import cyclotomic, intlinalg, polys
 from .cyclotomic import LevelError, PrecisionError, act, one, zeta
@@ -591,49 +591,35 @@ def annihilator_In_formula(n):
 
 
 def annihilator_In_oracle(n, max_phi=16):
-    """Independent construction of the annihilator of eps_n: rational kernel
-    of the logarithmic embedding matrix, each vector verified exactly by
-    eps_n^v = 1 in the field, then saturated.  Never accepts unverified
-    numeric output."""
+    """Independent construction of the annihilator of eps_n: the rational
+    kernel of the double-precision log embedding matrix, each kernel vector
+    verified exactly by eps_n^v = 1 in the field, then saturated.  Never
+    accepts unverified numeric output: raises PrecisionError at the first
+    vector that fails the check."""
     if n < 2:
         raise LevelError("level must be >= 2")
     if polys.euler_phi(n) > max_phi:
         raise ValueError("phi(%d) exceeds the configured oracle bound %d" % (n, max_phi))
-    from mpmath import mp, mpf, sin, log, pi
     reps = group_reps(n, True)
-    mu = len(reps)
     eps = eps_n(n)
-    for dps in (60, 120, 240, 480):
-        with mp.workdps(dps):
-            ell = {}
-            for d in reps:
-                ell[d] = 2 * log(2 * sin(pi * d / n))
-            rows = [[ell[canon_rep(c * g, n, True)] for g in reps] for c in reps]
-            kern = _mp_kernel(rows, mpf(10) ** (-dps // 2))
-            kern = [[float(v) for v in vec] for vec in kern]
-        candidates = []
-        ok = True
-        for vec in kern:
-            fr = [Fraction(v).limit_denominator(4096) for v in vec]
-            den = 1
-            for q in fr:
-                den = lcm(den, q.denominator)
-            ivec = [int(q * den) for q in fr]
-            elt = from_vector(n, True, ivec)
-            val = elt.act_on(eps, assume_tau_fixed=True)
-            if val != one(n):
-                ok = False
-                break
-            candidates.append(ivec)
-        if ok:
-            sat = intlinalg.saturate(candidates, mu) if candidates else []
-            return IdealLattice(n, True, tuple(tuple(r) for r in sat))
-    raise PrecisionError("oracle kernel reconstruction failed for n = %d" % n)
+    ell = {d: 2 * log(2 * sin(pi * d / n)) for d in reps}
+    rows = [[ell[canon_rep(c * g, n, True)] for g in reps] for c in reps]
+    candidates = []
+    for vec in _float_kernel(rows):
+        fr = [Fraction(v).limit_denominator(4096) for v in vec]
+        den = lcm(*(q.denominator for q in fr))
+        ivec = [int(q * den) for q in fr]
+        if from_vector(n, True, ivec).act_on(eps, assume_tau_fixed=True) != one(n):
+            raise PrecisionError("oracle kernel vector failed eps_%d^v = 1" % n)
+        candidates.append(ivec)
+    sat = intlinalg.saturate(candidates, len(reps)) if candidates else []
+    return IdealLattice(n, True, tuple(tuple(r) for r in sat))
 
 
-def _mp_kernel(rows, eps):
-    """Kernel basis of a real matrix by Gauss-Jordan with pivot threshold;
-    returned in the canonical free-column parametrization."""
+def _float_kernel(rows):
+    """Kernel basis of a real matrix by Gauss-Jordan in floats, a column
+    whose largest remaining entry is below 1e-8 counting as free; returned
+    in the canonical free-column parametrization."""
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     a = [list(r) for r in rows]
@@ -645,7 +631,7 @@ def _mp_kernel(rows, eps):
             v = abs(a[i][c])
             if best is None or v > best:
                 best, bi = v, i
-        if best is None or best < eps:
+        if best is None or best < 1e-8:
             continue
         a[r], a[bi] = a[bi], a[r]
         pivot = a[r][c]
@@ -653,7 +639,7 @@ def _mp_kernel(rows, eps):
         for i in range(m):
             if i != r:
                 f = a[i][c]
-                if abs(f) > 0:
+                if f:
                     a[i] = [v - f * w for v, w in zip(a[i], a[r])]
         piv_cols.append(c)
         r += 1

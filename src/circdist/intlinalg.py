@@ -329,41 +329,3 @@ def coset_reduce(sat_hnf, vec):
     if any(rep[p] for p in pivots):
         raise ArithmeticError("coset representative is not zero on the pivot columns")
     return rep
-
-
-def gauss_solve(mat, rhs):
-    """Solve mat . x = rhs exactly over Q.  mat is m x n (rows), rhs length m.
-
-    Returns one solution (free variables set to 0) or None if inconsistent.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    piv_of_col = {}
-    r = 0
-    for c in range(n):
-        p = None
-        for i in range(r, m):
-            if a[i][c]:
-                p = i
-                break
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        piv_of_col[c] = r
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n]:
-            return None
-    x = [Fraction(0)] * n
-    for c, i in piv_of_col.items():
-        x[c] = a[i][n]
-    return x

@@ -4,9 +4,12 @@ This is the arithmetic circdist used before elements became integer
 numerators over one denominator, kept here only as an oracle: elements as
 tuples of Fractions, products as four non-negative Kronecker products packed
 through ``bytes.join``, and reduction modulo Phi_n through a dense table of
-the rows z^j mod Phi_n for phi(n) <= j < n.  Every function returns the
-coefficient tuple of its result, except `valuation_at_p`: the valuation at
-a prime-power level as it was computed before it came from the norm, by
+the rows z^j mod Phi_n for phi(n) <= j < n.  `lower_level_coeffs` is the
+descent as it was before it went one prime at a time by relative traces: a
+change to the basis z_m^j z_n^i, solved by Fraction Gauss-Jordan
+elimination (`gauss_solve`).  Every field function returns the coefficient
+tuple of its result, except `valuation_at_p`: the valuation at a
+prime-power level as it was computed before it came from the norm, by
 dividing by 1 - zeta until the residue mod p no longer vanishes.
 """
 
@@ -17,7 +20,6 @@ from math import lcm
 from circdist import polys
 from circdist.cyclotomic import (LevelError, SubfieldError, inverse, one,
                                  relative_galois_group, zeta)
-from circdist.intlinalg import gauss_solve
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +113,48 @@ def reduce_int_vec(n, vec):
             for i in range(deg):
                 out[i] += c * row[i]
     return out
+
+
+# ---------------------------------------------------------------------------
+# exact rational elimination
+
+
+def gauss_solve(mat, rhs):
+    """Solve mat . x = rhs exactly over Q.  mat is m x n (rows), rhs length m.
+
+    Returns one solution (free variables set to 0) or None if inconsistent.
+    """
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
+    piv_of_col = {}
+    r = 0
+    for c in range(n):
+        p = None
+        for i in range(r, m):
+            if a[i][c]:
+                p = i
+                break
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+        piv_of_col[c] = r
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if a[i][n]:
+            return None
+    x = [Fraction(0)] * n
+    for c, i in piv_of_col.items():
+        x[c] = a[i][n]
+    return x
 
 
 # ---------------------------------------------------------------------------

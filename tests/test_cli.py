@@ -173,11 +173,12 @@ def test_depth_below_one_is_a_usage_error(command, depth, capsys):
     assert captured.out == "" and "depth" in captured.err
 
 
-# the README commands that reach no numeric path: (argv, exit code)
+# the README commands that load neither numpy nor mpmath: (argv, exit code)
 EXACT_COMMANDS = (
     (["verify", "--table", "phi", "--support", "closure(60)"], 0),
     (["strictness", "--table", "delta(3)", "--support", "closure(15)"], 1),
     (["idempotent", "--n", "24"], 0),
+    (["annihilator", "--n", "12", "--oracle"], 0),
     (["ncnd", "--p", "3", "--q", "5", "--a-max", "3"], 0),
     (["euler", "--table", "phi", "--support", "closure(21)", "--m", "3",
       "--r", "7"], 0),

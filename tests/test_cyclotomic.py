@@ -71,6 +71,30 @@ def test_lower_level_membership_check():
         lower_level(zeta(15), 5)
 
 
+@pytest.mark.parametrize("m", [420, 1155, 1365, 2310])
+def test_lower_level_at_every_divisor_of_large_levels(m):
+    # past the range of the Fraction reference, which takes tens of seconds
+    # per pair at these levels: a raised element comes back, and zeta_m lies
+    # in no proper subfield but Q(zeta_n) = Q(zeta_2n) for odd n
+    rng = random.Random(m)
+    for n in (d for d in range(1, m) if m % d == 0):
+        y = CycElt(n, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                            for _ in range(euler_phi(n))))
+        assert lower_level(raise_level(y, m), n) == y, n
+        if m == 2 * n and n % 2:
+            assert raise_level(lower_level(zeta(m), n), m) == zeta(m)
+        else:
+            with pytest.raises(SubfieldError):
+                lower_level(zeta(m), n)
+
+
+def test_lower_level_degree_one_step():
+    # z_30 = -z_30^16 = -z_15^8
+    assert lower_level(zeta(30), 15) == -zeta_power(15, 8)
+    assert lower_level(raise_level(one(1) * 3, 2), 1) == one(1) * 3
+    assert lower_level(zeta(2), 1) == -one(1)
+
+
 def test_norm_examples():
     # (1-i)(1+i) = 2
     assert norm_down(one(4) - zeta(4), 2) == one(2) * 2

@@ -7,7 +7,7 @@ import pytest
 
 from circdist import groupring as gr
 from circdist import polys
-from circdist.cyclotomic import LevelError, one, zeta
+from circdist.cyclotomic import LevelError, PrecisionError, one, zeta
 from circdist.groupring import (GroupRingElt, HypothesisNotMetError,
                                 IdealLattice, annihilator_In_formula,
                                 annihilator_In_oracle, annihilator_Tn,
@@ -178,6 +178,18 @@ def test_oracle_vectors_verify_exactly():
     eps = eps_n(20)
     for b in lat.basis_elements():
         assert b.act_on(eps, assume_tau_fixed=True) == one(20)
+
+
+def test_oracle_rejects_a_kernel_vector_that_fails_the_exact_check(monkeypatch):
+    real = gr._float_kernel
+
+    def perturbed(rows):
+        return [[v + 0.25 if i == 0 else v for i, v in enumerate(vec)]
+                for vec in real(rows)]
+
+    monkeypatch.setattr(gr, "_float_kernel", perturbed)
+    with pytest.raises(PrecisionError, match="eps_12"):
+        annihilator_In_oracle(12)
 
 
 def test_oracle_respects_phi_bound():

@@ -23,9 +23,22 @@ def test_library_has_no_assert_statements():
     assert list(SRC.glob("*.py")) and not found, found
 
 
+def _defs_to_check(tree):
+    """Module-level functions and the non-dunder methods of module-level
+    classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body
+                        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
 def test_every_module_level_function_is_used():
-    # a module-level def whose name appears on no other line of the
-    # library, the tests, the benchmark or the README is dead code
+    # a module-level def or a class's non-dunder method whose name appears
+    # on no other line of the library, the tests, the benchmark or the
+    # README is dead code
     lines = []
     for path in ([ROOT / "README.md"] + sorted((ROOT / "src").rglob("*.py"))
                  + sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))):
@@ -33,12 +46,11 @@ def test_every_module_level_function_is_used():
     unused = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                word = re.compile(r"\b%s\b" % re.escape(node.name))
-                if not any(word.search(line) for p, i, line in lines
-                           if (p, i) != (path, node.lineno)):
-                    unused.append("%s:%d %s" % (path.name, node.lineno, node.name))
+        for node in _defs_to_check(tree):
+            word = re.compile(r"\b%s\b" % re.escape(node.name))
+            if not any(word.search(line) for p, i, line in lines
+                       if (p, i) != (path, node.lineno)):
+                unused.append("%s:%d %s" % (path.name, node.lineno, node.name))
     assert list(SRC.glob("*.py")) and not unused, unused
 
 
@@ -84,6 +96,22 @@ def test_numpy_and_mpmath_are_imported_inside_functions():
                      else [node.module or ""])
             if any(name.split(".")[0] in heavy for name in names):
                 found.append("%s:%d" % (path.name, node.lineno))
+    assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_no_module_imports_mpmath():
+    # every numeric result in the library is read from doubles or exact
+    # integers; mpmath is left to the test oracles, so it is imported by no
+    # module, function bodies included
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""])
+                if any(name.split(".")[0] == "mpmath" for name in names):
+                    found.append("%s:%d" % (path.name, node.lineno))
     assert list(SRC.glob("*.py")) and not found, found
 
 
