@@ -12,8 +12,10 @@ membership exactly instead of assuming it.
 
 Products are one integer convolution of the numerators.  Reduction folds
 exponents with z^n = 1 and then divides by Phi_n using only its nonzero
-coefficients (a handful even at levels in the thousands), so levels in the
-several hundreds stay cheap.
+coefficients.  At prime-power levels, and wherever n has few prime factors,
+there are a handful; at squarefree levels with several odd primes there can
+be hundreds (Phi_1155 has 342 nonzero lower terms), and reduction there
+costs accordingly.
 
 Embeddings have one evaluator, shared by total positivity, the exponent
 solver's logarithms and the norm bound of the exponent certificate.  A
@@ -27,8 +29,10 @@ table per level and precision, built in integers alone: pi from Machin's
 formula, 2^w zeta_n from its Taylor series, and its powers from one
 recurrence, each rounding carried as an integer error bound.
 
-The norm to Q is a multimodular resultant (`polys.cyclo_norm`).  Its CRT
-run needs an upper bound on |N(x)|: by default the l1 bound of the
+The norm to Q is evaluated at split primes (`polys.cyclo_norm`): modulo a
+prime p = 1 mod n it is the product of x(z^c) over the units c, for a
+primitive n-th root z mod p, and the residues are joined by CRT.  The run
+needs an upper bound on |N(x)|: by default the l1 bound of the
 coefficients, or one the caller passes to `norm_to_q`, `is_unit` and
 `is_p_unit`, as the exponent solver does with the sum of its embedding
 moduli.  Valuations at prime-power levels are read from the norm.
@@ -281,7 +285,10 @@ def _scatter(x, m, step):
     return CycElt._from_ints(m, _LevelCtx(m).reduce_int_vec(long), x.den)
 
 
+@lru_cache(maxsize=8)
 def inverse(x):
+    """1 / x, for nonzero x.  Kept for the last few elements inverted: the
+    same eps_n is raised to negative exponents again and again."""
     if x.is_zero():
         raise ZeroDivisionError("inverse of zero")
     inv = polys.cyclo_inverse(list(x.coeffs), x.level)
@@ -454,7 +461,7 @@ def norm_to_q(x, log_bound=None):
     """Field norm down to Q, as an exact Fraction; log_bound, when given, is
     an upper bound on log |N(x)| that shortens the CRT run
     (`polys.cyclo_norm`)."""
-    return polys.cyclo_norm(list(x.coeffs), x.level, log_bound)
+    return polys.cyclo_norm(x.nums, x.level, log_bound, x.den)
 
 
 def is_unit(x, log_bound=None):

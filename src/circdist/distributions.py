@@ -10,7 +10,10 @@ field norms, the strictness congruences reduce to divisibility by the
 radical of the cyclotomic polynomial at the residue prime, and exponent
 solving against eps_n = (1 - z_n)^(1+tau) combines a numeric logarithmic
 solve with continued-fraction reconstruction and a certified power-identity
-check that never accepts an unverified answer.
+check that never accepts an unverified answer.  After the float solve the
+solver works in integers alone: the reconstruction rounds each coordinate's
+exact binary value, each candidate j takes one certificate, as j e_n, and
+the representative modulo the annihilator comes from integer elimination.
 
 The power identity u^d eps^(d j^-) = eps^(d j^+) is certified without
 forming it in the field.  It is compared modulo split primes p = 1 mod n,
@@ -32,7 +35,6 @@ and serves both.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isfinite, lcm, log
 
@@ -40,8 +42,8 @@ from . import cyclotomic, groupring, intlinalg, polys
 from .cyclotomic import (LevelError, act, cyc_from_json, cyc_to_json,
                          norm_down, one, raise_level, sigma_ell,
                          vanishes_at_all_primes_above, zeta)
-from .groupring import (annihilator_In_formula, grelt, group_reps,
-                        idempotent_e_n, sigma)
+from .groupring import (GroupRingElt, annihilator_In_formula, grelt,
+                        group_reps, idempotent_e_n, sigma)
 
 
 class SupportError(ValueError):
@@ -409,9 +411,9 @@ def _log_eps(n):
     return out
 
 
-# Split primes p = 1 mod n with 2^30 < p < 2^31: Z[zeta_n] / p is phi(n)
-# copies of F_p, and a product of two residues stays inside int64.
-_SPLIT_LO = 1 << 30
+# Split primes p = 1 mod n (`polys.split_prime`) above polys.SPLIT_FROM =
+# 2^29 and below 2^31: Z[zeta_n] / p is phi(n) copies of F_p, and a product
+# of two residues stays inside int64.
 _SPLIT_HI = 1 << 31
 
 
@@ -419,24 +421,15 @@ _SPLIT_HI = 1 << 31
 def _split_prime(n, after):
     """The least prime p = 1 mod n above `after`, with the residues mod p of
     zeta^c for the units c mod n (ascending) and of eps_n at zeta^r for every
-    r mod n; zeta is the first g^((p-1)/n), g = 2, 3, ..., of order n."""
+    r mod n; zeta is the root `polys.split_prime` picks."""
     import numpy as np
-    p = (after // n + 1) * n + 1
-    while not polys.is_probable_prime(p):
-        p += n
+    p, roots = polys.split_prime(n, after)
     if p >= _SPLIT_HI:
         raise SolveError("no split prime below 2^31 at level %d" % n)
-    cofactors = [n // q for q in polys.prime_factors(n)]
-    g = 2
-    while True:
-        z = pow(g, (p - 1) // n, p)
-        if all(pow(z, e, p) != 1 for e in cofactors):
-            break
-        g += 1
-    powers = np.array([pow(z, r, p) for r in range(n)], dtype=np.int64)
+    powers = np.array([pow(roots[0], r, p) for r in range(n)], dtype=np.int64)
     eps = (2 - powers - powers[(-np.arange(n)) % n]) % p
-    units = np.array(groupring.units(n), dtype=np.int64)
-    tables = (units, powers[units], eps)
+    tables = (np.array(groupring.units(n), dtype=np.int64),
+              np.array(roots, dtype=np.int64), eps)
     for t in tables:
         t.setflags(write=False)    # shared by every caller through the cache
     return (p, *tables)
@@ -559,7 +552,7 @@ def verify_exponent_identity(u, j):
     phi = len(u.nums)
     bound = None
     log_p = 0.0
-    p = _SPLIT_LO
+    p = polys.SPLIT_FROM
     while bound is None or phi * log_p * (1 - 2.0 ** -40) <= bound:
         prime = _split_prime(n, p)
         p = prime[0]
@@ -593,29 +586,59 @@ def exponent_denominator_profile(j):
 def _integral_coset_representative(j, lattice, p=None):
     """Canonical representative of j modulo the saturated annihilator
     lattice; None if the coset has no integral (resp. p-integral) point."""
-    rep = intlinalg.coset_reduce([list(r) for r in lattice.hnf], j.to_vector())
-    for c in rep:
-        if p is None and c.denominator != 1:
-            return None
-        if p is not None and c.denominator % p == 0:
-            return None
-    return groupring.from_vector(j.level, True, rep)
+    nums, den = intlinalg.coset_reduce(lattice.hnf, j.nums, j.den)
+    if den != 1 if p is None else den % p == 0:
+        return None
+    return GroupRingElt._from_ints(j.level, True, nums, den)
 
 
-def solve_exponent(u, max_denominator=4096, unit_check_bound=32):
+# Largest denominator the reconstruction tries; its bounds double from 1.
+_MAX_DENOMINATOR = 4096
+
+
+def _limit_denominator(num, den, bound):
+    """(p, q): num / den (den > 0, coprime to num) rounded to the closest
+    fraction with denominator at most bound, as `Fraction.limit_denominator`
+    rounds it (the same convergents and semiconvergents, and a tie goes to
+    the convergent), in integers."""
+    if den <= bound:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - num/den| <= |p2/q2 - num/den|, times q1 q2 den > 0
+    if abs(p1 * den - num * q1) * q2 <= abs(p2 * den - num * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
+def solve_exponent(u, unit_check_bound=32):
     """Solve u = eps_n^j for a rational j in Q[G_n^+] e_n, up to the
     annihilator of eps_n; returns None when no verified solution exists.
 
     One evaluation of u's embeddings (`cyclotomic.embedding_logs`) gives
     both the total-positivity verdict and the right-hand side of the
-    logarithmic least-squares solve; continued-fraction reconstruction over
-    a doubling denominator schedule follows, then the exact power-identity
-    check.  The returned representative is the canonical integral one when the
-    coset contains integral points, else the e_n-projected rational one.
+    logarithmic least-squares solve.  Everything after the float solve is
+    integer arithmetic.  Each coordinate's exact binary value is rounded by
+    continued fractions to each bound of a doubling denominator schedule up
+    to 4096, and each distinct candidate j is certified once, as
+    j e_n: for u totally positive, u = eps^j exactly iff u = eps^(j e_n),
+    since eps^(k) = 1 for every integral k in Q[G](1 - e_n) (a totally
+    positive root of unity).  The returned representative is the canonical
+    integral one when the coset j e_n + I_n contains integral points, else
+    j e_n itself.
 
     An integral u at phi(n) <= unit_check_bound must be a unit (a p-unit at
-    a level p^k).  Its norm is an exact resultant whose CRT run stops at
-    twice the bound `_log_norm_bound(u)`: the sum of the upper bounds on
+    a level p^k).  Its norm comes from split primes, and the CRT run stops
+    at twice the bound `_log_norm_bound(u)`: the sum of the upper bounds on
     log |sigma_c(u)| from the same double-precision pass, a cache hit, which
     the power-identity certificate already trusts.
     """
@@ -640,22 +663,22 @@ def solve_exponent(u, max_denominator=4096, unit_check_bound=32):
     reps = np.array(group_reps(n, True))
     a_mat = _log_eps(n)[np.outer(reps, reps) % n]
     x = np.linalg.lstsq(a_mat, np.array(logs), rcond=None)[0]
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
     e_n = idempotent_e_n(n)
     seen = set()
     bound = 1
-    while bound <= max_denominator:
-        cand = tuple(Fraction(v).limit_denominator(bound) for v in x)
+    while bound <= _MAX_DENOMINATOR:
+        fracs = [_limit_denominator(a, b, bound) for a, b in ratios]
         bound *= 2
-        if cand in seen:
+        den = lcm(*(q for _, q in fracs))
+        j = GroupRingElt._from_ints(n, True, [p * (den // q) for p, q in fracs], den)
+        if j in seen:
             continue
-        seen.add(cand)
-        j = groupring.from_vector(n, True, list(cand))
-        if verify_exponent_identity(u, j):
-            je = j * e_n
-            if je != j and verify_exponent_identity(u, je):
-                j = je
-            integral = _integral_coset_representative(j, _annihilator(n))
-            return integral if integral is not None else j
+        seen.add(j)
+        je = j * e_n
+        if verify_exponent_identity(u, je):
+            integral = _integral_coset_representative(je, _annihilator(n))
+            return integral if integral is not None else je
     return None
 
 

@@ -1,12 +1,13 @@
 """Exact integer and rational linear algebra on small dense matrices.
 
-Matrices are lists of rows, rows are lists of Python ints (Fractions in the
-rational helpers).  Everything is exact; no floating point enters here.  The
-workhorses are a row-style Hermite normal form with optional transform
-tracking, integer kernels and lattice saturation derived from it, the
-coset decomposition used to pick integral (or p-integral) representatives
-modulo a saturated lattice, and congruence_hnf, which writes down the HNF
-of a single-congruence lattice {c : c . e = 0 mod N} with no elimination.
+Matrices are lists of rows, rows are lists of Python ints, and a rational
+vector is integer numerators over one denominator.  Everything is exact; no
+floating point enters here.  The workhorses are a row-style Hermite normal
+form with optional transform tracking, integer kernels and lattice
+saturation derived from it, the coset decomposition used to pick integral
+(or p-integral) representatives modulo a saturated lattice, and
+congruence_hnf, which writes down the HNF of a single-congruence lattice
+{c : c . e = 0 mod N} with no elimination.
 
 Conventions:
   * HNF is row-style and canonical: pivots positive, entries above a pivot
@@ -21,7 +22,6 @@ Conventions:
 """
 
 from bisect import bisect_left
-from fractions import Fraction
 from math import gcd
 
 
@@ -296,36 +296,35 @@ def lattice_index(sub_hnf, super_hnf):
     return abs(bareiss_det(coords))
 
 
-def solve_upper_triangular(mat, rhs):
-    """Solve y . mat = rhs for square mat with nonzero diagonal, exact."""
-    n = len(mat)
-    y = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(rhs[i])
-        for k in range(i + 1, n):
-            s -= y[k] * mat[k][i]
-        y[i] = s / mat[i][i]
-    return y
+def coset_reduce(sat_hnf, nums, den=1):
+    """Canonical representative of nums / den modulo the saturated lattice
+    spanned by the HNF rows sat_hnf, as (numerators, denominator) with
+    denominator > 0 and gcd(denominator, *numerators) = 1.
 
-
-def coset_reduce(sat_hnf, vec):
-    """Canonical representative of vec modulo the saturated lattice (HNF rows).
-
-    The representative is supported on the non-pivot columns; because the
+    The rows are eliminated in pivot order: each clears the representative's
+    entry at its pivot column, where every later row is zero.  The
+    representative is supported on the non-pivot columns; because the
     lattice is saturated, its coordinates there decide exactly whether the
     coset contains an integral (resp. p-integral) vector.
     """
-    if not sat_hnf:
-        return [Fraction(v) for v in vec]
-    pivots = [next(k for k, a in enumerate(row) if a) for row in sat_hnf]
-    # alpha . B restricted to pivot columns is upper triangular
-    tri = [[row[p] for p in pivots] for row in sat_hnf]
-    rhs = [Fraction(vec[p]) for p in pivots]
-    alpha = solve_upper_triangular(tri, rhs)
-    rep = [Fraction(v) for v in vec]
-    for a, row in zip(alpha, sat_hnf):
-        if a:
-            rep = [r - a * b for r, b in zip(rep, row)]
-    if any(rep[p] for p in pivots):
+    rep = list(nums)
+    pivots = []
+    for row in sat_hnf:
+        j = next(k for k, a in enumerate(row) if a)
+        pivots.append(j)
+        c = rep[j]
+        if c:
+            # rep / den - (c / row[j]) row, over den * row[j] / g
+            g = gcd(c, row[j])
+            s, t = row[j] // g, c // g
+            rep[j:] = [s * r - t * b for r, b in zip(rep[j:], row[j:])]
+            if s != 1:
+                rep[:j] = [s * r for r in rep[:j]]
+                den *= s
+    if any(rep[j] for j in pivots):
         raise ArithmeticError("coset representative is not zero on the pivot columns")
-    return rep
+    g = gcd(den, *rep)
+    if g != 1:
+        rep = [r // g for r in rep]
+        den //= g
+    return rep, den

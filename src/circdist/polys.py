@@ -11,13 +11,14 @@ polynomial cheap.
 
 Also here: cyclotomic polynomials (with the radical shortcut
 Phi_n(x) = Phi_rad(n)(x^(n/rad)) so only squarefree levels recurse), mod-l
-polynomial arithmetic used for residue checks, and CRT-based resultants /
-inverses modulo a cyclotomic polynomial with exact verification.
+polynomial arithmetic used for residue checks, split primes p = 1 mod n
+with a primitive n-th root mod p, field norms by CRT over split primes, and
+CRT-based inverses modulo a cyclotomic polynomial with exact verification.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, log
+from math import gcd, isqrt, lcm, log
 
 try:
     from gmpy2 import mpz
@@ -267,25 +268,6 @@ def fp_squarefree_part(a, p):
     return fp_mul(w, fp_squarefree_part(y[::p], p), p)
 
 
-def fp_resultant(f, g, p):
-    """Res(f, g) over F_p by the Euclidean remainder sequence."""
-    f, g = fp_trim(list(f)), fp_trim(list(g))
-    if not f or not g:
-        return 0
-    res = 1
-    while True:
-        df, dg = len(f) - 1, len(g) - 1
-        if dg == 0:
-            return (res * pow(g[0], df, p)) % p
-        _, r = fp_divmod(f, g, p)
-        r = fp_trim(r)
-        if not r:
-            return 0
-        dr = len(r) - 1
-        res = (res * pow(g[dg], df - dr, p) * pow(-1, df * dg, p)) % p
-        f, g = g, r
-
-
 # ---------------------------------------------------------------------------
 # CRT / rational reconstruction
 
@@ -329,6 +311,31 @@ def crt_primes():
         idx += 1
 
 
+# Split primes are searched from here up.  Below 2^30 a residue is one
+# digit of a CPython int, so products and remainders in pure Python take
+# their fast paths; with 29-bit primes a CRT run still needs few of them.
+SPLIT_FROM = 1 << 29
+
+
+@lru_cache(maxsize=None)
+def split_prime(n, after):
+    """(p, roots): the least prime p = 1 mod n above `after`, and the
+    primitive n-th roots of unity mod p, z^c for the units c mod n in
+    ascending order, where z is the first g^((p-1)/n), g = 2, 3, ..., of
+    order n.  Phi_n is the product of the x - z^c mod p."""
+    p = (after // n + 1) * n + 1
+    while not is_probable_prime(p):
+        p += n
+    cofactors = [n // q for q in prime_factors(n)]
+    g = 2
+    while True:
+        z = pow(g, (p - 1) // n, p)
+        if all(pow(z, e, p) != 1 for e in cofactors):
+            break
+        g += 1
+    return p, tuple(pow(z, c, p) for c in range(1, n + 1) if gcd(c, n) == 1)
+
+
 def crt_pair(r1, m1, r2, m2):
     x = pow(m1, -1, m2)
     return (r1 + (r2 - r1) * x % m2 * m1) % (m1 * m2)
@@ -357,44 +364,43 @@ def rational_reconstruct(a, m):
 
 
 # ---------------------------------------------------------------------------
-# resultants and inverses modulo a cyclotomic polynomial, exact via CRT
+# norms and inverses modulo a cyclotomic polynomial, exact via CRT
 
 def int_content_and_primitive(coeffs):
-    """(content, primitive numerator, denominator) of a Fraction list."""
-    from math import lcm
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    nums = [int(c * den) for c in coeffs]
-    g = 0
-    for v in nums:
-        g = gcd(g, abs(v))
+    """(content, primitive numerator, denominator) of a list of Fractions
+    or ints."""
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*nums)
     if g == 0:
         return 0, [], den
     return g, [v // g for v in nums], den
 
 
-def cyclo_norm(coeffs, n, log_bound=None):
-    """Field norm from Q(zeta_n) of the element x with the given rational
-    coefficient vector (length phi(n)), computed as Res(Phi_n, x) by CRT.
+def cyclo_norm(coeffs, n, log_bound=None, den=1):
+    """Field norm from Q(zeta_n) of the element x = coeffs / den (coeffs a
+    rational coefficient vector of length phi(n), den a positive integer),
+    computed by CRT over split primes.
 
-    The resultant of x's primitive integer part is read as a symmetric
-    residue, so the run stops once the product of the primes exceeds twice
-    a bound on its absolute value.  That bound is (sum |x_i|)^phi(n) for the
-    primitive part, or, when the caller passes log_bound >= log |N(x)|
-    (the exponent solver sums its embedding moduli, which are upper bounds
-    with explicit rounding margins), whichever of the two is smaller.
+    At a prime p = 1 mod n the norm of x's primitive integer part g is
+    prod_c g(z^c) mod p over the units c (`_norm_mod_p`), since Phi_n is
+    the product of the x - z^c there (`split_prime`).  The residue is read
+    symmetrically, so the run stops once the product of the primes exceeds
+    twice a bound on |N(g)|.  That bound is (sum |g_i|)^phi(n), or, when the caller
+    passes log_bound >= log |N(x)| (the exponent solver sums its embedding
+    moduli, which are upper bounds with explicit rounding margins),
+    whichever of the two is smaller.
     """
-    phi = list(cyclotomic_polynomial(n))
-    deg = len(phi) - 1
-    content, prim, den = int_content_and_primitive(list(coeffs))
+    deg = euler_phi(n)
+    content, prim, cden = int_content_and_primitive(list(coeffs))
+    den *= cden
     if content == 0:
         return Fraction(0)
-    # |Res(Phi, prim)| <= (sum |prim coeffs|)^deg
-    s = sum(abs(c) for c in prim)
+    # |N(prim)| <= (sum |prim coeffs|)^deg
+    s = sum(map(abs, prim))
     bound = 2 * max(1, s) ** deg + 1
-    # |Res(Phi, prim)| = |N(x)| (den / content)^deg; the slack covers the
-    # rounding of the logs and their sum
+    # |N(prim)| = |N(x)| (den / content)^deg; the slack covers the rounding
+    # of the logs and their sum
     stop = float("inf")
     if log_bound is not None:
         terms = (log_bound, deg * log(den), -deg * log(content))
@@ -402,10 +408,10 @@ def cyclo_norm(coeffs, n, log_bound=None):
                 + 2.0 ** -24 * (1.0 + sum(map(abs, terms))))
     m = 1
     res = 0
-    for p in crt_primes():
-        fp = [c % p for c in phi]
-        gp = fp_trim([c % p for c in prim])
-        rp = fp_resultant(fp, gp, p)
+    p = SPLIT_FROM
+    while True:
+        p, roots = split_prime(n, p)
+        rp = _norm_mod_p(prim, p, roots)
         if m == 1:
             res, m = rp, p
         else:
@@ -414,6 +420,18 @@ def cyclo_norm(coeffs, n, log_bound=None):
             break
     val = symmetric_residue(res, m)
     return Fraction(val) * Fraction(content, den) ** deg
+
+
+def _norm_mod_p(prim, p, roots):
+    """prod_r prim(r) mod p over the given roots r, by Horner at each."""
+    low = [c % p for c in reversed(prim)]
+    out = 1
+    for r in roots:
+        acc = 0
+        for a in low:
+            acc = (acc * r + a) % p
+        out = out * acc % p
+    return out
 
 
 def cyclo_inverse(coeffs, n):
@@ -450,7 +468,6 @@ def cyclo_inverse(coeffs, n):
         if all(r is not None for r in recon):
             inv_prim = recon
             # verify prim * inv_prim == 1 mod Phi_n, exactly
-            from math import lcm
             d = 1
             for r in inv_prim:
                 d = lcm(d, r.denominator)

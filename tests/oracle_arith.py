@@ -11,11 +11,16 @@ elimination (`gauss_solve`).  Every field function returns the coefficient
 tuple of its result, except `valuation_at_p`: the valuation at a
 prime-power level as it was computed before it came from the norm, by
 dividing by 1 - zeta until the residue mod p no longer vanishes.
+
+Also kept as references: the Fraction `coset_reduce` (one triangular solve
+on the pivot columns) that the integer forward elimination replaced, and
+the norm as a resultant, `fp_resultant` by the Euclidean remainder sequence
+over 29-bit CRT primes, which the split-prime evaluation replaced.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, log
 
 from circdist import polys
 from circdist.cyclotomic import (LevelError, SubfieldError, inverse, one,
@@ -157,6 +162,91 @@ def gauss_solve(mat, rhs):
     return x
 
 
+def solve_upper_triangular(mat, rhs):
+    """Solve y . mat = rhs for square mat with nonzero diagonal, exact."""
+    n = len(mat)
+    y = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        s = Fraction(rhs[i])
+        for k in range(i + 1, n):
+            s -= y[k] * mat[k][i]
+        y[i] = s / mat[i][i]
+    return y
+
+
+def coset_reduce(sat_hnf, vec):
+    """Canonical representative, as Fractions, of vec modulo the saturated
+    lattice spanned by the HNF rows sat_hnf: the coordinates on the rows
+    come from one triangular solve on the pivot columns."""
+    if not sat_hnf:
+        return [Fraction(v) for v in vec]
+    pivots = [next(k for k, a in enumerate(row) if a) for row in sat_hnf]
+    # alpha . B restricted to pivot columns is upper triangular
+    tri = [[row[p] for p in pivots] for row in sat_hnf]
+    rhs = [Fraction(vec[p]) for p in pivots]
+    alpha = solve_upper_triangular(tri, rhs)
+    rep = [Fraction(v) for v in vec]
+    for a, row in zip(alpha, sat_hnf):
+        if a:
+            rep = [r - a * b for r, b in zip(rep, row)]
+    if any(rep[p] for p in pivots):
+        raise ArithmeticError("coset representative is not zero on the pivot columns")
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# norms by resultants over F_p
+
+
+def fp_resultant(f, g, p):
+    """Res(f, g) over F_p by the Euclidean remainder sequence."""
+    f, g = polys.fp_trim(list(f)), polys.fp_trim(list(g))
+    if not f or not g:
+        return 0
+    res = 1
+    while True:
+        df, dg = len(f) - 1, len(g) - 1
+        if dg == 0:
+            return (res * pow(g[0], df, p)) % p
+        _, r = polys.fp_divmod(f, g, p)
+        r = polys.fp_trim(r)
+        if not r:
+            return 0
+        dr = len(r) - 1
+        res = (res * pow(g[dg], df - dr, p) * pow(-1, df * dg, p)) % p
+        f, g = g, r
+
+
+def cyclo_norm(coeffs, n, log_bound=None):
+    """The field norm from Q(zeta_n) as Res(Phi_n, x) by CRT over 29-bit
+    primes, with the stop rule of `polys.cyclo_norm`."""
+    phi = list(polys.cyclotomic_polynomial(n))
+    deg = len(phi) - 1
+    content, prim, den = polys.int_content_and_primitive(list(coeffs))
+    if content == 0:
+        return Fraction(0)
+    s = sum(abs(c) for c in prim)
+    bound = 2 * max(1, s) ** deg + 1
+    stop = float("inf")
+    if log_bound is not None:
+        terms = (log_bound, deg * log(den), -deg * log(content))
+        stop = (log(2.0) + sum(terms)
+                + 2.0 ** -24 * (1.0 + sum(map(abs, terms))))
+    m = 1
+    res = 0
+    for p in polys.crt_primes():
+        fp = [c % p for c in phi]
+        gp = polys.fp_trim([c % p for c in prim])
+        rp = fp_resultant(fp, gp, p)
+        if m == 1:
+            res, m = rp, p
+        else:
+            res, m = polys.crt_pair(res, m, rp, p), m * p
+        if m > bound or log(m) > stop:
+            break
+    return Fraction(polys.symmetric_residue(res, m)) * Fraction(content, den) ** deg
+
+
 # ---------------------------------------------------------------------------
 # field operations on Fraction tuples
 
@@ -293,7 +383,7 @@ def valuation_at_p(x, p):
     v = 0
     while True:
         res = polys.fp_trim([c % p for c in y.nums])
-        if polys.fp_resultant(phi_mod, res, p) != 0:
+        if fp_resultant(phi_mod, res, p) != 0:
             break
         y = y * _pi_inverse(n)
         if not y.is_integral():

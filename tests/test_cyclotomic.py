@@ -273,3 +273,20 @@ def test_serialization_roundtrip():
     obj = cyc.cyc_to_json(x)
     assert obj == {"level": 12, "coeffs": ["1/2", "-3", "0", "7/5"]}
     assert cyc.cyc_from_json(obj) == x
+
+
+def test_inverse_is_cached_within_its_bound():
+    # apply_integer_exponents inverts the same eps_n again and again; the
+    # cache answers a repeat with an equal element and holds a few entries
+    cyc.inverse.cache_clear()
+    x = eps_n(21)
+    first = cyc.inverse(x)
+    assert cyc.inverse(x) == first and first * x == one(21)
+    assert cyc.inverse.cache_info().hits == 1
+    for k in range(2, 40):
+        y = one(12) * k + zeta(12)
+        assert cyc.inverse(y) * y == one(12)
+    info = cyc.inverse.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 38
+    with pytest.raises(ZeroDivisionError):
+        cyc.inverse(one(7) * 0)

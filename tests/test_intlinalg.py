@@ -115,7 +115,8 @@ def test_bareiss_det_matches_expansion():
 
 def test_coset_reduce_supported_off_pivots():
     basis = la.hnf([[2, 1, 0]])
-    rep = la.coset_reduce(basis, [4, 2, 0])
+    nums, den = la.coset_reduce(basis, [4, 2, 0])
+    rep = [Fraction(c, den) for c in nums]
     assert rep[0] == 0
     # representative is in the same coset: difference is a rational multiple
     # of the basis row
@@ -127,10 +128,10 @@ def test_coset_reduce_detects_integrality():
     # saturated lattice spanned by (2, 1): coset of (1, 0) has no integral
     # representative off the pivot (beta = -1/2), coset of (2, 1) does
     basis = la.hnf([[2, 1]])
-    rep = la.coset_reduce(basis, [1, 0])
-    assert any(c.denominator != 1 for c in rep)
-    rep = la.coset_reduce(basis, [4, 2])
-    assert all(c.denominator == 1 for c in rep)
+    nums, den = la.coset_reduce(basis, [1, 0])
+    assert any(Fraction(c, den).denominator != 1 for c in nums)
+    nums, den = la.coset_reduce(basis, [4, 2])
+    assert all(Fraction(c, den).denominator == 1 for c in nums)
 
 
 def test_gauss_solve():

@@ -69,10 +69,11 @@ def test_norm_under_the_solver_bound_matches_the_l1_bound(x):
 
 
 def test_the_modulus_covers_twice_the_bound():
-    # N(a + zeta_3) = a^2 - a + 1 lies between p / 2 and p for the first CRT
-    # prime p, and the l1 bound needs a second prime too; a modulus that
-    # only covered the bound itself would stop at p and return N - p
-    p = next(polys.crt_primes())
+    # N(a + zeta_3) = a^2 - a + 1 lies between p / 2 and p for the first
+    # split prime p of level 3, and the l1 bound needs a second prime too; a
+    # modulus that only covered the bound itself would stop at p and return
+    # N - p
+    p = polys.split_prime(3, polys.SPLIT_FROM)[0]
     a = isqrt(3 * p // 4)
     nrm = a * a - a + 1
     assert p // 2 < nrm < p
@@ -82,9 +83,10 @@ def test_the_modulus_covers_twice_the_bound():
 
 def test_a_unit_bound_needs_one_prime(monkeypatch):
     calls = []
-    resultant = polys.fp_resultant
-    monkeypatch.setattr(polys, "fp_resultant",
-                        lambda f, g, p: calls.append(p) or resultant(f, g, p))
+    norm_mod_p = polys._norm_mod_p
+    monkeypatch.setattr(polys, "_norm_mod_p",
+                        lambda prim, p, roots: calls.append(p)
+                        or norm_mod_p(prim, p, roots))
     u = grelt(60, True, {1: 2, 7: -3, 11: 1}).act_on(eps_n(60), assume_tau_fixed=True)
     assert abs(norm_to_q(u, _log_norm_bound(u))) == 1
     assert len(calls) == 1

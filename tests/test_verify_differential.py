@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracle_verify as oracle
-from circdist import distributions as dist
+from circdist import distributions as dist, polys
 from circdist.cyclotomic import CycElt, norm_to_q, one
 from circdist.distributions import (RTower, divisor_closure, phi_table,
                                     power_by_tower, solve_exponent,
@@ -99,7 +99,7 @@ def test_residue_collisions_need_the_norm_bound(n, collisions):
     # u = eps^r + P, P the product of the first split primes, matches eps^r
     # at each of them; only the norm bound can send the check to a prime
     # where the two differ
-    p, product = dist._SPLIT_LO, 1
+    p, product = polys.SPLIT_FROM, 1
     for _ in range(collisions):
         p = dist._split_prime(n, p)[0]
         product *= p
