@@ -31,11 +31,9 @@ recurrence, each rounding carried as an integer error bound.
 
 The norm to Q is evaluated at split primes (`polys.cyclo_norm`): modulo a
 prime p = 1 mod n it is the product of x(z^c) over the units c, for a
-primitive n-th root z mod p, and the residues are joined by CRT.  The run
-needs an upper bound on |N(x)|: by default the l1 bound of the
-coefficients, or one the caller passes to `norm_to_q`, `is_unit` and
-`is_p_unit`, as the exponent solver does with the sum of its embedding
-moduli.  Valuations at prime-power levels are read from the norm.
+primitive n-th root z mod p, and the residues are joined by CRT until the
+modulus exceeds twice the l1 bound of the coefficients raised to phi(n).
+Valuations at prime-power levels are read from the norm.
 """
 
 from dataclasses import dataclass
@@ -412,17 +410,18 @@ def vanishes_at_all_primes_above(x, ell):
     """True iff x lies in every prime of Z[zeta_n] above ell.
 
     Z[zeta_n] is the maximal order, so primes above ell correspond to the
-    distinct irreducible factors of Phi_n mod ell; the test is divisibility
-    of the residue by the radical of Phi_n mod ell.
+    distinct irreducible factors of Phi_n mod ell.  With n = ell^a m and
+    ell not dividing m, Phi_n = Phi_m^phi(ell^a) mod ell and Phi_m is
+    separable mod ell, so the test is divisibility of the residue by
+    Phi_m mod ell.
     """
     n = x.level
     res = reduce_mod_ell(x, ell)
     if not res:
         return True
-    phi_mod = polys.fp_trim([c % ell for c in polys.cyclotomic_polynomial(n)])
-    rad = polys.fp_squarefree_part(phi_mod, ell)
-    _, rem = polys.fp_divmod(res, rad, ell)
-    return not rem
+    m = n // ell ** _order_at(n, ell)
+    rad = [c % ell for c in polys.cyclotomic_polynomial(m)]
+    return not polys.fp_divmod(res, rad, ell)[1]
 
 
 def _prime_power_split(n):
@@ -457,29 +456,27 @@ def valuation_at_p(x, p):
     return _order_at(nrm, p) - polys.euler_phi(n) * _order_at(x.den, p)
 
 
-def norm_to_q(x, log_bound=None):
-    """Field norm down to Q, as an exact Fraction; log_bound, when given, is
-    an upper bound on log |N(x)| that shortens the CRT run
-    (`polys.cyclo_norm`)."""
-    return polys.cyclo_norm(x.nums, x.level, log_bound, x.den)
+def norm_to_q(x):
+    """Field norm down to Q, as an exact Fraction (`polys.cyclo_norm`)."""
+    return polys.cyclo_norm(x.nums, x.level, x.den)
 
 
-def is_unit(x, log_bound=None):
+def is_unit(x):
     """Global unit test: integral coefficients and |norm| = 1."""
     if x.is_zero():
         return False
     if not x.is_integral():
         return False
-    return abs(norm_to_q(x, log_bound)) == 1
+    return abs(norm_to_q(x)) == 1
 
 
-def is_p_unit(x, p, log_bound=None):
+def is_p_unit(x, p):
     """p-unit test: integral coefficients and |norm| a power of p."""
     if x.is_zero():
         return False
     if not x.is_integral():
         return False
-    nrm = abs(norm_to_q(x, log_bound))
+    nrm = abs(norm_to_q(x))
     val = nrm.numerator
     if nrm.denominator != 1 or val == 0:
         return False

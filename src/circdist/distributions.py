@@ -346,26 +346,22 @@ def verify_strictness(f):
     suffices: the Galois group permutes the pairs (z_l^u, z_n^v) transitively
     and the primes above l form one Galois-stable set."""
     rep = Report("strictness")
-    s = set(f.support)
-    for n in sorted(s):
-        for big in sorted(s):
-            if big % n or big == n:
-                continue
-            ell = big // n
-            if polys.prime_factors(ell) != [ell] or n % ell == 0:
-                continue
-            x = act((n + ell) % big, f.value(big))   # value at z_l * z_n
-            y = raise_level(f.value(n), big)
-            entry = {"check": "strictness", "n": n, "ell": ell}
-            try:
-                ok = vanishes_at_all_primes_above(x - y, ell)
-                entry["pass"] = bool(ok)
-                if not ok:
-                    entry["witness"] = {"difference": cyc_to_json(x - y)}
-            except ValueError:
-                entry["pass"] = False
-                entry["structural"] = "value is not %d-integral" % ell
-            rep.entries.append(entry)
+    for n, ell in _relation_pairs(f.support):
+        if n % ell == 0:
+            continue
+        big = n * ell
+        x = act((n + ell) % big, f.value(big))   # value at z_l * z_n
+        y = raise_level(f.value(n), big)
+        entry = {"check": "strictness", "n": n, "ell": ell}
+        try:
+            ok = vanishes_at_all_primes_above(x - y, ell)
+            entry["pass"] = bool(ok)
+            if not ok:
+                entry["witness"] = {"difference": cyc_to_json(x - y)}
+        except ValueError:
+            entry["pass"] = False
+            entry["structural"] = "value is not %d-integral" % ell
+        rep.entries.append(entry)
     return rep
 
 
@@ -480,18 +476,6 @@ def _log_abs_bounds(x):
     return np.log(np.abs(vals) + 2.0 ** 10 * err) + shift
 
 
-def _log_norm_bound(x):
-    """Upper bound on log |N(x)| = sum_c log |sigma_c(x)| over all units c,
-    from the bounds of `_log_abs_bounds`, with the slack of `_norm_bound`
-    for the rounding of the sum."""
-    import numpy as np
-    n = x.level
-    reps = np.array(group_reps(n, True))
-    mult = np.where((2 * reps) % n == 0, 1, 2)     # c and -c, unless equal
-    logs = _log_abs_bounds(x)
-    return float(mult @ (logs + 2.0 ** -24 * (1.0 + np.abs(logs))))
-
-
 def _norm_bound(u, d, pos, neg):
     """Upper bound on sum_c log(|sigma_c A| + |sigma_c B|) over all units c.
 
@@ -572,15 +556,9 @@ def exponent_denominator_profile(j):
     """Denominator of an exponent with its prime factorization: reported so
     that integrality properties can be inspected, never asserted."""
     d = j.denominator_lcm()
-    profile = {}
-    for p in polys.prime_factors(d):
-        e = 0
-        dd = d
-        while dd % p == 0:
-            dd //= p
-            e += 1
-        profile[p] = e
-    return {"denominator": d, "factorization": profile}
+    return {"denominator": d,
+            "factorization": {p: cyclotomic._order_at(d, p)
+                              for p in polys.prime_factors(d)}}
 
 
 def _integral_coset_representative(j, lattice, p=None):
@@ -620,7 +598,12 @@ def _limit_denominator(num, den, bound):
     return p2, q2
 
 
-def solve_exponent(u, unit_check_bound=32):
+# Levels with phi(n) at most this get the unit (p-unit) check when no
+# candidate certifies; its norm runs the l1-bound CRT, which grows with phi(n).
+_UNIT_CHECK_MAX_PHI = 32
+
+
+def solve_exponent(u):
     """Solve u = eps_n^j for a rational j in Q[G_n^+] e_n, up to the
     annihilator of eps_n; returns None when no verified solution exists.
 
@@ -636,11 +619,11 @@ def solve_exponent(u, unit_check_bound=32):
     integral one when the coset j e_n + I_n contains integral points, else
     j e_n itself.
 
-    An integral u at phi(n) <= unit_check_bound must be a unit (a p-unit at
-    a level p^k).  Its norm comes from split primes, and the CRT run stops
-    at twice the bound `_log_norm_bound(u)`: the sum of the upper bounds on
-    log |sigma_c(u)| from the same double-precision pass, a cache hit, which
-    the power-identity certificate already trusts.
+    When no candidate certifies, an integral u at phi(n) <= 32 must be a
+    unit (a p-unit at a level p^k), or the solve raises ValueError; its
+    norm comes from split primes (`cyclotomic.norm_to_q`).  The check comes
+    after the candidates and gives the verdict it would give before them:
+    every eps_n^j is a unit (a p-unit), so a certified u is one too.
     """
     n = u.level
     if n < 2:
@@ -652,13 +635,6 @@ def solve_exponent(u, unit_check_bound=32):
     logs = cyclotomic.embedding_logs(u)
     if logs is None:
         raise ValueError("element is not totally positive")
-    if u.is_integral() and polys.euler_phi(n) <= unit_check_bound:
-        ps = polys.prime_factors(n)
-        bound = _log_norm_bound(u)
-        ok = (cyclotomic.is_p_unit(u, ps[0], bound) if len(ps) == 1
-              else cyclotomic.is_unit(u, bound))
-        if not ok:
-            raise ValueError("element is not a unit (resp. p-unit) at level %d" % n)
     import numpy as np
     reps = np.array(group_reps(n, True))
     a_mat = _log_eps(n)[np.outer(reps, reps) % n]
@@ -679,6 +655,12 @@ def solve_exponent(u, unit_check_bound=32):
         if verify_exponent_identity(u, je):
             integral = _integral_coset_representative(je, _annihilator(n))
             return integral if integral is not None else je
+    if u.is_integral() and polys.euler_phi(n) <= _UNIT_CHECK_MAX_PHI:
+        ps = polys.prime_factors(n)
+        ok = (cyclotomic.is_p_unit(u, ps[0]) if len(ps) == 1
+              else cyclotomic.is_unit(u))
+        if not ok:
+            raise ValueError("element is not a unit (resp. p-unit) at level %d" % n)
     return None
 
 

@@ -276,9 +276,10 @@ class GroupRingElt:
         a = self._terms()
         b = a if other is self else other._terms()
         # the pairwise loop costs in proportion to s*t, the convolution to
-        # mu (measured crossover s*t between mu/3 and mu/2 for mu from 6 to
-        # 972), so sparse operands, such as a sigma_g, take the loop
-        if 3 * len(a) * len(b) <= len(self.nums):
+        # mu or more (measured crossover s*t between 8 mu and 64 mu for mu
+        # from 42 to 729), so sparse operands, and any product by a one-term
+        # element such as a sigma_g, take the loop
+        if len(a) * len(b) <= 8 * len(self.nums):
             fold = _coordinates(n, plus)[1]
             prod = [0] * len(self.nums)
             for ka, va in a:

@@ -227,16 +227,7 @@ def _check_length(hnf_rows, v):
 def hnf_contains(hnf_rows, vec):
     """Membership of an integer vector in the lattice spanned by HNF rows
     (ValueError when the lengths differ)."""
-    v = list(vec)
-    _check_length(hnf_rows, v)
-    for row in hnf_rows:
-        j = next(k for k, a in enumerate(row) if a)
-        if v[j] % row[j]:
-            return False
-        q = v[j] // row[j]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+    return hnf_coords(hnf_rows, vec) is not None
 
 
 def hnf_coords(hnf_rows, vec):

@@ -9,16 +9,17 @@ coefficients come out exactly.  Remainders modulo a monic polynomial touch
 only its nonzero coefficients, which keeps reduction modulo a cyclotomic
 polynomial cheap.
 
-Also here: cyclotomic polynomials (with the radical shortcut
-Phi_n(x) = Phi_rad(n)(x^(n/rad)) so only squarefree levels recurse), mod-l
-polynomial arithmetic used for residue checks, split primes p = 1 mod n
-with a primitive n-th root mod p, field norms by CRT over split primes, and
-CRT-based inverses modulo a cyclotomic polynomial with exact verification.
+Also here: cyclotomic polynomials by one recursion on the largest prime q
+of n (Phi_n(x) is Phi_(n/q)(x^q), divided by Phi_(n/q)(x) unless q^2 | n),
+mod-l polynomial arithmetic used for residue checks, split primes p = 1
+mod n with a primitive n-th root mod p, field norms by CRT over split
+primes, and CRT-based inverses modulo a cyclotomic polynomial with exact
+verification.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, log
+from math import gcd, isqrt, lcm
 
 try:
     from gmpy2 import mpz
@@ -157,35 +158,24 @@ def euler_phi(n):
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_squarefree(n):
-    # Phi_n for squarefree n by the quotient recursion on proper divisors
-    num = [0] * n + [1]
-    num[0] = -1                      # x^n - 1
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = int_poly_mul(den, cyclotomic_polynomial(d))
-    return tuple(int_poly_divexact(num, den))
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Coefficients (little-endian) of the n-th cyclotomic polynomial."""
+    """Coefficients (little-endian) of the n-th cyclotomic polynomial.
+
+    With q the largest prime factor of n and m = n / q, Phi_n(x) is
+    Phi_m(x^q) when q divides m, and Phi_m(x^q) / Phi_m(x) otherwise
+    (Washington, GTM 83, ch. 2)."""
     if n < 1:
         raise ValueError("level must be >= 1")
     if n == 1:
         return (-1, 1)
-    rad = 1
-    for p in prime_factors(n):
-        rad *= p
-    if rad == n:
-        return _cyclotomic_squarefree(n)
-    base = cyclotomic_polynomial(rad)
-    step = n // rad
-    out = [0] * ((len(base) - 1) * step + 1)
-    for i, c in enumerate(base):
-        out[i * step] = c
-    return tuple(out)
+    q = prime_factors(n)[-1]
+    m = n // q
+    base = cyclotomic_polynomial(m)
+    lifted = [0] * ((len(base) - 1) * q + 1)
+    lifted[::q] = base
+    if m % q == 0:
+        return tuple(lifted)
+    return tuple(int_poly_divexact(lifted, base))
 
 
 # ---------------------------------------------------------------------------
@@ -219,53 +209,6 @@ def fp_divmod(a, b, p):
             for j in support:
                 a[i + j] = (a[i + j] - c * b[j]) % p
     return fp_trim(q), fp_trim(a[:db])
-
-
-def fp_gcd(a, b, p):
-    a, b = fp_trim(list(a)), fp_trim(list(b))
-    while b:
-        a, b = b, fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def fp_deriv(a, p):
-    return fp_trim([(i * c) % p for i, c in enumerate(a)][1:])
-
-
-def fp_squarefree_part(a, p):
-    """Radical of a over F_p: the monic product of its distinct irreducible
-    factors.  Handles multiplicities divisible by p (where a' may vanish)
-    by peeling off the p-th-power part and recursing on its p-th root."""
-    a = fp_trim(list(a))
-    if len(a) <= 1:
-        return [1]
-    inv = pow(a[-1], -1, p)
-    a = [(c * inv) % p for c in a]
-    da = fp_deriv(a, p)
-    if not da:
-        # a = s(x^p) = (s(x))^p by Frobenius; radical(a) = radical(s)
-        return fp_squarefree_part(a[::p], p)
-    d = fp_gcd(a, da, p)
-    if len(d) == 1:
-        return a
-    w, r = fp_divmod(a, d, p)      # product of factors with multiplicity prime to p
-    if r:
-        raise ArithmeticError("gcd(a, a') does not divide a over F_%d" % p)
-    # strip w-factors from d; what remains is the p-th-power part of a
-    y = d
-    while True:
-        g = fp_gcd(y, w, p)
-        if len(g) == 1:
-            break
-        y, r = fp_divmod(y, g, p)
-        if r:
-            raise ArithmeticError("gcd(y, w) does not divide y over F_%d" % p)
-    if len(y) == 1:
-        return w
-    return fp_mul(w, fp_squarefree_part(y[::p], p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +320,7 @@ def int_content_and_primitive(coeffs):
     return g, [v // g for v in nums], den
 
 
-def cyclo_norm(coeffs, n, log_bound=None, den=1):
+def cyclo_norm(coeffs, n, den=1):
     """Field norm from Q(zeta_n) of the element x = coeffs / den (coeffs a
     rational coefficient vector of length phi(n), den a positive integer),
     computed by CRT over split primes.
@@ -386,10 +329,7 @@ def cyclo_norm(coeffs, n, log_bound=None, den=1):
     prod_c g(z^c) mod p over the units c (`_norm_mod_p`), since Phi_n is
     the product of the x - z^c there (`split_prime`).  The residue is read
     symmetrically, so the run stops once the product of the primes exceeds
-    twice a bound on |N(g)|.  That bound is (sum |g_i|)^phi(n), or, when the caller
-    passes log_bound >= log |N(x)| (the exponent solver sums its embedding
-    moduli, which are upper bounds with explicit rounding margins),
-    whichever of the two is smaller.
+    twice the bound (sum |g_i|)^phi(n) on |N(g)|.
     """
     deg = euler_phi(n)
     content, prim, cden = int_content_and_primitive(list(coeffs))
@@ -397,27 +337,17 @@ def cyclo_norm(coeffs, n, log_bound=None, den=1):
     if content == 0:
         return Fraction(0)
     # |N(prim)| <= (sum |prim coeffs|)^deg
-    s = sum(map(abs, prim))
-    bound = 2 * max(1, s) ** deg + 1
-    # |N(prim)| = |N(x)| (den / content)^deg; the slack covers the rounding
-    # of the logs and their sum
-    stop = float("inf")
-    if log_bound is not None:
-        terms = (log_bound, deg * log(den), -deg * log(content))
-        stop = (log(2.0) + sum(terms)
-                + 2.0 ** -24 * (1.0 + sum(map(abs, terms))))
+    bound = 2 * max(1, sum(map(abs, prim))) ** deg + 1
     m = 1
     res = 0
     p = SPLIT_FROM
-    while True:
+    while m <= bound:
         p, roots = split_prime(n, p)
         rp = _norm_mod_p(prim, p, roots)
         if m == 1:
             res, m = rp, p
         else:
             res, m = crt_pair(res, m, rp, p), m * p
-        if m > bound or log(m) > stop:
-            break
     val = symmetric_residue(res, m)
     return Fraction(val) * Fraction(content, den) ** deg
 

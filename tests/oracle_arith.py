@@ -13,9 +13,12 @@ prime-power level as it was computed before it came from the norm, by
 dividing by 1 - zeta until the residue mod p no longer vanishes.
 
 Also kept as references: the Fraction `coset_reduce` (one triangular solve
-on the pivot columns) that the integer forward elimination replaced, and
-the norm as a resultant, `fp_resultant` by the Euclidean remainder sequence
-over 29-bit CRT primes, which the split-prime evaluation replaced.
+on the pivot columns) that the integer forward elimination replaced; the
+norm as a resultant, `fp_resultant` by the Euclidean remainder sequence
+over 29-bit CRT primes, which the split-prime evaluation replaced; Phi_n
+by divisor quotients, and the radical of Phi_n mod l by squarefree
+factorisation over F_l (`fp_squarefree_part`), which the recursion on the
+largest prime and the closed form Phi_m mod l (l not dividing m) replaced.
 """
 
 from fractions import Fraction
@@ -24,7 +27,7 @@ from math import lcm, log
 
 from circdist import polys
 from circdist.cyclotomic import (LevelError, SubfieldError, inverse, one,
-                                 relative_galois_group, zeta)
+                                 reduce_mod_ell, relative_galois_group, zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +195,101 @@ def coset_reduce(sat_hnf, vec):
     if any(rep[p] for p in pivots):
         raise ArithmeticError("coset representative is not zero on the pivot columns")
     return rep
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic polynomials by divisor quotients, radicals over F_p
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_squarefree(n):
+    # Phi_n for squarefree n by the quotient recursion on proper divisors
+    num = [0] * n + [1]
+    num[0] = -1                      # x^n - 1
+    den = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = polys.int_poly_mul(den, cyclotomic_polynomial(d))
+    return tuple(polys.int_poly_divexact(num, den))
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n):
+    """Phi_n as (x^n - 1) over the product of Phi_d, d < n, at squarefree
+    n, and Phi_n(x) = Phi_rad(n)(x^(n/rad)) elsewhere."""
+    if n == 1:
+        return (-1, 1)
+    rad = 1
+    for p in polys.prime_factors(n):
+        rad *= p
+    if rad == n:
+        return _cyclotomic_squarefree(n)
+    base = cyclotomic_polynomial(rad)
+    step = n // rad
+    out = [0] * ((len(base) - 1) * step + 1)
+    for i, c in enumerate(base):
+        out[i * step] = c
+    return tuple(out)
+
+
+def fp_gcd(a, b, p):
+    a, b = polys.fp_trim(list(a)), polys.fp_trim(list(b))
+    while b:
+        a, b = b, polys.fp_divmod(a, b, p)[1]
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [(c * inv) % p for c in a]
+    return a
+
+
+def fp_deriv(a, p):
+    return polys.fp_trim([(i * c) % p for i, c in enumerate(a)][1:])
+
+
+def fp_squarefree_part(a, p):
+    """Radical of a over F_p: the monic product of its distinct irreducible
+    factors.  Handles multiplicities divisible by p (where a' may vanish)
+    by peeling off the p-th-power part and recursing on its p-th root."""
+    a = polys.fp_trim(list(a))
+    if len(a) <= 1:
+        return [1]
+    inv = pow(a[-1], -1, p)
+    a = [(c * inv) % p for c in a]
+    da = fp_deriv(a, p)
+    if not da:
+        # a = s(x^p) = (s(x))^p by Frobenius; radical(a) = radical(s)
+        return fp_squarefree_part(a[::p], p)
+    d = fp_gcd(a, da, p)
+    if len(d) == 1:
+        return a
+    w, r = polys.fp_divmod(a, d, p)   # factors with multiplicity prime to p
+    if r:
+        raise ArithmeticError("gcd(a, a') does not divide a over F_%d" % p)
+    # strip w-factors from d; what remains is the p-th-power part of a
+    y = d
+    while True:
+        g = fp_gcd(y, w, p)
+        if len(g) == 1:
+            break
+        y, r = polys.fp_divmod(y, g, p)
+        if r:
+            raise ArithmeticError("gcd(y, w) does not divide y over F_%d" % p)
+    if len(y) == 1:
+        return w
+    return polys.fp_mul(w, fp_squarefree_part(y[::p], p), p)
+
+
+@lru_cache(maxsize=None)
+def phi_radical(n, ell):
+    """Radical of Phi_n mod ell, by `fp_squarefree_part`."""
+    return tuple(fp_squarefree_part([c % ell for c in cyclotomic_polynomial(n)], ell))
+
+
+def vanishes_at_all_primes_above(x, ell):
+    """The residue of x mod ell (`reduce_mod_ell`) is divisible by the
+    radical of Phi_n mod ell."""
+    res = reduce_mod_ell(x, ell)
+    return not res or not polys.fp_divmod(res, phi_radical(x.level, ell), ell)[1]
 
 
 # ---------------------------------------------------------------------------

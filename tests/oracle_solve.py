@@ -4,16 +4,17 @@ This is `distributions.solve_exponent` as it was before everything after
 the float solve became integer arithmetic, kept here only as an oracle.
 Candidates are rebuilt through `Fraction.limit_denominator`, one Fraction
 per coordinate per bound; an accepted candidate j is certified, then j e_n
-is certified again whenever it differs from j; the unit precondition reads
-the norm as a resultant (`oracle_arith.cyclo_norm`); and the representative
-comes from the Fraction coset reduction (`oracle_arith.coset_reduce`).
+is certified again whenever it differs from j; the unit precondition runs
+before the candidates and reads the norm as a resultant under the l1 bound
+(`oracle_arith.cyclo_norm`); and the representative comes from the
+Fraction coset reduction (`oracle_arith.coset_reduce`).
 """
 
 from fractions import Fraction
 
 import oracle_arith
 from circdist import cyclotomic, groupring, polys
-from circdist.distributions import (_annihilator, _log_eps, _log_norm_bound,
+from circdist.distributions import (_annihilator, _log_eps,
                                     verify_exponent_identity)
 from circdist.groupring import group_reps, idempotent_e_n
 
@@ -50,9 +51,9 @@ def integral_coset_representative(j, lattice, p=None):
     return groupring.from_vector(j.level, True, rep)
 
 
-def _is_unit(u, p, bound):
+def _is_unit(u, p):
     # a unit, or a p-unit when p is given
-    nrm = abs(oracle_arith.cyclo_norm(list(u.coeffs), u.level, bound))
+    nrm = abs(oracle_arith.cyclo_norm(list(u.coeffs), u.level, None))
     if p is None:
         return nrm == 1
     val = nrm.numerator
@@ -73,7 +74,7 @@ def solve_exponent(u, max_denominator=4096, unit_check_bound=32):
         raise ValueError("element is not totally positive")
     if u.is_integral() and polys.euler_phi(n) <= unit_check_bound:
         ps = polys.prime_factors(n)
-        if not _is_unit(u, ps[0] if len(ps) == 1 else None, _log_norm_bound(u)):
+        if not _is_unit(u, ps[0] if len(ps) == 1 else None):
             raise ValueError("element is not a unit (resp. p-unit) at level %d" % n)
     e_n = idempotent_e_n(n)
     for j in candidates(float_solution(u), n, max_denominator):

@@ -12,7 +12,7 @@ from circdist.cyclotomic import (CycElt, GaloisElt, LevelError, SubfieldError,
                                  valuation_at_p, vanishes_at_all_primes_above,
                                  zeta, zeta_power)
 from circdist.groupring import eps_n, grelt
-from circdist.polys import euler_phi
+from circdist.polys import euler_phi, is_probable_prime
 
 
 def test_cyclotomic_polynomial_examples():
@@ -182,6 +182,41 @@ def test_vanishes_at_all_primes_above():
     rad = phi.exquo(sgcd(phi, phi.diff(X)))
     res = Poly(list(reversed([int(c) % 3 for c in x.coeffs])), X, domain=GF(3))
     assert res.rem(rad) == Poly(0, X, domain=GF(3))
+
+
+def _vanishing_verdict(test, x, ell):
+    try:
+        return test(x, ell)
+    except ValueError:
+        return "not integral"
+
+
+def test_vanishing_matches_the_squarefree_factorisation():
+    # the closed-form radical Phi_m mod ell (n = ell^a m) against the
+    # radical by squarefree factorisation over F_ell (`oracle_arith`), at
+    # every n < 400 and prime ell < 60: random integral x, x / d for d prime
+    # to ell, x / ell, zero residues ell x, and (1 - z^m) x + ell y, which
+    # lies in every prime above ell when ell | n, with and without a unit
+    # residue added
+    import oracle_arith
+    rng = random.Random(41)
+    primes = [p for p in range(2, 60) if is_probable_prime(p)]
+    for n in range(1, 400):
+        phi = euler_phi(n)
+        x, y = (CycElt(n, [rng.randint(-2, 2) for _ in range(phi)]) for _ in range(2))
+        halves, thirds = x * Fraction(1, 2), x * Fraction(1, 3)
+        for ell in primes:
+            m = n
+            while m % ell == 0:
+                m //= ell
+            cases = [x, thirds if ell == 2 else halves, x * Fraction(1, ell), x * ell]
+            if m < n:
+                z = (one(n) - zeta_power(n, m)) * x + y * ell
+                cases += [z, z + one(n)]
+            for c in cases:
+                assert (_vanishing_verdict(vanishes_at_all_primes_above, c, ell)
+                        == _vanishing_verdict(oracle_arith.vanishes_at_all_primes_above,
+                                              c, ell)), (n, ell, c)
 
 
 def test_vanishing_is_an_ideal_property():

@@ -203,9 +203,10 @@ def test_solve_exponent_preconditions():
 
 
 def test_solve_exponent_reports_no_solution():
-    # 4 is tau-fixed and totally positive but no rational exponent of
-    # eps_12 produces it; the exact check must refuse every reconstruction
-    assert solve_exponent(one(12) * 4, unit_check_bound=0) is None
+    # 1/4 is tau-fixed, totally positive and not integral (so no unit check
+    # applies), but no rational exponent of eps_12 produces it; the exact
+    # check must refuse every reconstruction
+    assert solve_exponent(one(12) * Fraction(1, 4)) is None
 
 
 def test_verification_rejects_corrupted_exponents():

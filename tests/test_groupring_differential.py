@@ -126,6 +126,28 @@ def test_squares_use_one_operand():
         assert x * x == oracle.mul(x, x)
 
 
+def test_one_term_products_skip_the_convolution(monkeypatch):
+    # a product by a one-term element (a sigma_g, or e_n = 1 at a prime
+    # power) takes the pairwise loop however dense the other operand is
+    rng = random.Random(10)
+    cases = []
+    for n in (27, 49, 125, 243, 1215):
+        for plus in (True, False):
+            dense = random_elt(rng, n, plus)
+            one_term = random_elt(rng, n, plus, terms=1)
+            cases += [(dense, one_term), (one_term, dense)]
+    cases += [(random_elt(rng, n, True), gr.idempotent_e_n(n)) for n in (27, 49, 125, 243)]
+    calls = []
+    convolve = gr._convolve
+    monkeypatch.setattr(gr, "_convolve", lambda n, plus, a, b: calls.append((a, b))
+                        or convolve(n, plus, a, b))
+    products = [x * y for x, y in cases]
+    assert not calls
+    monkeypatch.undo()
+    for (x, y), prod in zip(cases, products):
+        assert prod == convolved(x, y) == oracle.mul(x, y)
+
+
 def test_idempotent_and_annihilator_match_oracle():
     for n in LEVELS:
         e = gr.idempotent_e_n(n)

