@@ -27,6 +27,9 @@ from .distributions import (RTower, SupportError, delta_table,
 SCHEMA = "circdist/1"
 # phi(135) = 72 admits the README's ncnd example (levels 15, 45, 135)
 DEFAULT_MAX_PHI = 72
+# table specs nest pow/mul/conj at most this deep; the parser recurses once
+# per level, so an unbounded spec would end in RecursionError
+MAX_TABLE_DEPTH = 64
 
 
 class TableSpecError(ValueError):
@@ -148,7 +151,9 @@ def _parse_tower(sc):
     return RTower.scalar(sum(c for c, _ in terms))
 
 
-def _parse_table(sc, support):
+def _parse_table(sc, support, depth=0):
+    if depth > MAX_TABLE_DEPTH:
+        raise TableSpecError("table spec nested deeper than %d" % MAX_TABLE_DEPTH, sc.pos)
     name = sc.ident()
     if name == "phi":
         return phi_table(support)
@@ -165,21 +170,21 @@ def _parse_table(sc, support):
             raise TableSpecError(str(exc), sc.pos)
     if name == "pow":
         sc.expect("(")
-        base = _parse_table(sc, support)
+        base = _parse_table(sc, support, depth + 1)
         sc.expect(",")
         tower = _parse_tower(sc)
         sc.expect(")")
         return power_by_tower(base, tower)
     if name == "mul":
         sc.expect("(")
-        a = _parse_table(sc, support)
+        a = _parse_table(sc, support, depth + 1)
         sc.expect(",")
-        b = _parse_table(sc, support)
+        b = _parse_table(sc, support, depth + 1)
         sc.expect(")")
         return table_product(a, b)
     if name == "conj":
         sc.expect("(")
-        a = _parse_table(sc, support)
+        a = _parse_table(sc, support, depth + 1)
         sc.expect(")")
         return table_conj(a)
     raise TableSpecError("unknown table %r" % name, sc.pos)

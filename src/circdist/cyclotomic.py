@@ -33,7 +33,8 @@ The norm to Q is evaluated at split primes (`polys.cyclo_norm`): modulo a
 prime p = 1 mod n it is the product of x(z^c) over the units c, for a
 primitive n-th root z mod p, and the residues are joined by CRT until the
 modulus exceeds twice the l1 bound of the coefficients raised to phi(n).
-Valuations at prime-power levels are read from the norm.
+Valuations at prime-power levels are read from the coefficients on the
+powers of the uniformizer 1 - zeta, one Taylor shift of the numerators.
 """
 
 from dataclasses import dataclass
@@ -442,18 +443,26 @@ def _order_at(v, p):
 
 def valuation_at_p(x, p):
     """Valuation of nonzero x at the unique prime above p; the level must be
-    a power of p and 1 - zeta is the uniformizer.
+    a power of p and pi = 1 - zeta is the uniformizer.
 
-    That prime has residue degree 1 and p = (1 - zeta)^phi(n) up to a unit,
-    so the valuation is v_p(N(den x)) - phi(n) v_p(den) for the common
-    denominator den of x."""
+    That prime has residue degree 1 and p = pi^phi(n) up to a unit.  With
+    zeta = 1 - pi the numerators c_j of x become den x = sum_i (-1)^i b_i pi^i,
+    b_i = sum_(j >= i) C(j, i) c_j (a Taylor shift; the degree stays below
+    phi(n), so nothing is reduced).  The terms have valuations
+    phi(n) v_p(b_i) + i, distinct modulo phi(n), so the least of them is the
+    valuation of den x."""
     n = x.level
     if n < 2 or _prime_power_split(n) != p:
         raise LevelError("level %d is not a power of %d" % (n, p))
     if x.is_zero():
         raise ZeroDivisionError("valuation of zero")
-    nrm = norm_to_q(x * x.den).numerator
-    return _order_at(nrm, p) - polys.euler_phi(n) * _order_at(x.den, p)
+    b = list(x.nums)
+    phi = len(b)
+    for i in range(phi - 1):
+        for j in range(phi - 2, i - 1, -1):
+            b[j] += b[j + 1]
+    return (min(phi * _order_at(c, p) + i for i, c in enumerate(b) if c)
+            - phi * _order_at(x.den, p))
 
 
 def norm_to_q(x):

@@ -20,17 +20,20 @@ together in the plus quotient, where the plus representatives lift to
 themselves).  The coordinates are built per level by walking the
 generators, with a check that the walk is a bijection onto the units.
 Products with few terms, such as sigma_g * x, keep the pairwise loop over
-the same indices, which is cheaper there.  The idempotency certificate of
-e_n is one such convolution.  Projections to a lower level or to the plus
-quotient read one cached column map per pair of levels.
+the same indices, which is cheaper there; the rule weighs the number of
+term pairs against the Kronecker length.  The idempotency certificate of
+e_n is the product e_n * e_n under the same rule.  Projections to a lower
+level or to the plus quotient read one cached column map per pair of
+levels.
 
 The annihilator of the totally positive element eps_n = (1-z_n)^(1+tau) is
 computed two ways.  Structurally, as the kernel of multiplication by the
 decomposition-group idempotent e_n: 0 at a prime power, else spanned over Q
 by the coset sums of the minimal decomposition groups D_l (Sinnott, Invent.
-Math. 62, 1980), each coset marked off from its least member so that one
-subgroup's rows are in canonical HNF and several subgroups' rows are
-saturated.  Analytically, from double-precision log embeddings, each kernel
+Math. 62, 1980), each coset marked off from its least member, and the rows
+saturated; their HNF pivots are all 1 (one subgroup's rows are their own
+HNF) except at a few levels such as 290 and 1155, the only ones that need
+kernels.  Analytically, from double-precision log embeddings, each kernel
 vector verified exactly (the independent oracle).
 
 The annihilators of mu_n, -z_n and -z_(2n) are single congruences
@@ -168,6 +171,13 @@ def _rep_keys(n, plus):
     return tuple(map(_coordinates(n, plus)[0].__getitem__, group_reps(n, plus)))
 
 
+# a product whose operands have s and t terms takes the pairwise loop when
+# s * t is at most this many times the Kronecker length L: the loop costs
+# in proportion to s * t, the convolution to L, and the measured crossover
+# lay between 4.5 L and 6.7 L at levels 49 to 2187
+_LOOP_PER_KRONECKER = 5
+
+
 def _kronecker(terms):
     """Dense coefficient list of (Kronecker index, int) terms."""
     out = [0] * (max(k for k, _ in terms) + 1)
@@ -275,12 +285,10 @@ class GroupRingElt:
         n, plus = self.level, self.plus
         a = self._terms()
         b = a if other is self else other._terms()
-        # the pairwise loop costs in proportion to s*t, the convolution to
-        # mu or more (measured crossover s*t between 8 mu and 64 mu for mu
-        # from 42 to 729), so sparse operands, and any product by a one-term
-        # element such as a sigma_g, take the loop
-        if len(a) * len(b) <= 8 * len(self.nums):
-            fold = _coordinates(n, plus)[1]
+        # sparse operands, and any product by a one-term element such as a
+        # sigma_g (s <= mu <= L), take the loop
+        fold = _coordinates(n, plus)[1]
+        if len(a) * len(b) <= _LOOP_PER_KRONECKER * len(fold):
             prod = [0] * len(self.nums)
             for ka, va in a:
                 for kb, vb in b:
@@ -482,10 +490,8 @@ def idempotent_e_n(n):
 
 
 def _certify_idempotent(e):
-    """Raise ArithmeticError unless e*e == e, checked on integer numerators
-    as one generic convolution product: with c = d*e, c*c == d*c."""
-    c = e._terms()
-    if c and _convolve(e.level, e.plus, c, c) != [e.den * v for v in e.nums]:
+    """Raise ArithmeticError unless e*e == e."""
+    if e * e != e:
         raise ArithmeticError("e_n failed the idempotency check")
 
 
@@ -523,7 +529,7 @@ class IdealLattice:
             if len(vec) != ncols:
                 raise ValueError("vector of length %d for a lattice with %d columns"
                                  % (len(vec), ncols))
-        return intlinalg.hnf_contains([list(r) for r in self.hnf], vec)
+        return intlinalg.hnf_contains(self.hnf, vec)
 
     def _check(self, other):
         if other.level != self.level or other.plus != self.plus:
@@ -542,8 +548,7 @@ class IdealLattice:
 
     def index_in(self, other):
         self._check(other)
-        return intlinalg.lattice_index([list(r) for r in self.hnf],
-                                       [list(r) for r in other.hnf])
+        return intlinalg.lattice_index(self.hnf, other.hnf)
 
     def to_json(self):
         return {"level": self.level, "plus": self.plus,
@@ -582,8 +587,7 @@ def annihilator_In_formula(n):
                         marked[j] = True
                         row[j] = 1
                     rows.append(row)
-        if len(minimal) > 1:
-            rows = intlinalg.saturate(rows, mu)
+    rows = intlinalg.saturate(rows, mu)
     killed = mu - sum(c * (mu // len(h)) for h, c in _e_n_expansion(n).items())
     if len(rows) != killed:
         raise ArithmeticError("I_%d has rank %d, but e_n kills %s characters"
@@ -613,7 +617,7 @@ def annihilator_In_oracle(n, max_phi=16):
         if from_vector(n, True, ivec).act_on(eps, assume_tau_fixed=True) != one(n):
             raise PrecisionError("oracle kernel vector failed eps_%d^v = 1" % n)
         candidates.append(ivec)
-    sat = intlinalg.saturate(candidates, len(reps)) if candidates else []
+    sat = intlinalg.saturate(candidates, len(reps))
     return IdealLattice(n, True, tuple(tuple(r) for r in sat))
 
 

@@ -2,12 +2,16 @@
 
 Matrices are lists of rows, rows are lists of Python ints, and a rational
 vector is integer numerators over one denominator.  Everything is exact; no
-floating point enters here.  The workhorses are a row-style Hermite normal
-form with optional transform tracking, integer kernels and lattice
-saturation derived from it, the coset decomposition used to pick integral
-(or p-integral) representatives modulo a saturated lattice, and
-congruence_hnf, which writes down the HNF of a single-congruence lattice
-{c : c . e = 0 mod N} with no elimination.
+floating point enters here.  There is one elimination, the row-style
+Hermite normal form, and every other lattice answer is read off a canonical
+HNF: the left kernel of rows from the HNF of [rows | I], whose rows with a
+zero first block are the kernel's own HNF (no transform is kept); the
+saturation, which is the HNF itself when every pivot is 1 and otherwise the
+right kernel of the right kernel; the index of one lattice in another from
+their pivots; and the coset decomposition used to pick integral (or
+p-integral) representatives modulo a saturated lattice.  congruence_hnf
+writes down the HNF of a single-congruence lattice {c : c . e = 0 mod N}
+with no elimination.
 
 Conventions:
   * HNF is row-style and canonical: pivots positive, entries above a pivot
@@ -22,7 +26,7 @@ Conventions:
 """
 
 from bisect import bisect_left
-from math import gcd
+from math import gcd, prod
 
 
 def xgcd(a, b):
@@ -40,66 +44,53 @@ def xgcd(a, b):
     return g, x, y
 
 
-def _echelonize(rows, track):
-    """Bring integer rows to echelon form via unimodular row operations.
+def _echelonize(rows):
+    """Canonical row HNF of integer rows by unimodular row operations.
 
-    Returns (basis, pivcol, transform, kernel) where basis rows have strictly
-    increasing pivot columns pivcol, transform[i] . input = basis[i], and
-    kernel rows k satisfy k . input = 0.  transform/kernel are None
-    unless track is True.  Together transform+kernel rows extend to a
-    unimodular matrix, so the kernel rows span the full left kernel.
-
-    Each basis row is normalized (see _settle) as soon as it is inserted or
-    changed, so basis entries stay bounded by the pivots instead of growing
-    with every elimination step.
+    Returns (basis, pivcol): the nonzero HNF rows, with strictly increasing
+    pivot columns pivcol.  Each basis row is normalized (see _settle) as
+    soon as it is inserted or changed, so basis entries stay bounded by the
+    pivots instead of growing with every elimination step; one pass at the
+    end reduces the entries that _settle left above later pivots.
     """
     basis = []        # echelon rows, kept sorted by pivot column
     pivcol = []       # pivot column of each basis row
-    tbasis = [] if track else None
-    kernel = [] if track else None
-    nrows = len(rows)
-    for idx, row0 in enumerate(rows):
+    for row0 in rows:
         vec = list(row0)
-        uvec = [0] * nrows if track else None
-        if track:
-            uvec[idx] = 1
         n = len(vec)
         j = 0
         while True:
             while j < n and vec[j] == 0:
                 j += 1
             if j == n:
-                if track:
-                    kernel.append(uvec)
                 break
             # find basis row with this pivot column, if any
             pos = bisect_left(pivcol, j)
             if pos == len(pivcol) or pivcol[pos] != j:
                 basis.insert(pos, vec)
                 pivcol.insert(pos, j)
-                if track:
-                    tbasis.insert(pos, uvec)
-                _settle(basis, pivcol, tbasis, pos)
+                _settle(basis, pivcol, pos)
                 break
             brow = basis[pos]
             a, b = brow[j], vec[j]
             if b % a == 0:
-                q = b // a
-                _axpy(vec, -q, brow, j)
-                if track:
-                    _axpy(uvec, -q, tbasis[pos])
+                _axpy(vec, -(b // a), brow, j)
             else:
                 g, x, y = xgcd(a, b)
                 ag, bg = a // g, b // g
                 basis[pos] = [x * aa + y * bb for aa, bb in zip(brow, vec)]
                 vec = [ag * bb - bg * aa for aa, bb in zip(brow, vec)]
-                if track:
-                    burow = tbasis[pos]
-                    tbasis[pos] = [x * aa + y * bb for aa, bb in zip(burow, uvec)]
-                    uvec = [ag * bb - bg * aa for aa, bb in zip(burow, uvec)]
-                _settle(basis, pivcol, tbasis, pos)
+                _settle(basis, pivcol, pos)
             # vec now has a zero at column j; continue reducing
-    return basis, pivcol, tbasis, kernel
+    # _settle reduces a row at one pivot column, which changes its entries
+    # at later pivot columns: reduce every row above each pivot once more
+    for i, j in enumerate(pivcol):
+        p = basis[i][j]
+        for k in range(i):
+            q = basis[k][j] // p
+            if q:
+                _axpy(basis[k], -q, basis[i], j)
+    return basis, pivcol
 
 
 def _axpy(row, q, other, start=0):
@@ -107,58 +98,45 @@ def _axpy(row, q, other, start=0):
     row[start:] = [a + q * b for a, b in zip(row[start:], other[start:])]
 
 
-def _settle(basis, pivcol, tbasis, pos):
+def _settle(basis, pivcol, pos):
     """Normalize basis row pos after it was inserted or changed: make its
     pivot positive, reduce it by the rows below it, and reduce the rows
-    above it at its pivot column.  Every operation is elementary and is
-    applied to tbasis too (when tracked), so the transform stays unimodular."""
+    above it at its pivot column."""
     j = pivcol[pos]
     if basis[pos][j] < 0:
         basis[pos] = [-v for v in basis[pos]]
-        if tbasis is not None:
-            tbasis[pos] = [-v for v in tbasis[pos]]
     for k in range(pos + 1, len(basis)):
         c = pivcol[k]
         q = basis[pos][c] // basis[k][c]
         if q:
             _axpy(basis[pos], -q, basis[k], c)
-            if tbasis is not None:
-                _axpy(tbasis[pos], -q, tbasis[k])
     p = basis[pos][j]
     for k in range(pos):
         q = basis[k][j] // p
         if q:
             _axpy(basis[k], -q, basis[pos], j)
-            if tbasis is not None:
-                _axpy(tbasis[k], -q, tbasis[pos])
-
-
-def _reduce_above(basis, pivcol):
-    """Bring settled echelon rows (pivots positive) into canonical HNF, in
-    place.  Needed still: when _settle reduces a row at one pivot column,
-    the row's entries at later pivot columns change."""
-    for i in range(len(basis)):
-        j = pivcol[i]
-        p = basis[i][j]
-        for k in range(i):
-            q = basis[k][j] // p
-            if q:
-                _axpy(basis[k], -q, basis[i], j)
 
 
 def hnf(rows):
     """Canonical row Hermite normal form; zero rows dropped."""
-    basis, pivcol, _, _ = _echelonize(rows, track=False)
-    _reduce_above(basis, pivcol)
-    return [list(r) for r in basis]
+    return _echelonize(rows)[0]
 
 
 def left_kernel(rows):
-    """Basis (canonical HNF) of {v in Z^r : v . rows = 0}; full/saturated."""
+    """Basis (canonical HNF) of {v in Z^r : v . rows = 0}; full/saturated.
+
+    The HNF of [rows | I] is U [rows | I] = [U rows | U] for a unimodular
+    U, so its rows whose first block is zero, cut to the second block, span
+    the whole kernel, and are its canonical HNF already."""
     if not rows:
         return []
-    _, _, _, kernel = _echelonize(rows, track=True)
-    return hnf(kernel)
+    c = len(rows[0])
+    r = len(rows)
+    aug = [list(row) + [0] * r for row in rows]
+    for i, row in enumerate(aug):
+        row[c + i] = 1
+    basis, pivcol = _echelonize(aug)
+    return [row[c:] for row, j in zip(basis, pivcol) if j >= c]
 
 
 def congruence_hnf(coeffs, modulus):
@@ -212,10 +190,20 @@ def right_kernel(rows, ncols):
 
 
 def saturate(rows, ncols):
-    """Saturation (Q-span intersected with Z^ncols) of the row lattice."""
-    if not rows:
-        return []
-    return right_kernel(right_kernel(rows, ncols), ncols)
+    """Saturation (Q-span intersected with Z^ncols) of the row lattice, in
+    canonical HNF.  The lattice's index in its saturation divides the
+    product of its HNF pivots: when every pivot is 1 the pivot columns carry
+    an identity block, so the HNF is saturated already and is returned.
+    Otherwise the saturation is the right kernel of its right kernel."""
+    h, pivcol = _echelonize(rows)
+    if all(row[j] == 1 for row, j in zip(h, pivcol)):
+        return h
+    return right_kernel(right_kernel(h, ncols), ncols)
+
+
+def _pivot(row):
+    """Leading (pivot) entry of a nonzero HNF row."""
+    return next(a for a in row if a)
 
 
 def _check_length(hnf_rows, v):
@@ -249,42 +237,16 @@ def hnf_coords(hnf_rows, vec):
     return coords
 
 
-def bareiss_det(rows):
-    """Determinant of a square integer matrix (fraction-free elimination)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def lattice_index(sub_hnf, super_hnf):
-    """Index [super : sub] for lattices of equal rank, sub contained in super."""
+    """Index [super : sub] for lattices in canonical HNF of equal rank, sub
+    contained in super.  The two span one Q-space, so they share their pivot
+    columns and are triangular there: the index is the quotient of the
+    pivot products."""
     if len(sub_hnf) != len(super_hnf):
         raise ValueError("lattices have different ranks")
-    coords = []
-    for row in sub_hnf:
-        c = hnf_coords(super_hnf, row)
-        if c is None:
-            raise ValueError("sub-lattice is not contained in super-lattice")
-        coords.append(c)
-    return abs(bareiss_det(coords))
+    if not all(hnf_contains(super_hnf, row) for row in sub_hnf):
+        raise ValueError("sub-lattice is not contained in super-lattice")
+    return prod(map(_pivot, sub_hnf)) // prod(map(_pivot, super_hnf))
 
 
 def coset_reduce(sat_hnf, nums, den=1):

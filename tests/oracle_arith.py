@@ -9,8 +9,9 @@ descent as it was before it went one prime at a time by relative traces: a
 change to the basis z_m^j z_n^i, solved by Fraction Gauss-Jordan
 elimination (`gauss_solve`).  Every field function returns the coefficient
 tuple of its result, except `valuation_at_p`: the valuation at a
-prime-power level as it was computed before it came from the norm, by
-dividing by 1 - zeta until the residue mod p no longer vanishes.
+prime-power level as it was computed before it came from the norm (and
+later from a Taylor shift), by dividing by 1 - zeta until the residue mod p
+no longer vanishes.
 
 Also kept as references: the Fraction `coset_reduce` (one triangular solve
 on the pivot columns) that the integer forward elimination replaced; the

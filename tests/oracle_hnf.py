@@ -5,7 +5,11 @@ each pivot was set, kept here only as an oracle: rows are eliminated with
 divisions and xgcd steps alone, and entries above the pivots are reduced
 once, at the end.  Its entries can grow without bound during elimination,
 so only small inputs are affordable.  The kernels and the saturation are
-derived from it exactly as circdist derives them from its own HNF.
+derived from it exactly as circdist derived them before kernels came
+from the HNF of [rows | I]: from the tracked transform, the kernel rows
+brought to HNF afterwards.  `bareiss_det`, the fraction-free determinant
+that lattice indices came from before they were read off the pivots, is
+kept as a reference too.
 """
 
 from bisect import bisect_left
@@ -101,3 +105,28 @@ def saturate(rows, ncols):
     if not rows:
         return []
     return right_kernel(right_kernel(rows, ncols), ncols)
+
+
+def bareiss_det(rows):
+    """Determinant of a square integer matrix (fraction-free elimination)."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from circdist import groupring
-from circdist.cli import (TableSpecError, main, parse_support, parse_table)
+from circdist.cli import (MAX_TABLE_DEPTH, TableSpecError, main, parse_support,
+                          parse_table)
 from circdist.cyclotomic import PrecisionError, SubfieldError
 from circdist.distributions import SolveError, divisor_closure
 from circdist.groupring import eps_n
@@ -161,6 +162,17 @@ def test_text_format():
     code, out, _ = run_cli("idempotent", "--n", "12", "--format", "text")
     assert code == 0
     assert out.startswith("[idempotent]")
+
+
+def test_deeply_nested_table_spec_is_a_usage_error():
+    # 1,200 levels used to end in RecursionError, a traceback and exit 1
+    spec = "conj(" * 1200 + "phi" + ")" * 1200
+    code, out, err = run_cli("verify", "--table", spec, "--support", "closure(6)")
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+    # as deep as the cap allows still parses
+    spec = "conj(" * MAX_TABLE_DEPTH + "phi" + ")" * MAX_TABLE_DEPTH
+    assert parse_table(spec, divisor_closure([6])).support == divisor_closure([6])
 
 
 @pytest.mark.parametrize("command", ["kappa", "boundedness"])

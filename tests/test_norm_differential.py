@@ -1,17 +1,18 @@
 """The norm's CRT stop rule, the solver's unit check, and the valuation
-read from the norm, against what they replaced.
+read from a Taylor shift, against what they replaced.
 
 `polys.cyclo_norm` stops its CRT run once the modulus exceeds twice the l1
 bound on |N(x)|.  `distributions.solve_exponent` computes no norm for a u
-that a candidate certifies.  `valuation_at_p` reads v_p of the norm; at
-prime-power levels up to 125 it must agree with the division loop kept in
-`oracle_arith`, for integral and non-integral x.
+that a candidate certifies.  `valuation_at_p` reads the coefficients of x
+on the powers of 1 - zeta; at prime-power levels up to 125 and at 243 it
+must agree with the division loop kept in `oracle_arith`, for integral and
+non-integral x.
 """
 
 from fractions import Fraction
 from math import isqrt
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oracle_arith as oracle
 from circdist import polys
@@ -22,7 +23,7 @@ from circdist.groupring import eps_n, grelt
 CASES = settings(max_examples=60, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
 
-PRIME_POWERS = tuple(n for n in range(2, 126) if len(polys.prime_factors(n)) == 1)
+PRIME_POWERS = tuple(n for n in range(2, 126) if len(polys.prime_factors(n)) == 1) + (243,)
 
 
 def test_the_modulus_covers_twice_the_bound():
@@ -63,8 +64,18 @@ def prime_power_elements(draw):
     return x * (one(n) - zeta(n)) ** draw(st.integers(0, 4)), p
 
 
+def _dense_times_pi_power(n, k):
+    """A dense element with coefficients in [-100, 100], times (1 - zeta)^k."""
+    phi = polys.euler_phi(n)
+    nums = [(37 * i * i + 11 * i + n) % 201 - 100 for i in range(phi)]
+    return CycElt(n, nums) * (one(n) - zeta(n)) ** k, polys.prime_factors(n)[0]
+
+
 @CASES
 @given(prime_power_elements())
-def test_valuation_from_the_norm_matches_the_division_loop(case):
+@example(_dense_times_pi_power(121, 5))
+@example(_dense_times_pi_power(125, 5))
+@example(_dense_times_pi_power(243, 3))
+def test_valuation_from_the_taylor_shift_matches_the_division_loop(case):
     x, p = case
     assert valuation_at_p(x, p) == oracle.valuation_at_p(x, p)
