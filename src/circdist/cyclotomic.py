@@ -19,12 +19,13 @@ costs accordingly.
 
 Embeddings have one evaluator, shared by total positivity, the exponent
 solver's logarithms and the norm bound of the exponent certificate.  A
-double-precision pass over a per-level table of zeta^(i c) gives every
-sigma_c(x) with one rounding bound; floating point only ever reads a value
-that stands far above that bound.  A real embedding it cannot read is
-re-evaluated exactly at doubling fixed-point precision: integer floor and
-ceiling bounds on 2^prec cos(2 pi r / n) are summed against the integer
-numerators, so every sign it reports is certified.  The bounds are one
+double-precision sum of the nonzero coefficients against one per-level
+table of the powers of zeta gives every sigma_c(x) with one rounding bound;
+floating point only ever reads a value that stands far above that bound.
+A real embedding it cannot read is re-evaluated exactly at doubling
+fixed-point precision: integer floor and ceiling bounds on
+2^prec cos(2 pi r / n) are summed against the integer numerators, so every
+sign it reports is certified.  The bounds are one
 table per level and precision, built in integers alone: pi from Machin's
 formula, 2^w zeta_n from its Taylor series, and its powers from one
 recurrence, each rounding carried as an integer error bound.
@@ -40,7 +41,7 @@ powers of the uniformizer 1 - zeta, one Taylor shift of the numerators.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, log
+from math import cos, gcd, isqrt, lcm, log, pi, sin
 
 from . import polys
 
@@ -501,39 +502,43 @@ def is_p_unit(x, p):
 _READ_MARGIN = 2.0 ** 20
 
 
+@lru_cache(maxsize=8)
+def is_tau_fixed(x):
+    """True iff tau(x) = x, exactly: then every sigma_c(x) is real."""
+    return act(tau(x.level), x) == x
+
+
 @lru_cache(maxsize=None)
-def _zeta_rows(n):
-    """The plus representatives c at level n and the complex doubles
-    zeta^(i c mod n), one row per c and one column per power i < phi(n)."""
-    import numpy as np
-    from .groupring import group_reps      # groupring imports this module
-    reps = group_reps(n, True)
-    powers = np.exp(2j * np.pi * np.arange(n) / n)
-    table = powers[np.outer(reps, np.arange(polys.euler_phi(n))) % n]
-    table.setflags(write=False)
-    return reps, table
+def _zeta_powers(n):
+    """The complex doubles zeta^k = e^(2 pi i k / n) for k < n, and their
+    real parts."""
+    powers = tuple(complex(cos(2 * pi * k / n), sin(2 * pi * k / n)) for k in range(n))
+    return powers, tuple(z.real for z in powers)
 
 
 @lru_cache(maxsize=8)
 def double_embeddings(x):
     """sigma_c(x) = sum_i x_i zeta^(i c) at the plus representatives c, in
-    complex double precision.
+    complex double precision, or as real doubles when x is tau-fixed
+    (`is_tau_fixed`), where the imaginary parts vanish.
 
     Returns (reps, vals, err, shift).  The numerators are divided by their
     largest |x_i| first, so nothing overflows; then sigma_c(x) is
     e^shift (vals[k] + d), where err = (phi + 2) 2^-52 sum_i |x_i / top|
     bounds the rounding of the sum and |d| exceeds it at most by a few
-    units of 2^-52 per table entry.  Callers read a value only far above
-    err: 2^20 err for a real part, 2^10 err added to a modulus.  They share
-    the cached result, so the array is read-only.
+    units of 2^-52 per table entry.  Only the nonzero x_i are summed, each
+    against one table of the powers of zeta; a zero term adds no rounding,
+    so the bound holds in any summation order.  Callers read a value only
+    far above err: 2^20 err for a real part, 2^10 err added to a modulus.
     """
-    import numpy as np
-    reps, table = _zeta_rows(x.level)
+    from .groupring import group_reps      # groupring imports this module
+    n = x.level
+    reps = group_reps(n, True)
+    powers = _zeta_powers(n)[is_tau_fixed(x)]
     top = max(map(abs, x.nums))
-    scaled = np.array([c / top for c in x.nums])
-    vals = table @ scaled
-    vals.setflags(write=False)
-    err = (len(scaled) + 2) * 2.0 ** -52 * float(np.abs(scaled).sum())
+    terms = [(i, c / top) for i, c in enumerate(x.nums) if c]
+    vals = tuple(sum(v * powers[i * c % n] for i, v in terms) for c in reps)
+    err = (len(x.nums) + 2) * 2.0 ** -52 * sum(abs(v) for _, v in terms)
     return reps, vals, err, log(top) - log(x.den)
 
 
@@ -696,10 +701,11 @@ def embedding_logs(x):
     """
     reps, vals, err, shift = double_embeddings(x)
     read = _READ_MARGIN * err
-    if (vals.real < -read).any():
+    real = [v.real for v in vals]
+    if min(real) < -read:
         return None
     logs = []
-    for c, v in zip(reps, vals.real):
+    for c, v in zip(reps, real):
         if v > read:
             logs.append(log(v) + shift)
             continue
@@ -718,7 +724,7 @@ def is_totally_positive(x):
     """
     if x.is_zero():
         raise ZeroDivisionError("total positivity of zero is undefined")
-    if act(tau(x.level), x) != x:
+    if not is_tau_fixed(x):
         raise ValueError("element is not fixed by conjugation")
     return embedding_logs(x) is not None
 

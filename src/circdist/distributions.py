@@ -10,10 +10,17 @@ field norms, the strictness congruences reduce to divisibility by the
 radical of the cyclotomic polynomial at the residue prime, and exponent
 solving against eps_n = (1 - z_n)^(1+tau) combines a numeric logarithmic
 solve with continued-fraction reconstruction and a certified power-identity
-check that never accepts an unverified answer.  After the float solve the
-solver works in integers alone: the reconstruction rounds each coordinate's
-exact binary value, each candidate j takes one certificate, as j e_n, and
-the representative modulo the annihilator comes from integer elimination.
+check that never accepts an unverified answer.
+
+The logarithmic system is a group matrix of G_n^+, so it is solved in the
+character basis: per level, one mixed-radix DFT over G_n^+
+(`groupring.character_sums`) gives the pseudo-inverse m_n of log eps_n on
+the e_n-component, cached as fixed-point integers, and each solve is one
+integer group-ring product of m_n with the fixed-point logs of u.  After
+the float solve the solver works in integers alone: the reconstruction
+rounds each coordinate's exact binary value, each candidate j takes one
+certificate, as j e_n, and the representative modulo the annihilator comes
+from integer elimination.
 
 The power identity u^d eps^(d j^-) = eps^(d j^+) is certified without
 forming it in the field.  It is compared modulo split primes p = 1 mod n,
@@ -22,21 +29,23 @@ inequality.  Matches at primes with product P prove equality once
 phi(n) log P exceeds an upper bound on the log of the norm of the
 difference of the two sides, since a nonzero algebraic integer divisible by
 P has norm at least P^phi(n).  Error model: the residues are exact integer
-arithmetic; the norm bound is the only floating-point input, every term of
-it is an upper bound with an explicit rounding margin, and an overestimate
-only costs more primes.
+arithmetic.  The norm bound sums the eps sides as integers, over a
+per-level table of the logs log sigma_r(eps_n) rounded up with a margin,
+and takes the moduli of u from doubles with an explicit rounding margin;
+every term of it is an upper bound, and an overestimate only costs more
+primes.
 
 All embeddings come from the one evaluator in `cyclotomic`: the solver
 takes its positivity verdict and its logarithms from `embedding_logs` (one
 evaluation of u, interval arithmetic wherever doubles cannot read a value),
 and the norm bound takes moduli from the same double-precision pass.  The
 table log sigma_k(eps_n) = 2 log|2 sin(pi k / n)| is built once per level
-and serves both.
+and serves both.  The library uses Python floats and integers alone.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, isfinite, lcm, log
+from math import ceil, frexp, gcd, isfinite, lcm, ldexp, log, pi, sin
 
 from . import cyclotomic, groupring, intlinalg, polys
 from .cyclotomic import (LevelError, act, cyc_from_json, cyc_to_json,
@@ -398,71 +407,129 @@ def _annihilator(n):
 @lru_cache(maxsize=None)
 def _log_eps(n):
     """log sigma_k(eps_n) = 2 log(2 sin(pi k / n)) for every residue k mod n
-    (entry 0, never a unit, is 0); k and n - k hold the same double."""
-    import numpy as np
-    half = np.arange(1, n // 2 + 1)
-    out = np.zeros(n)
-    out[half] = out[n - half] = 2.0 * np.log(2.0 * np.sin(np.pi * half / n))
-    out.setflags(write=False)
-    return out
+    (entry 0, never a unit, is 0); k and n - k hold the same double, read
+    at k <= n / 2 where the sine has no cancellation."""
+    out = [0.0] * n
+    for k in range(1, n // 2 + 1):
+        out[k] = out[n - k] = 2.0 * log(2.0 * sin(pi * k / n))
+    return tuple(out)
 
 
-# Split primes p = 1 mod n (`polys.split_prime`) above polys.SPLIT_FROM =
-# 2^29 and below 2^31: Z[zeta_n] / p is phi(n) copies of F_p, and a product
-# of two residues stays inside int64.
-_SPLIT_HI = 1 << 31
+def _fixed(vals):
+    """(ints, shift): each double times 2^shift, rounded to an integer, the
+    largest in size below 2^62."""
+    shift = 62 - frexp(max(map(abs, vals)))[1]
+    return [round(ldexp(v, shift)) for v in vals], shift
+
+
+@lru_cache(maxsize=None)
+def _pseudo_inverse(n):
+    """(terms, shift, kept): 2^shift m_n as (Kronecker index, int) terms
+    in Z[G_n^+], and whether each character of G_n^+ is kept, by the flat
+    index of `groupring.character_sums`.  x = m_n b' is the least-squares
+    solution of least norm of sum_g L(c g) x(g) = b(c) over G_n^+, with
+    L(k) = log sigma_k(eps_n) and b'(g) = b(g^-1).
+
+    With y(g) = x(g^-1) the system is the convolution L * y = b in
+    Q[G_n^+], which the characters of G_n^+ diagonalise (Washington,
+    GTM 83, ch. 4 and 8).  L^(chi) vanishes exactly where e_n^(chi) does:
+    at the chi with chi(e_n) = 0.  So the pseudo-inverse m
+    has transform 1 / L^ on the kept characters, those with e_n^(chi) = 1,
+    and 0 elsewhere, and y = m * b.  One transform of L + i e_n gives both:
+    e_n(g^-1) = e_n(g), so e_n^ is real, and L^ and i e_n^ are the halves
+    of F(chi) and the conjugate of F(chi^-1).  e_n^ is 0 or 1, as e_n is
+    idempotent; it is rounded from its double, which must lie within 1/4
+    of it, so no threshold is set on L^.  Then x(g) = (m * b)(g^-1), the
+    product of m(g^-1) and b(g^-1).
+    """
+    orders, walk, conj = groupring.character_frame(n)
+    at = groupring._unit_positions(n, True)
+    leps = _log_eps(n)
+    e_n = idempotent_e_n(n)
+    sums = groupring.character_sums(
+        n, [complex(leps[g], e_n.nums[at[g]] / e_n.den) for g in walk])
+    kept, inv = [], []
+    for a, b in zip(sums, (sums[c].conjugate() for c in conj)):
+        value = (a - b).imag / 2
+        keep = round(value)
+        if abs(value - keep) > 0.25 or keep not in (0, 1):
+            raise ArithmeticError("e_n has a character value %r at level %d"
+                                  % (value, n))
+        kept.append(keep == 1)
+        inv.append(2 / (a + b) if keep else 0j)
+    m = groupring.character_sums(n, inv, 1)
+    m_inv = [0.0] * len(walk)
+    for g, c in zip(walk, conj):
+        m_inv[at[g]] = m[c].real / len(walk)
+    ints, shift = _fixed(m_inv)
+    return ([t for t in zip(groupring._rep_keys(n, True), ints) if t[1]], shift,
+            tuple(kept))
+
+
+def _character_solve(n, logs):
+    """The least-squares solution of least norm of the logarithmic system
+    for the logs b of sigma_c(u) at the plus representatives c, as doubles:
+    m_n times b read at the inverses, one fixed-point product in Z[G_n^+]."""
+    terms, shift, _ = _pseudo_inverse(n)
+    ints, bshift = _fixed(logs)
+    prod = groupring._product(n, True, terms,
+                              [t for t in zip(groupring._inverse_keys(n), ints) if t[1]])
+    return [ldexp(v, -shift - bshift) for v in prod]
 
 
 @lru_cache(maxsize=None)
 def _split_prime(n, after):
-    """The least prime p = 1 mod n above `after`, with the residues mod p of
-    zeta^c for the units c mod n (ascending) and of eps_n at zeta^r for every
-    r mod n; zeta is the root `polys.split_prime` picks."""
-    import numpy as np
+    """The least prime p = 1 mod n above `after`, with the residues mod p
+    of zeta^r and of eps_n at zeta^r for every r mod n; zeta is the root
+    `polys.split_prime` picks."""
     p, roots = polys.split_prime(n, after)
-    if p >= _SPLIT_HI:
-        raise SolveError("no split prime below 2^31 at level %d" % n)
-    powers = np.array([pow(roots[0], r, p) for r in range(n)], dtype=np.int64)
-    eps = (2 - powers - powers[(-np.arange(n)) % n]) % p
-    tables = (np.array(groupring.units(n), dtype=np.int64),
-              np.array(roots, dtype=np.int64), eps)
-    for t in tables:
-        t.setflags(write=False)    # shared by every caller through the cache
-    return (p, *tables)
+    powers = [1] * n
+    for r in range(1, n):
+        powers[r] = powers[r - 1] * roots[0] % p
+    return p, powers, [(2 - powers[r] - powers[-r]) % p for r in range(n)]
 
 
-def _vpow(x, k, p):
-    """x^k mod p elementwise (x an int64 array of residues, k >= 0)."""
-    import numpy as np
-    out = np.ones_like(x)
-    while k:
-        if k & 1:
-            out = out * x % p
-        k >>= 1
-        if k:
-            x = x * x % p
-    return out
+def _eps_residues(c, groups, eps, n, p):
+    """prod eps(zeta^(c a))^k mod p over the terms (a, k), grouped by k."""
+    acc = 1
+    for k, members in groups.items():
+        q = 1
+        for a in members:
+            q = q * eps[c * a % n] % p
+        acc = acc * pow(q, k, p) % p
+    return acc
 
 
 def _residues_match(u, d, pos, neg, prime):
     """A = B modulo every prime above p: A(zeta^c) = B(zeta^c) in F_p at
     each unit c, with A = U^d eps^(d j^-) and B = D^d eps^(d j^+) (pos and
-    neg hold the terms of d j^+ and d j^-)."""
-    import numpy as np
+    neg hold the terms of d j^+ and d j^-).  U is read over its nonzero
+    terms; the eps side, even in c, once per plus representative.  When u
+    is tau-fixed (`cyclotomic.is_tau_fixed`) so are A and B, so c and -c
+    give the same equation and the plus representatives suffice."""
     n = u.level
-    p, units, zc, eps = prime
-    acc = np.zeros_like(zc)
-    for c in reversed(u.nums):
-        acc = (acc * zc + c % p) % p
-
-    def times_eps_powers(acc, terms):
-        for a, k in terms:
-            acc = acc * _vpow(eps[units * a % n], k, p) % p
-        return acc
-
-    lhs = times_eps_powers(_vpow(acc, d, p), neg)
-    rhs = times_eps_powers(np.full_like(zc, pow(u.den, d, p)), pos)
-    return bool((lhs == rhs).all())
+    p, powers, eps = prime
+    terms = [(i, v % p) for i, v in enumerate(u.nums) if v]
+    groups = []
+    for side in (neg, pos):
+        by_k = {}
+        for a, k in side:
+            by_k.setdefault(k, []).append(a)
+        groups.append(by_k)
+    den = pow(u.den, d, p)
+    real = None        # read after the first equation, which may decide
+    for c in group_reps(n, True):
+        lhs = _eps_residues(c, groups[0], eps, n, p)
+        rhs = den * _eps_residues(c, groups[1], eps, n, p) % p
+        for unit in (c, n - c):
+            acc = sum(v * powers[i * unit % n] for i, v in terms)
+            if pow(acc, d, p) * lhs % p != rhs:
+                return False
+            if real is None:
+                real = cyclotomic.is_tau_fixed(u)
+            if real:
+                break
+    return True
 
 
 def _log_abs_bounds(x):
@@ -471,38 +538,70 @@ def _log_abs_bounds(x):
     inflated 2^10 times.  |sigma_(-c)(x)| = |sigma_c(x)| because the
     coefficients are real.
     """
-    import numpy as np
     _, vals, err, shift = cyclotomic.double_embeddings(x)
-    return np.log(np.abs(vals) + 2.0 ** 10 * err) + shift
+    return [log(abs(v) + 2.0 ** 10 * err) + shift for v in vals]
+
+
+# The norm bound reads log sigma_r(eps_n) as integers in units of 2^-48:
+# each is raised by 2^-40 (1 + its size), far above the few units of 2^-52
+# the double carries, and rounded up.
+_LOG_BITS = 48
+
+
+@lru_cache(maxsize=None)
+def _log_eps_ceilings(n):
+    """Two tables of (Kronecker index, int) terms at the plus
+    representatives r, for L = log sigma_r(eps_n): the upper bounds
+    ceil(2^48 (L + 2^-40 (1 + |L|))), and ceil(2^48 (|L| + 1))."""
+    leps = _log_eps(n)
+    keys = groupring._rep_keys(n, True)
+    reps = group_reps(n, True)
+    return ([(key, ceil(ldexp(leps[r] + 2.0 ** -40 * (1.0 + abs(leps[r])), _LOG_BITS)))
+             for key, r in zip(keys, reps)],
+            [(key, ceil(ldexp(abs(leps[r]) + 1.0, _LOG_BITS)))
+             for key, r in zip(keys, reps)])
+
+
+def _eps_log_sums(n, terms):
+    """(sums, sizes) at each plus representative c, in units of 2^-48: an
+    upper bound on sum k log sigma_(c a)(eps_n) over the terms (a, k), and
+    one on sum k (|log sigma_(c a)(eps_n)| + 1).  Each is one integer
+    product of sum k sigma_(a^-1) and a table of `_log_eps_ceilings`; the
+    weights k are positive, so the ceilings give upper bounds."""
+    keys = groupring._inverse_keys(n)
+    at = groupring._unit_positions(n, True)
+    weights = [(keys[at[a]], k) for a, k in terms]
+    return [groupring._product(n, True, weights, table)
+            for table in _log_eps_ceilings(n)]
 
 
 def _norm_bound(u, d, pos, neg):
     """Upper bound on sum_c log(|sigma_c A| + |sigma_c B|) over all units c.
 
     Per plus representative c it takes log 2 plus the larger of the two
-    sides' logs, built from the bounds on |sigma_c u|, log D and
-    log sigma_c(eps) = 2 log|2 sin(pi c / n)|.  Each log is read to a few
-    units of 2^-52 absolutely and each sum adds 2^-53 of its terms' size per
-    term, so a slack of 2^-24 times (1 + the terms' absolute values + their
-    integer weights) covers the rounding while there are fewer than 2^20
-    terms.
+    sides' logs, built from the bounds on |sigma_c u|, log D and the eps
+    sides.  Each eps side is an exact integer sum (`_eps_log_sums`), an
+    upper bound in units of 2^-48, so its only floating-point input is the
+    per-level table log sigma_r(eps_n).  The rest is read to a few units of
+    2^-52 relative to the terms' sizes, and each sum adds 2^-53 of its
+    terms' size per term, so a slack of 2^-24 times (1 + the terms'
+    absolute values + their integer weights) covers the rounding while
+    there are fewer than 2^20 terms; for the eps terms that size is the
+    second sum of `_eps_log_sums`.
     """
-    import numpy as np
     n = u.level
-    reps = np.array(group_reps(n, True))
-    mult = np.where((2 * reps) % n == 0, 1, 2)
-    leps = _log_eps(n)
-    la = d * (_log_abs_bounds(u) + log(u.den))
-    lb = np.full_like(la, d * log(u.den))
-    mag = np.abs(la) + np.abs(lb) + 2 * d
-    for a, k in neg:
-        t = float(k) * leps[reps * a % n]
-        la, mag = la + t, mag + np.abs(t) + k
-    for a, k in pos:
-        t = float(k) * leps[reps * a % n]
-        lb, mag = lb + t, mag + np.abs(t) + k
-    per = log(2.0) + np.maximum(la, lb) + 2.0 ** -24 * (1.0 + mag)
-    return float(mult @ per)
+    scale = 1 << _LOG_BITS
+    lb = d * log(u.den)
+    sums = zip(group_reps(n, True), _log_abs_bounds(u),
+               *_eps_log_sums(n, neg), *_eps_log_sums(n, pos))
+    total = 0.0
+    for c, a, tneg, sneg, tpos, spos in sums:
+        la = d * (a + log(u.den))
+        mag = abs(la) + abs(lb) + 2 * d + (sneg + spos) / scale
+        per = (log(2.0) + max(la + tneg / scale, lb + tpos / scale)
+               + 2.0 ** -24 * (1.0 + mag))
+        total += per if 2 * c % n == 0 else 2 * per
+    return total
 
 
 def verify_exponent_identity(u, j):
@@ -609,10 +708,12 @@ def solve_exponent(u):
 
     One evaluation of u's embeddings (`cyclotomic.embedding_logs`) gives
     both the total-positivity verdict and the right-hand side of the
-    logarithmic least-squares solve.  Everything after the float solve is
-    integer arithmetic.  Each coordinate's exact binary value is rounded by
-    continued fractions to each bound of a doubling denominator schedule up
-    to 4096, and each distinct candidate j is certified once, as
+    logarithmic system, whose least-squares solution of least norm is read
+    in the character basis (`_character_solve`).  Everything after the
+    float solve is integer arithmetic.  Each coordinate's exact binary
+    value is rounded by continued fractions to each bound of a doubling
+    denominator schedule up to 4096, and each distinct candidate j is
+    certified once, as
     j e_n: for u totally positive, u = eps^j exactly iff u = eps^(j e_n),
     since eps^(k) = 1 for every integral k in Q[G](1 - e_n) (a totally
     positive root of unity).  The returned representative is the canonical
@@ -630,16 +731,12 @@ def solve_exponent(u):
         raise LevelError("level must be >= 2")
     if u.is_zero():
         raise ValueError("cannot solve for the zero element")
-    if act(cyclotomic.tau(n), u) != u:
+    if not cyclotomic.is_tau_fixed(u):
         raise ValueError("element is not fixed by conjugation")
     logs = cyclotomic.embedding_logs(u)
     if logs is None:
         raise ValueError("element is not totally positive")
-    import numpy as np
-    reps = np.array(group_reps(n, True))
-    a_mat = _log_eps(n)[np.outer(reps, reps) % n]
-    x = np.linalg.lstsq(a_mat, np.array(logs), rcond=None)[0]
-    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    ratios = [v.as_integer_ratio() for v in _character_solve(n, logs)]
     e_n = idempotent_e_n(n)
     seen = set()
     bound = 1

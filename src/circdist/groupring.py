@@ -46,7 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from math import gcd, lcm, log, pi, sin
+from math import cos, gcd, lcm, log, pi, sin
+from operator import mul
 
 from . import cyclotomic, intlinalg, polys
 from .cyclotomic import LevelError, PrecisionError, act, one, zeta
@@ -112,6 +113,7 @@ def _unit_positions(n, plus):
 # discrete-log coordinates and the convolution product
 
 
+@lru_cache(maxsize=None)
 def _cyclic_factors(n):
     """(generator, order) pairs writing (Z/n)^x as a product of cyclic
     groups: a primitive root of each odd prime-power factor p^k, and -1 and
@@ -133,7 +135,20 @@ def _cyclic_factors(n):
         rest = n // q
         for g, d in gens:
             out.append((polys.crt_pair(1, rest, g, q), d))
-    return out
+    return tuple(out)
+
+
+def _walk(n, factors):
+    """The units prod g_i^(e_i) for (generator, order) pairs (g_i, d_i),
+    listed by the flat index sum_i e_i d_1...d_(i-1), the first axis
+    fastest."""
+    walk = [1]
+    for g, d in factors:
+        pw = [1]
+        for _ in range(d - 1):
+            pw.append(pw[-1] * g % n)
+        walk = [u * w % n for w in pw for u in walk]
+    return walk
 
 
 @lru_cache(maxsize=None)
@@ -149,15 +164,13 @@ def _coordinates(n, plus):
     the plus quotient.  Both come from walking the generators, O(phi(n))
     and O(2^k phi(n)) for k cyclic factors; the walk must reach every unit
     exactly once, which is checked."""
-    walk, keys, full, radix = [1], [0], [1], 1
-    for g, d in _cyclic_factors(n):
-        pw = [1]
-        for _ in range(2 * d - 2):
-            pw.append(pw[-1] * g % n)
-        walk = [u * w % n for w in pw[:d] for u in walk]
+    factors = _cyclic_factors(n)
+    keys, radix = [0], 1
+    for _, d in factors:
         keys = [k + e * radix for e in range(d) for k in keys]
-        full = [u * w % n for w in pw for u in full]
         radix *= 2 * d - 1
+    walk = _walk(n, factors)
+    full = _walk(n, [(g, 2 * d - 1) for g, d in factors])
     reps = units(n)
     if len(walk) != len(reps) or set(walk) != set(reps):
         raise ArithmeticError("discrete-log coordinates of level %d are not a "
@@ -169,6 +182,14 @@ def _coordinates(n, plus):
 def _rep_keys(n, plus):
     """Kronecker index of each entry of group_reps(n, plus)."""
     return tuple(map(_coordinates(n, plus)[0].__getitem__, group_reps(n, plus)))
+
+
+@lru_cache(maxsize=None)
+def _inverse_keys(n):
+    """Kronecker index of the inverse of each entry of group_reps(n, True):
+    the terms (_inverse_keys(n)[i], v_i) are sum v_i sigma_(r_i^-1)."""
+    index = _coordinates(n, True)[0]
+    return tuple(index[pow(r, -1, n)] for r in group_reps(n, True))
 
 
 # a product whose operands have s and t terms takes the pairwise loop when
@@ -201,6 +222,108 @@ def _convolve(n, plus, a, b):
         if v:
             out[f] += v
     return out
+
+
+def _product(n, plus, a, b):
+    """Integer coefficient at each position of group_reps(n, plus) of the
+    product of two elements of Z[G_n] (Z[G_n^+]) given as (Kronecker index,
+    int) terms.  Sparse operands, and any product by a one-term element such
+    as a sigma_g (s <= mu <= L), take the pairwise loop; the rest take one
+    convolution (`_convolve`)."""
+    fold = _coordinates(n, plus)[1]
+    if len(a) * len(b) <= _LOOP_PER_KRONECKER * len(fold):
+        prod = [0] * len(group_reps(n, plus))
+        for ka, va in a:
+            for kb, vb in b:
+                prod[fold[ka + kb]] += va * vb
+        return prod
+    return _convolve(n, plus, a, b)
+
+
+# ---------------------------------------------------------------------------
+# characters
+
+
+@lru_cache(maxsize=None)
+def character_frame(n):
+    """(orders, walk, conj): G_n^+ as a product of cyclic groups of the given
+    orders, for `character_sums`.
+
+    With g_i and d_i from `_cyclic_factors`, -1 = prod g_i^(t_i) with t_i
+    0 or d_i / 2.  Among the axes with t_i != 0 take j with d_j of least
+    2-adic valuation, and a_i with a_i d_j / 2 = t_i mod d_i (it exists,
+    since d_i / 2 is a multiple of gcd(d_j / 2, d_i)).  Then h = g_j prod
+    g_i^(a_i) has h^(d_j / 2) = -1, and G_n^+ is the product of <h> of order
+    d_j / 2 and the <g_i>, i != j: e -> (e_i - a_i e_j mod d_i, e_j mod
+    d_j / 2) is a homomorphism from G_n (as a_i d_j = 2 t_i = 0 mod d_i)
+    with kernel <-1>.  walk lists the plus representative at each flat index of
+    these axes (`_walk`) and is checked to be a bijection; conj maps each
+    flat index to that of its negated exponents: the inverse of the element
+    there, and the conjugate of the character there."""
+    factors = list(_cyclic_factors(n))
+    if n > 2:
+        flat = _walk(n, factors).index(n - 1)
+        t = []
+        for _, d in factors:
+            flat, e = divmod(flat, d)
+            t.append(e)
+        j = min((i for i, e in enumerate(t) if e),
+                key=lambda i: factors[i][1] & -factors[i][1])
+        h, dj = factors[j]
+        for i, ((g, d), e) in enumerate(zip(factors, t)):
+            if e and i != j:
+                h = h * pow(g, next(a for a in range(d) if a * (dj // 2) % d == e), n) % n
+        factors[j] = (h, dj // 2)
+    walk = [min(u, n - u) if n > 2 else u for u in _walk(n, factors)]
+    if sorted(walk) != list(group_reps(n, True)):
+        raise ArithmeticError("the character frame of level %d is not a "
+                              "bijection onto G_n^+" % n)
+    orders, conj = [d for _, d in factors if d > 1], [0]
+    for d in orders:
+        conj = [i + (-k % d) * len(conj) for k in range(d) for i in conj]
+    return tuple(orders), tuple(walk), tuple(conj)
+
+
+@lru_cache(maxsize=None)
+def _roots(d, sign):
+    return tuple(complex(cos(2 * pi * k / d), sign * sin(2 * pi * k / d))
+                 for k in range(d))
+
+
+def _fft(x, sign):
+    """out[k] = sum_j e^(sign 2 pi i j k / d) x[j], d = len(x): mixed radix,
+    split by the least prime factor r of d (Cooley-Tukey), O(d sum of its
+    prime factors); a prime d is summed directly."""
+    d = len(x)
+    if d == 1:
+        return x
+    if d == 2:
+        return [x[0] + x[1], x[0] - x[1]]
+    roots = _roots(d, sign)
+    r = polys.prime_factors(d)[0]
+    if r == d:
+        return [sum(map(mul, x, [roots[j * k % d] for j in range(d)])) for k in range(d)]
+    m = d // r
+    subs = [_fft(x[j::r], sign) for j in range(r)]
+    if r == 2:
+        a, b = subs
+        b = [w * v for w, v in zip(roots, b)]
+        return [u + v for u, v in zip(a, b)] + [u - v for u, v in zip(a, b)]
+    return [sum(roots[j * k % d] * subs[j][k % m] for j in range(r)) for k in range(d)]
+
+
+def character_sums(n, vals, sign=-1):
+    """sum_g f(g) chi_k(g) for every character chi_k of G_n^+, with f given
+    by its values along `character_frame(n)`'s walk and the result listed
+    by the same flat index k: chi_k is prod e^(sign 2 pi i k_i e_i / d_i)
+    on the flat index e.  sign = 1 gives mu times the inverse transform.
+    One pass per axis, the slowest first: each line along it is transformed
+    and the pass leaves that axis the fastest."""
+    for d in reversed(character_frame(n)[0]):
+        width = len(vals) // d
+        vals = [v for line in zip(*[vals[t * width:(t + 1) * width] for t in range(d)])
+                for v in _fft(list(line), sign)]
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +405,9 @@ class GroupRingElt:
                                            [a * other.numerator for a in self.nums],
                                            self.den * other.denominator)
         self._check(other)
-        n, plus = self.level, self.plus
         a = self._terms()
-        b = a if other is self else other._terms()
-        # sparse operands, and any product by a one-term element such as a
-        # sigma_g (s <= mu <= L), take the loop
-        fold = _coordinates(n, plus)[1]
-        if len(a) * len(b) <= _LOOP_PER_KRONECKER * len(fold):
-            prod = [0] * len(self.nums)
-            for ka, va in a:
-                for kb, vb in b:
-                    prod[fold[ka + kb]] += va * vb
-        else:
-            prod = _convolve(n, plus, a, b)
-        return GroupRingElt._from_ints(n, plus, prod, self.den * other.den)
+        prod = _product(self.level, self.plus, a, a if other is self else other._terms())
+        return GroupRingElt._from_ints(self.level, self.plus, prod, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -339,7 +451,7 @@ class GroupRingElt:
         if self.den != 1:
             raise ValueError("exponent has non-integer coefficients")
         if self.plus and not assume_tau_fixed:
-            if act(cyclotomic.tau(x.level), x) != x:
+            if not cyclotomic.is_tau_fixed(x):
                 raise ValueError("plus-quotient exponent on a non-tau-fixed element")
         return cyclotomic.apply_integer_exponents(
             x, zip(group_reps(self.level, self.plus), self.nums))

@@ -24,7 +24,7 @@ def float_solution(u):
     import numpy as np
     n = u.level
     reps = np.array(group_reps(n, True))
-    a_mat = _log_eps(n)[np.outer(reps, reps) % n]
+    a_mat = np.asarray(_log_eps(n))[np.outer(reps, reps) % n]
     return np.linalg.lstsq(a_mat, np.array(cyclotomic.embedding_logs(u)), rcond=None)[0]
 
 

@@ -185,7 +185,8 @@ def test_depth_below_one_is_a_usage_error(command, depth, capsys):
     assert captured.out == "" and "depth" in captured.err
 
 
-# the README commands that load neither numpy nor mpmath: (argv, exit code)
+# the ten README commands, none of which loads numpy or mpmath:
+# (argv, exit code)
 EXACT_COMMANDS = (
     (["verify", "--table", "phi", "--support", "closure(60)"], 0),
     (["strictness", "--table", "delta(3)", "--support", "closure(15)"], 1),
@@ -196,19 +197,22 @@ EXACT_COMMANDS = (
       "--r", "7"], 0),
     (["torsion", "--table", "delta(3,5)", "--support", "closure(45,12)"], 0),
     (["valuation", "--table", "pow(phi, 3)", "--support", "closure(9,8,25)"], 0),
+    (["kappa", "--table", "pow(phi, one_plus_tau)", "--support", "closure(96)",
+      "--m", "3", "--p", "2", "--depth", "5", "--k", "1,2,3"], 0),
+    (["boundedness", "--table", "pow(phi, one_plus_tau)", "--support",
+      "closure(96)", "--m", "3", "--p", "2", "--depth", "5", "--k", "1,2,3"], 0),
 )
 
 
 def test_cli_import_leaves_numpy_and_mpmath_unloaded():
-    # both are imported inside the functions that need them, so a one-shot
-    # command that never reaches a numeric path does not pay for them
+    # the library imports neither, so no one-shot command pays for them
     loaded = "sorted(m for m in ('numpy', 'mpmath') if m in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, circdist.cli; print(%s)" % loaded],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    # each exact README command, run in a fresh interpreter, loads neither
+    # each README command, run in a fresh interpreter, loads neither
     script = ("import json, sys; from circdist.cli import main; "
               "code = main(json.loads(sys.argv[1])); "
               "sys.stderr.write('\\n%%d %%r' %% (code, %s))" % loaded)

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import random
 from fractions import Fraction
@@ -350,3 +351,54 @@ def test_from_vector_needs_one_entry_per_representative():
     for vec in ([1, 2, 3], [7], []):
         with pytest.raises(ValueError):
             gr.from_vector(12, True, vec)
+
+
+def _flat(digits, orders):
+    flat, stride = 0, 1
+    for e, d in zip(digits, orders):
+        flat += e % d * stride
+        stride *= d
+    return flat
+
+
+def _digits(flat, orders):
+    out = []
+    for d in orders:
+        flat, e = divmod(flat, d)
+        out.append(e)
+    return out
+
+
+@pytest.mark.parametrize("levels", [range(3, 400), (972, 1215, 3645)])
+def test_character_frame_is_an_isomorphism(levels):
+    # stepping one axis multiplies by that axis's generator in G_n^+, and
+    # conj holds inverses, so the frame's flat index is a group isomorphism
+    assert gr.character_frame(1) == gr.character_frame(2) == ((), (1,), (0,))
+    for n in levels:
+        orders, walk, conj = gr.character_frame(n)
+        at = gr._unit_positions(n, True)
+        reps = group_reps(n, True)
+        for axis in range(len(orders)):
+            step = [1 if i == axis else 0 for i in range(len(orders))]
+            gen = walk[_flat(step, orders)]
+            for i, g in enumerate(walk):
+                moved = _flat([e + s for e, s in zip(_digits(i, orders), step)], orders)
+                assert at[walk[moved]] == at[g * gen % n], (n, axis, i)
+        for i, g in enumerate(walk):
+            assert reps[at[g * walk[conj[i]] % n]] == 1, (n, i)
+
+
+@pytest.mark.parametrize("n", [3, 5, 13, 16, 35, 47, 60, 104, 105, 120, 243])
+def test_character_sums_match_the_direct_sums(n):
+    orders, walk, _ = gr.character_frame(n)
+    rng = random.Random(n)
+    vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in walk]
+    got = gr.character_sums(n, vals)
+    back = gr.character_sums(n, got, 1)
+    for k in range(len(walk)):
+        ks = _digits(k, orders)
+        direct = sum(v * cmath.exp(-2j * cmath.pi * sum(a * b / d for a, b, d in
+                                                          zip(ks, _digits(i, orders), orders)))
+                     for i, v in enumerate(vals))
+        assert abs(direct - got[k]) < 1e-12 * len(walk), (n, k)
+    assert all(abs(b / len(walk) - a) < 1e-13 for a, b in zip(vals, back))

@@ -100,9 +100,9 @@ def test_numpy_and_mpmath_are_imported_inside_functions():
 
 
 def test_no_module_imports_mpmath():
-    # every numeric result in the library is read from doubles or exact
-    # integers; mpmath is left to the test oracles, so it is imported by no
-    # module, function bodies included
+    # every numeric result in the library is read from Python doubles or
+    # exact integers; mpmath and numpy are left to the test oracles, so
+    # neither is imported by any module, function bodies included
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -110,7 +110,7 @@ def test_no_module_imports_mpmath():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                          else [node.module or ""])
-                if any(name.split(".")[0] == "mpmath" for name in names):
+                if any(name.split(".")[0] in ("mpmath", "numpy") for name in names):
                     found.append("%s:%d" % (path.name, node.lineno))
     assert list(SRC.glob("*.py")) and not found, found
 

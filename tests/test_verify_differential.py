@@ -7,6 +7,11 @@ corrupted exponents, prime-power levels (where eps_n is not a unit),
 non-integral u and the sign-torsion case u = -eps^r.  The norm bound is only
 sound if the embedding bounds never underestimate, which is checked against
 exact norms.
+
+Every residue verdict is also compared with the numpy residue check the
+certificate had before (`oracle_numpy`), and every norm bound, whose eps
+sides are now integers, with the float bound on the same moduli of u, by
+an autouse fixture.
 """
 
 import math
@@ -15,6 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracle_numpy
 import oracle_verify as oracle
 from circdist import distributions as dist, polys
 from circdist.cyclotomic import CycElt, norm_to_q, one
@@ -29,6 +35,29 @@ CASES = settings(max_examples=60, deadline=None,
 
 PRIME_POWERS = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49)
 COMPOSITES = (6, 10, 12, 14, 15, 18, 20, 21, 24, 28, 30, 33, 35, 36, 40)
+
+
+@pytest.fixture(autouse=True)
+def same_as_numpy(monkeypatch):
+    match, bound = dist._residues_match, dist._norm_bound
+
+    def checked_match(u, d, pos, neg, prime):
+        got = match(u, d, pos, neg, prime)
+        ref_prime = oracle_numpy.split_prime(u.level, prime[0] - 2)
+        assert ref_prime[0] == prime[0]
+        assert got == oracle_numpy.residues_match(u, d, pos, neg, ref_prime)
+        return got
+
+    def checked_bound(u, d, pos, neg):
+        got = bound(u, d, pos, neg)
+        # the moduli of u are compared with the table's on their own
+        # (test_numpy_differential.py); here both read the same ones
+        ref = oracle_numpy.norm_bound(u, d, pos, neg, dist._log_abs_bounds)
+        assert abs(got - ref) <= 1e-6 * abs(ref), (got, ref)
+        return got
+
+    monkeypatch.setattr(dist, "_residues_match", checked_match)
+    monkeypatch.setattr(dist, "_norm_bound", checked_bound)
 
 
 def _same_verdict(u, j):
