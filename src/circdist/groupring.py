@@ -38,8 +38,11 @@ vector verified exactly (the independent oracle).
 
 The annihilators of mu_n, -z_n and -z_(2n) are single congruences
 sum_a c_a e_a = 0 mod N, written down in canonical HNF by
-intlinalg.congruence_hnf; decomposition groups and the Galois groups
-fixing a subfield are filtered from the plus representatives directly.
+intlinalg.congruence_hnf, and so are their push-forwards to lower levels,
+read off the one pivot above 1.  Decomposition groups are filtered from the
+plus representatives by the Frobenius residues <l mod m>; the
+stabilization level b_0 tests those residues on the units 1 + k*base alone,
+never listing the units of the higher levels.
 """
 
 from dataclasses import dataclass
@@ -518,29 +521,31 @@ def gr_from_json(obj):
 # decomposition groups and the idempotent e_n
 
 
-def decomposition_group(n, ell):
-    """Decomposition subgroup of the prime ell | n in G_n^+, as a sorted
-    tuple of plus representatives: via CRT it is the image of
-    (Z/ell^a)^x x <ell mod m> for n = ell^a m."""
-    if ell < 2:
+def _frobenius(n, ell):
+    """(m, frob) for the prime ell | n, n = ell^a m with ell not dividing m:
+    frob is the set of residues of <ell mod m> in (Z/m)^x, {0} when m = 1.
+    ValueError unless ell is a prime, LevelError unless it divides n."""
+    if not polys.is_probable_prime(ell):
         raise ValueError("%d is not a prime" % ell)
     if n % ell:
         raise LevelError("%d does not divide %d" % (ell, n))
-    q = 1
-    while n % (q * ell) == 0:
-        q *= ell
-    m = n // q
-    frob = {1}
-    if m > 1:
-        f = ell % m
-        while f not in frob:
-            frob.add(f)
-            f = (f * ell) % m
-    reps = group_reps(n, True)
-    if m == 1:
-        return reps
-    # the plus class {r, n - r} is a member when either unit is
-    return tuple(r for r in reps if r % m in frob or (n - r) % m in frob)
+    m = n
+    while m % ell == 0:
+        m //= ell
+    frob, f = {1 % m}, ell % m
+    while f not in frob:
+        frob.add(f)
+        f = f * ell % m
+    return m, frob
+
+
+def decomposition_group(n, ell):
+    """Decomposition subgroup of the prime ell | n in G_n^+, as a sorted
+    tuple of plus representatives: via CRT it is the image of
+    (Z/ell^a)^x x <ell mod m> for n = ell^a m, so the plus class {r, n - r}
+    is a member when r or -r is a Frobenius residue mod m."""
+    m, frob = _frobenius(n, ell)
+    return tuple(r for r in group_reps(n, True) if r % m in frob or -r % m in frob)
 
 
 @lru_cache(maxsize=None)
@@ -820,13 +825,31 @@ def annihilator_mu(n):
 
 def project_annihilator(m, n, lattice):
     """Image of a lattice at level m under the coefficient push-forward to
-    level n (n | m), returned in canonical HNF."""
+    level n (n | m), returned in canonical HNF.
+
+    A full-rank lattice whose HNF has at most one pivot D > 1, at column k,
+    has a cyclic quotient: it is {c : c . w = 0 mod D} with w_k = 1,
+    w_i = -h_ik for the rows above k and w_i = 0 below.  Its image is the
+    single congruence sum_f y_f w_(i_f) = 0 mod g, for any index i_f in
+    fiber f of the push and g the gcd of D and every w_i - w_(i_f), written
+    down by intlinalg.congruence_hnf; the mu and T_n annihilators have this
+    shape.  Other lattices push their rows and take their HNF."""
     if lattice.level != m:
         raise LevelError("lattice level mismatch")
     if m % n:
         raise LevelError("%d does not divide %d" % (n, m))
-    plus = lattice.plus
-    return IdealLattice.from_rows(n, plus, [_push(row, m, n, plus, plus) for row in lattice.hnf])
+    plus, rows = lattice.plus, lattice.hnf
+    big = [i for i, row in enumerate(rows) if row[i] != 1]
+    if len(rows) != len(group_reps(m, plus)) or len(big) > 1:
+        return IdealLattice.from_rows(n, plus, [_push(row, m, n, plus, plus) for row in rows])
+    k = big[0] if big else 0
+    g = rows[k][k]
+    w = [-row[k] % g for row in rows[:k]] + [1 % g] + [0] * (len(rows) - k - 1)
+    first = {}
+    for f, v in zip(_push_columns(m, n, plus, plus), w):
+        g = gcd(g, v - first.setdefault(f, v))
+    coeffs = [first[f] for f in range(len(first))]
+    return IdealLattice(n, plus, tuple(map(tuple, intlinalg.congruence_hnf(coeffs, g))))
 
 
 @lru_cache(maxsize=None)
@@ -850,33 +873,23 @@ def _push(nums, m, n, plus, to_plus):
 # the finite-level image claim
 
 
-def _gal_fixing_subgroup(level, base):
-    """Plus representatives at `level` of Gal fixing the level-`base` field:
-    classes of units congruent to +-1 mod base."""
-    fixed = {1 % base, (base - 1) % base}
-    return {r for r in group_reps(level, True)
-            if r % base in fixed or (level - r) % base in fixed}
-
-
 @lru_cache(maxsize=None)
 def stabilization_b0(m, p, b_max=12):
     """Smallest b such that every prime divisor of the tower levels m*p^c
     has full decomposition group above the level m*p^b, detected by
-    containment at two consecutive higher levels."""
+    containment at two consecutive higher levels.  The Galois group of the
+    level-lev field over the level-base one (base = m*p^b) is the set of
+    plus classes of the units 1 + k*base, k < lev/base; each is tested
+    against the Frobenius residues of ell (`_frobenius`)."""
     if not polys.is_probable_prime(p):
         raise ValueError("p = %d is not a prime" % p)
+    ells = sorted(set(polys.prime_factors(m)) | {p})
     for b in range(b_max + 1):
-        good = True
-        for ell in sorted(set(polys.prime_factors(m)) | {p}):
-            for c in (b + 1, b + 2):
-                lev = m * p ** c
-                h = _gal_fixing_subgroup(lev, m * p ** b)
-                if not h <= set(decomposition_group(lev, ell)):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
+        base = m * p ** b
+        if all(x % r in frob or -x % r in frob
+               for ell in ells for lev in (base * p, base * p * p)
+               for r, frob in [_frobenius(lev, ell)]
+               for x in range(1, lev, base) if gcd(x, lev) == 1):
             return b
     raise PrecisionError("no stabilization level found below b = %d" % b_max)
 

@@ -9,12 +9,15 @@ annihilators were written down in closed form, kept here only as oracles:
 * `coset_rows` builds the H-coset indicator rows for e_n = 1 - e_H from
   every representative g, O(mu |H|), and takes their HNF;
 * `decomposition_group` and `gal_fixing_subgroup` run through every unit
-  and reduce each member with `canon_rep`.
+  and reduce each member with `canon_rep`;
+* `stabilization_b0` tests containment of those two subgroups at the
+  levels m*p^(b+1) and m*p^(b+2), as circdist did before it tested only
+  the units 1 + k*m*p^b against the Frobenius residues.
 """
 
 from math import gcd
 
-from circdist import intlinalg
+from circdist import intlinalg, polys
 from circdist.groupring import (IdealLattice, LevelError, canon_rep,
                                 group_reps, rep_index, units)
 
@@ -104,3 +107,13 @@ def gal_fixing_subgroup(level, base):
         if r == 1 % base or r == (base - 1) % base:
             out.add(canon_rep(x, level, True))
     return out
+
+
+def stabilization_b0(m, p, b_max=12):
+    for b in range(b_max + 1):
+        base = m * p ** b
+        if all(gal_fixing_subgroup(lev, base) <= set(decomposition_group(lev, ell))
+               for ell in sorted(set(polys.prime_factors(m)) | {p})
+               for lev in (base * p, base * p * p)):
+            return b
+    raise ArithmeticError("no stabilization level found below b = %d" % b_max)

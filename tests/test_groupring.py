@@ -76,10 +76,11 @@ def test_decomposition_group_examples():
     assert set(d) == members and len(members) == len(group_reps(15, True))
     with pytest.raises(LevelError):
         decomposition_group(15, 7)
-    # ell = 1 divides every level and used to loop for ever; ell = 0 divided by 0
-    for ell in (1, 0, -3):
+    # ell = 1 divides every level and used to loop for ever; ell = 0 divided
+    # by 0; a composite ell gave a wrong subgroup, such as (1, 5) at (12, 4)
+    for n, ell in ((15, 1), (15, 0), (15, -3), (12, 4), (36, 6), (36, 9)):
         with pytest.raises(ValueError):
-            decomposition_group(15, ell)
+            decomposition_group(n, ell)
 
 
 def test_stabilization_needs_a_prime():

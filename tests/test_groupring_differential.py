@@ -18,8 +18,11 @@ in oracle_groupring that they replaced.
 * the idempotency certificate rejects e_n with one coefficient changed,
   the rank certificate of annihilator_In_formula rejects a basis that has
   lost a row, and the coordinate walk rejects wrong generator orders;
-* project_annihilator's cached column map gives the rows of the canon_rep
-  loop at every divisor of every level below 120, and the same map gives
+* project_annihilator gives the rows of the canon_rep loop for the mu,
+  T_n, T_n* and I_n lattices at every divisor of every level below 120, for
+  single-congruence lattices of random weights and moduli (one or several
+  pivots above 1) at random divisor pairs, and it projects the mu and T_n*
+  lattices of level 120 with no HNF elimination; its cached column map gives
   GroupRingElt.project (full to full, full to plus, plus to plus) and both
   sections of coleman._section_lift at every divisor pair m | M < 120;
 * grelt normalizes rational draws to integer numerators over one
@@ -238,11 +241,36 @@ def test_coordinates_reject_a_walk_that_misses_units():
 
 def test_projections_match_loop():
     for m in range(2, 120):
-        lattices = (gr.annihilator_Tn(m), gr.annihilator_In_formula(m))
+        lattices = (gr.annihilator_mu(m), gr.annihilator_Tn(m),
+                    gr.annihilator_Tn(m, starred=True), gr.annihilator_In_formula(m))
         for n in (d for d in range(1, m + 1) if m % d == 0):
             for lat in lattices:
                 got = gr.project_annihilator(m, n, lat)
                 assert got == oracle.project_annihilator(m, n, lat), (m, n, lat.plus)
+
+
+@QUICK
+@given(st.data(), st.integers(2, 150), st.booleans(), st.integers(2, 60), st.booleans(),
+       st.integers(0, 2 ** 32))
+def test_congruence_projections_match_loop(data, m, plus, modulus, scaled, seed):
+    # weights scaled by divisors of the modulus make several pivots > 1
+    rng = random.Random(seed)
+    divisors = [d for d in range(1, modulus + 1) if modulus % d == 0]
+    weights = [rng.randrange(modulus) * (rng.choice(divisors) if scaled else 1)
+               for _ in gr.group_reps(m, plus)]
+    lat = gr.IdealLattice(m, plus, tuple(map(tuple, intlinalg.congruence_hnf(weights, modulus))))
+    n = data.draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    assert gr.project_annihilator(m, n, lat) == oracle.project_annihilator(m, n, lat)
+
+
+def test_root_annihilator_projections_take_no_hnf():
+    lattices = (gr.annihilator_mu(120), gr.annihilator_Tn(120, starred=True))
+    with mock.patch.object(intlinalg, "hnf", mock.Mock(side_effect=intlinalg.hnf)) as spy:
+        images = [(lat, n, gr.project_annihilator(120, n, lat))
+                  for lat in lattices for n in range(1, 121) if 120 % n == 0]
+    assert spy.call_count == 0
+    for lat, n, got in images:
+        assert got == oracle.project_annihilator(120, n, lat), n
 
 
 def test_element_projections_match_loop():

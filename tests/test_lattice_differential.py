@@ -12,8 +12,11 @@ At every level 2 <= n < 400:
   e_n = 1 - e_H, which are the levels with one minimal decomposition group
   (test_groupring_differential compares every level with the kernel
   oracle);
-* decomposition_group agrees for every prime l | n, and
-  _gal_fixing_subgroup for every divisor base of n.
+* decomposition_group agrees for every prime l | n.
+
+stabilization_b0 equals the oracle's subgroup-containment b_0 for every
+prime p | m <= 80 and for p <= 7 not dividing m < 40; at (37, 37) it does
+not build the units of level 37^3.
 
 units and group_reps are compared with their definitions at every n < 3000.
 """
@@ -92,10 +95,23 @@ def test_subgroups_match_oracle():
         for ell in polys.prime_factors(n):
             got = gr.decomposition_group(n, ell)
             assert got == oracle.decomposition_group(n, ell), (n, ell)
-        for base in range(1, n + 1):
-            if n % base == 0:
-                got = gr._gal_fixing_subgroup(n, base)
-                assert got == oracle.gal_fixing_subgroup(n, base), (n, base)
+
+
+def test_stabilization_b0_matches_oracle():
+    pairs = [(m, p) for m in range(1, 81) for p in polys.prime_factors(m)]
+    pairs += [(m, p) for m in range(1, 40) for p in (2, 3, 5, 7) if m % p]
+    for m, p in pairs:
+        assert gr.stabilization_b0(m, p) == oracle.stabilization_b0(m, p), (m, p)
+
+
+def test_stabilization_b0_builds_no_units():
+    # the old search filtered every plus representative of the levels
+    # 37^2 and 37^3, 24,642 of them at the top; group_reps is uncached here
+    # so that a cached call cannot hide one to units
+    with mock.patch.object(gr, "units", mock.Mock(side_effect=gr.units)) as spy, \
+            mock.patch.object(gr, "group_reps", gr.group_reps.__wrapped__):
+        assert gr.stabilization_b0.__wrapped__(37, 37) == 0
+    assert mock.call(37 ** 3) not in spy.call_args_list
 
 
 def test_units_and_reps_match_definitions():
