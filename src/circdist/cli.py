@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from math import lcm
 
 from . import coleman, distributions, groupring, polys
 from .cyclotomic import LevelError
@@ -100,7 +101,7 @@ def parse_support(text):
     return divisor_closure(levels)
 
 
-def _parse_tower(sc):
+def _parse_tower(sc, support):
     sc.skip_ws()
     start = sc.pos
     if sc.peek().isalpha():
@@ -145,6 +146,8 @@ def _parse_tower(sc):
         base = sc.integer()
         if base < 1:
             raise TableSpecError("tower base must be >= 1", sc.pos)
+        # the combination is built at every lift level lcm(base, n)
+        _check_phi_cap(lcm(base, n) for n in support)
         return RTower.combo(base, terms)
     if any(a != 1 for _, a in terms):
         raise TableSpecError("sigma terms need a base level (@n)", start)
@@ -172,7 +175,7 @@ def _parse_table(sc, support, depth=0):
         sc.expect("(")
         base = _parse_table(sc, support, depth + 1)
         sc.expect(",")
-        tower = _parse_tower(sc)
+        tower = _parse_tower(sc, support)
         sc.expect(")")
         return power_by_tower(base, tower)
     if name == "mul":

@@ -96,14 +96,15 @@ def kappa_digits(f, m, p, depth, k_list=None):
         raise ValueError("depth must be >= 1")
     if not polys.is_probable_prime(p):
         raise ValueError("p = %d is not a prime" % p)
+    # one level at a time: the support is finite, so a huge depth stops at
+    # the first level it misses (KeyError) before anything is built
+    for n in range(1, depth + 1):
+        f.value(m * p ** n)
     if k_list is None:
         k_list = tuple(range(max(1, depth - 1)))
     k_list = tuple(sorted(set(int(k) for k in k_list)))
     if any(k < 0 for k in k_list):
         raise ValueError("digit indices must be nonnegative")
-    needed = [m * p ** n for n in range(1, depth + 1)]
-    for lev in needed:
-        f.value(lev)   # raises KeyError if the support is insufficient
     # digits with k >= b0 are independent of the representative choice; when
     # p does not divide m the chain of projections only controls powers of p
     # down to the level m*p, costing one extra step

@@ -771,9 +771,13 @@ def check_euler_conditions(f, m, r):
     whose prime factors are 1 mod m."""
     if m < 2:
         raise LevelError("base level must be >= 2")
-    rprimes = polys.prime_factors(r)
     if r < 1:
         raise ValueError("r must be positive")
+    # the support is divisor-closed, so it holds every level read below iff
+    # it holds m*r; checked before r is factored
+    if m * r not in f.support:
+        raise SupportError("support misses level %d" % (m * r))
+    rprimes = polys.prime_factors(r)
     prod = 1
     for q in rprimes:
         prod *= q
@@ -781,10 +785,6 @@ def check_euler_conditions(f, m, r):
             raise ValueError("prime %d is not 1 mod %d" % (q, m))
     if prod != r and r != 1:
         raise ValueError("r must be squarefree")
-    support = set(f.support)
-    for d in divisor_closure([m * r]):
-        if d not in support:
-            raise SupportError("support misses level %d" % d)
 
     def divisors_of_r():
         divs = [1]

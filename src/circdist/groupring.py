@@ -26,15 +26,18 @@ e_n is the product e_n * e_n under the same rule.  Projections to a lower
 level or to the plus quotient read one cached column map per pair of
 levels.
 
-The annihilator of the totally positive element eps_n = (1-z_n)^(1+tau) is
-computed two ways.  Structurally, as the kernel of multiplication by the
-decomposition-group idempotent e_n: 0 at a prime power, else spanned over Q
-by the coset sums of the minimal decomposition groups D_l (Sinnott, Invent.
-Math. 62, 1980), each coset marked off from its least member, and the rows
-saturated; their HNF pivots are all 1 (one subgroup's rows are their own
-HNF) except at a few levels such as 290 and 1155, the only ones that need
-kernels.  Analytically, from double-precision log embeddings, each kernel
-vector verified exactly (the independent oracle).
+The idempotent e_n = prod_(l | n) (1 - e_(D_l)) over the decomposition
+groups, and the annihilator I_n of the totally positive element
+eps_n = (1-z_n)^(1+tau), are both read off the cosets of the D_l, each
+coset listed from its least member (`_cosets`).  Each factor (1 - e_D) is
+one averaging pass over the cosets of D.  I_n is computed two ways.
+Structurally, as the kernel of multiplication by e_n: 0 at a prime power,
+else spanned over Q by the coset sums of the minimal D_l (Sinnott, Invent.
+Math. 62, 1980), and the rows saturated; their HNF pivots are all 1 (one
+subgroup's rows are their own HNF) except at a few levels such as 290 and
+1155, the only ones that need kernels.  Analytically, from double-precision
+log embeddings, each kernel vector verified exactly (the independent
+oracle).
 
 The annihilators of mu_n, -z_n and -z_(2n) are single congruences
 sum_a c_a e_a = 0 mod N, written down in canonical HNF by
@@ -548,60 +551,54 @@ def decomposition_group(n, ell):
     return tuple(r for r in group_reps(n, True) if r % m in frob or -r % m in frob)
 
 
+def _cosets(n, members):
+    """The cosets gH in G_n^+ of the subgroup H listed by `members` (plus
+    representatives, 1 first), each as positions in group_reps(n, True)
+    led by its least member g: walking the representatives upwards, the
+    first one not yet covered starts the next coset."""
+    at = _unit_positions(n, True)
+    marked = [False] * len(group_reps(n, True))
+    out = []
+    for i, g in enumerate(group_reps(n, True)):
+        if not marked[i]:
+            coset = [at[g * x % n] for x in members]
+            for j in coset:
+                marked[j] = True
+            out.append(coset)
+    return out
+
+
 @lru_cache(maxsize=None)
-def _e_n_expansion(n):
-    """e_n written as a combination of subgroup idempotents e_H: returns a
-    dict {subgroup members (frozenset): coefficient}.  Uses
-    e_H * e_K = e_<H,K> to multiply the (1 - e_D) factors symbolically."""
-    whole = frozenset(group_reps(n, True))
-    triv = frozenset({1})
-    terms = {triv: Fraction(1)}
-    for ell in polys.prime_factors(n):
-        d = frozenset(decomposition_group(n, ell))
-        new = {}
-        for h, c in terms.items():
-            new[h] = new.get(h, Fraction(0)) + c
-            hk = _subgroup_join(n, h, d)
-            new[hk] = new.get(hk, Fraction(0)) - c
-        terms = {h: c for h, c in new.items() if c}
-    if len(polys.prime_factors(n)) == 1:
-        terms[whole] = terms.get(whole, Fraction(0)) + 1
-        terms = {h: c for h, c in terms.items() if c}
-    return terms
-
-
-def _subgroup_join(n, h, k):
-    """Subgroup of G_n^+ generated by two subgroups (given as rep sets).
-
-    G_n^+ is abelian, so the join is the product HK: the union of the
-    cosets xH for x in K.  Products of units are units, so each one's
-    representative is min(p, n - p) with no unit check."""
-    members = set(h)
-    for x in k:
-        if x not in members:
-            for y in h:
-                p = x * y % n
-                members.add(min(p, n - p))
-    return frozenset(members)
+def _e_n_vector(n):
+    """(nums, den): e_n as integer numerators over one positive denominator,
+    normalized as GroupRingElt is, and not certified.  e_n = 1 at a prime
+    power; otherwise each factor (1 - e_D) of the product over the primes
+    l | n, D = D_l of order k, is applied to 1 by one pass over the cosets
+    of D: x (1 - e_D) puts (k x_g - sum_(h in gD) x_h) / k at each g."""
+    nums, den = [1] + [0] * (len(group_reps(n, True)) - 1), 1
+    primes = polys.prime_factors(n)
+    if len(primes) > 1:
+        for ell in primes:
+            members = decomposition_group(n, ell)
+            k = len(members)
+            for coset in _cosets(n, members):
+                s = sum(nums[j] for j in coset)
+                for j in coset:
+                    nums[j] = k * nums[j] - s
+            den *= k
+    g = gcd(den, *nums)
+    return tuple(v // g for v in nums), den // g
 
 
 @lru_cache(maxsize=None)
 def idempotent_e_n(n):
     """The idempotent of Q[G_n^+] cutting out the span of eps_n: the product
-    of (1 - e_D) over decomposition groups of the primes dividing n, plus the
-    full-group average when n is a prime power.  Verified idempotent."""
+    of (1 - e_D) over the decomposition groups D of the primes dividing n,
+    1 when n is a prime power, built from the cosets of each D
+    (`_e_n_vector`).  Verified idempotent."""
     if n < 2:
         raise LevelError("level must be >= 2")
-    terms = _e_n_expansion(n)
-    # sum of c_H e_H over one denominator: e_H puts 1/|H| on each member
-    den = lcm(*(c.denominator * len(h) for h, c in terms.items()))
-    pos = _unit_positions(n, True)
-    nums = [0] * len(group_reps(n, True))
-    for h, c in terms.items():
-        v = c.numerator * (den // (c.denominator * len(h)))
-        for r in h:
-            nums[pos[r]] += v
-    e = GroupRingElt._from_ints(n, True, nums, den)
+    e = GroupRingElt(n, True, *_e_n_vector(n))
     _certify_idempotent(e)
     return e
 
@@ -680,34 +677,33 @@ def eps_n(n):
 
 def annihilator_In_formula(n):
     """Annihilator of eps_n in Z[G_n^+], the integer kernel of e_n, in HNF:
-    the saturated coset rows of the minimal D_l (a coset sum of a larger
-    D_l is a sum of coset sums of a smaller one), 0 at a prime power where
-    e_n = 1.  The rank is certified as mu (1 - e_n(1)), the number of
-    characters e_n kills."""
+    one row per coset of each minimal D_l (a coset sum of a larger D_l is a
+    sum of coset sums of a smaller one), the cosets that also build e_n
+    (`_cosets`), saturated; 0 at a prime power where e_n = 1.  The rank is
+    certified as mu (1 - e_n(1)), the number of characters e_n kills, read
+    from the uncertified `_e_n_vector`."""
     if n < 2:
         raise LevelError("level must be >= 2")
-    reps = group_reps(n, True)
-    mu = len(reps)
+    mu = len(group_reps(n, True))
     primes = polys.prime_factors(n)
     rows = []
     if len(primes) > 1:
-        groups = {frozenset(decomposition_group(n, ell)) for ell in primes}
-        minimal = [h for h in groups if not any(k < h for k in groups)]
-        at = _unit_positions(n, True)
-        for h in minimal:
-            marked = [False] * mu
-            for i, g in enumerate(reps):
-                if not marked[i]:
+        groups = list(dict.fromkeys(decomposition_group(n, ell) for ell in primes))
+        for h in groups:
+            if not any(len(k) < len(h) and set(k) <= set(h) for k in groups):
+                for coset in _cosets(n, h):
                     row = [0] * mu
-                    for x in h:
-                        j = at[g * x % n]
-                        marked[j] = True
+                    for j in coset:
                         row[j] = 1
                     rows.append(row)
     rows = intlinalg.saturate(rows, mu)
-    killed = mu - sum(c * (mu // len(h)) for h, c in _e_n_expansion(n).items())
+    nums, den = _e_n_vector(n)
+    killed, rest = divmod(mu * (den - nums[0]), den)
+    if rest:
+        raise ArithmeticError("e_%d(1) = %d/%d gives a fractional count of "
+                              "killed characters" % (n, nums[0], den))
     if len(rows) != killed:
-        raise ArithmeticError("I_%d has rank %d, but e_n kills %s characters"
+        raise ArithmeticError("I_%d has rank %d, but e_n kills %d characters"
                               % (n, len(rows), killed))
     return IdealLattice(n, True, tuple(map(tuple, rows)))
 

@@ -12,9 +12,9 @@ polynomial cheap.
 Also here: cyclotomic polynomials by one recursion on the largest prime q
 of n (Phi_n(x) is Phi_(n/q)(x^q), divided by Phi_(n/q)(x) unless q^2 | n),
 mod-l polynomial arithmetic used for residue checks, split primes p = 1
-mod n with a primitive n-th root mod p, field norms by CRT over split
-primes, and CRT-based inverses modulo a cyclotomic polynomial with exact
-verification.
+mod n with a primitive n-th root mod p, and, by CRT over those same split
+primes, field norms and inverses modulo a cyclotomic polynomial (the
+inverses verified exactly).
 """
 
 from fractions import Fraction
@@ -238,22 +238,6 @@ def is_probable_prime(n):
     return True
 
 
-_PRIMES = []
-
-
-def crt_primes():
-    """Deterministic, lazily extended pool of 29-bit primes for CRT runs."""
-    idx = 0
-    while True:
-        while idx >= len(_PRIMES):
-            cand = _PRIMES[-1] + 2 if _PRIMES else (1 << 29) + 3
-            while not is_probable_prime(cand):
-                cand += 2
-            _PRIMES.append(cand)
-        yield _PRIMES[idx]
-        idx += 1
-
-
 # Split primes are searched from here up.  Below 2^30 a residue is one
 # digit of a CPython int, so products and remainders in pure Python take
 # their fast paths; with 29-bit primes a CRT run still needs few of them.
@@ -366,19 +350,21 @@ def _norm_mod_p(prim, p, roots):
 
 def cyclo_inverse(coeffs, n):
     """Inverse of a nonzero element of Q(zeta_n) given by rational coefficient
-    vector, via CRT modular inverses plus exact verification."""
+    vector, via CRT modular inverses plus exact verification.  The inverses
+    are taken at the split primes of `split_prime`, one at first and twice
+    as many on each failed reconstruction, up to 512."""
     phi = list(cyclotomic_polynomial(n))
     degree = len(phi) - 1
     content, prim, den = int_content_and_primitive(list(coeffs))
     if content == 0:
         raise ZeroDivisionError("inverse of zero")
-    nprimes = 4
-    primes = crt_primes()
+    nprimes = 1
+    p = SPLIT_FROM
     used = []
     residues = []
     while True:
         while len(used) < nprimes:
-            p = next(primes)
+            p = split_prime(n, p)[0]
             fp = [c % p for c in phi]
             gp = fp_trim([c % p for c in prim])
             inv = _fp_inverse_mod(gp, fp, p)

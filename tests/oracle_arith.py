@@ -316,6 +316,15 @@ def fp_resultant(f, g, p):
         f, g = g, r
 
 
+def _primes_above(start):
+    """The odd primes above start, ascending."""
+    p = start | 1
+    while True:
+        p += 2
+        if polys.is_probable_prime(p):
+            yield p
+
+
 def cyclo_norm(coeffs, n, log_bound=None):
     """The field norm from Q(zeta_n) as Res(Phi_n, x) by CRT over 29-bit
     primes, with the stop rule of `polys.cyclo_norm`."""
@@ -333,7 +342,7 @@ def cyclo_norm(coeffs, n, log_bound=None):
                 + 2.0 ** -24 * (1.0 + sum(map(abs, terms))))
     m = 1
     res = 0
-    for p in polys.crt_primes():
+    for p in _primes_above(1 << 29):
         fp = [c % p for c in phi]
         gp = polys.fp_trim([c % p for c in prim])
         rp = fp_resultant(fp, gp, p)

@@ -6,7 +6,12 @@ held integer numerators, kept here only as oracles:
 
 * `mul` multiplies every pair of terms, reduces the product of the two
   representatives with `canon_rep` and adds `Fraction`s in a dict, O(mu^2);
-* `idempotent_e_n` sums c_H e_H over the subgroup expansion by repeated
+* `e_n_expansion` writes e_n as a combination of subgroup idempotents e_H,
+  multiplying the factors (1 - e_D) symbolically by e_H * e_K = e_<H,K>
+  over the decomposition groups of `oracle_lattice`, with the join
+  `subgroup_join`; circdist built e_n from it before each factor became
+  one averaging pass over the cosets of D;
+* `idempotent_e_n` sums c_H e_H over that expansion by repeated
   group-ring addition and checks c*c == d*c with the same pairwise loop;
 * `annihilator_In_formula` builds each row sigma_g * d * e_n as a
   `Fraction` product and takes the integer left kernel of the mu rows at
@@ -21,10 +26,47 @@ held integer numerators, kept here only as oracles:
 
 from fractions import Fraction
 
-from circdist import intlinalg
-from circdist.groupring import (IdealLattice, LevelError, _e_n_expansion,
-                                canon_rep, e_subgroup, grelt, group_reps,
-                                rep_index, sigma, units)
+from circdist import intlinalg, polys
+from circdist.groupring import (IdealLattice, LevelError, canon_rep,
+                                e_subgroup, grelt, group_reps, rep_index,
+                                sigma, units)
+from oracle_lattice import decomposition_group
+
+
+def e_n_expansion(n):
+    """e_n written as a combination of subgroup idempotents e_H: returns a
+    dict {subgroup members (frozenset): coefficient}.  Uses
+    e_H * e_K = e_<H,K> to multiply the (1 - e_D) factors symbolically."""
+    whole = frozenset(group_reps(n, True))
+    triv = frozenset({1})
+    terms = {triv: Fraction(1)}
+    for ell in polys.prime_factors(n):
+        d = frozenset(decomposition_group(n, ell))
+        new = {}
+        for h, c in terms.items():
+            new[h] = new.get(h, Fraction(0)) + c
+            hk = subgroup_join(n, h, d)
+            new[hk] = new.get(hk, Fraction(0)) - c
+        terms = {h: c for h, c in new.items() if c}
+    if len(polys.prime_factors(n)) == 1:
+        terms[whole] = terms.get(whole, Fraction(0)) + 1
+        terms = {h: c for h, c in terms.items() if c}
+    return terms
+
+
+def subgroup_join(n, h, k):
+    """Subgroup of G_n^+ generated by two subgroups (given as rep sets).
+
+    G_n^+ is abelian, so the join is the product HK: the union of the
+    cosets xH for x in K.  Products of units are units, so each one's
+    representative is min(p, n - p) with no unit check."""
+    members = set(h)
+    for x in k:
+        if x not in members:
+            for y in h:
+                p = x * y % n
+                members.add(min(p, n - p))
+    return frozenset(members)
 
 
 def mul(x, y):
@@ -55,7 +97,7 @@ def idempotent_e_n(n):
     if n < 2:
         raise LevelError("level must be >= 2")
     acc = grelt(n, True, {})
-    for h, c in sorted(_e_n_expansion(n).items(), key=lambda t: sorted(t[0])):
+    for h, c in sorted(e_n_expansion(n).items(), key=lambda t: sorted(t[0])):
         acc = acc + e_subgroup(n, True, h) * c
     if not is_idempotent(acc):
         raise ArithmeticError("e_n failed the idempotency check")

@@ -274,3 +274,35 @@ def test_max_phi_admits_the_readme_ncnd_levels(monkeypatch, capsys):
     assert "phi(135)" in capsys.readouterr().err
     monkeypatch.delenv("CIRCDIST_MAX_PHI")
     assert main(["ncnd", "--p", "3", "--q", "5", "--a-max", "3"]) == 0
+
+
+def _cap_address_space():
+    # runs in the child before exec: 1 GB of address space, so that an
+    # input which allocates without bound fails fast instead of filling
+    # the machine's memory
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    # r was trial-divided before the support was checked
+    ["euler", "--table", "phi", "--support", "closure(21)", "--m", "3",
+     "--r", "1000000000000000003"],
+    # the divisors of m*r were listed from range(2, m*r + 1)
+    ["euler", "--table", "phi", "--support", "closure(21)", "--m", "1000000000000",
+     "--r", "1"],
+    # every level m*p^n up to the depth was built before the first was read
+    ["kappa", "--table", "phi", "--support", "closure(24)", "--m", "3", "--p", "2",
+     "--depth", "100000000", "--k", "1"],
+    ["boundedness", "--table", "phi", "--support", "closure(24)", "--m", "3",
+     "--p", "2", "--depth", "100000000"],
+    # the combination was built in the units of lcm(base, n)
+    ["verify", "--table", "pow(phi, s(1)@100000000)", "--support", "closure(6)"],
+], ids=["euler-r", "euler-m", "kappa-depth", "boundedness-depth", "tower-base"])
+def test_unbounded_inputs_are_refused_before_any_work(argv):
+    proc = subprocess.run([sys.executable, "-m", "circdist.cli", *argv],
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr

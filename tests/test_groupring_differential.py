@@ -8,6 +8,9 @@ in oracle_groupring that they replaced.
   the dense oracle runs where it takes at most a few seconds, and
   elsewhere products are checked against the oracle on sparse operands and
   through the projection to a lower level;
+* the coset-averaging e_n (`_e_n_vector`) equals the oracle's subgroup
+  expansion summed into a vector at every 2 <= n < 1200 and at 2310 and
+  3645;
 * idempotent_e_n and annihilator_In_formula equal the oracle at every
   2 <= n < 300; the oracle is the integer left kernel of the mu rows
   sigma_g * d * e_n at every level, so it checks the zero lattice of prime
@@ -17,7 +20,8 @@ in oracle_groupring that they replaced.
   rows equal the oracle too, and at 1155 that gain is asserted;
 * the idempotency certificate rejects e_n with one coefficient changed,
   the rank certificate of annihilator_In_formula rejects a basis that has
-  lost a row, and the coordinate walk rejects wrong generator orders;
+  lost a row and an e_n(1) that gives a fractional count, and the
+  coordinate walk rejects wrong generator orders;
 * project_annihilator gives the rows of the canon_rep loop for the mu,
   T_n, T_n* and I_n lattices at every divisor of every level below 120, for
   single-congruence lattices of random weights and moduli (one or several
@@ -32,7 +36,7 @@ in oracle_groupring that they replaced.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -151,6 +155,26 @@ def test_one_term_products_skip_the_convolution(monkeypatch):
         assert prod == convolved(x, y) == oracle.mul(x, y)
 
 
+def expansion_vector(n):
+    """(nums, den) of the oracle's e_n expansion summed over one
+    denominator: e_H puts 1/|H| on each member of H."""
+    terms = oracle.e_n_expansion(n)
+    den = lcm(*(c.denominator * len(h) for h, c in terms.items()))
+    at = gr.rep_index(n, True)
+    nums = [0] * len(at)
+    for h, c in terms.items():
+        v = c.numerator * (den // (c.denominator * len(h)))
+        for r in h:
+            nums[at[r]] += v
+    g = gcd(den, *nums)
+    return tuple(v // g for v in nums), den // g
+
+
+def test_coset_averaging_matches_the_subgroup_expansion():
+    for n in [*range(2, 1200), 2310, 3645]:
+        assert gr._e_n_vector(n) == expansion_vector(n), n
+
+
 def test_idempotent_and_annihilator_match_oracle():
     for n in LEVELS:
         e = gr.idempotent_e_n(n)
@@ -187,9 +211,19 @@ def test_saturated_annihilator_matches_oracle(n):
      lambda real: lambda n, ell: gr.group_reps(n, True) if ell == 3 else real(n, ell)),
 ], ids=["saturate", "decomposition_group"])
 def test_annihilator_rank_certificate_rejects_a_lost_row(target, name, broken):
-    gr._e_n_expansion(1155)     # cached from the true decomposition groups
+    gr._e_n_vector(1155)     # cached from the true decomposition groups
     with mock.patch.object(target, name, broken(getattr(target, name))):
         with pytest.raises(ArithmeticError, match="rank"):
+            gr.annihilator_In_formula(1155)
+
+
+def test_annihilator_rank_certificate_rejects_a_fractional_count():
+    # e_1155(1) is 233/240 for mu = 240; adding 1/7 to it leaves no whole
+    # number of killed characters
+    nums, den = gr._e_n_vector(1155)
+    bad = ((nums[0] * 7 + den,) + tuple(7 * v for v in nums[1:]), 7 * den)
+    with mock.patch.object(gr, "_e_n_vector", lambda n: bad):
+        with pytest.raises(ArithmeticError, match="fractional"):
             gr.annihilator_In_formula(1155)
 
 

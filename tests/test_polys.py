@@ -154,13 +154,3 @@ def test_rational_reconstruct():
     for num, den in [(3, 7), (-22, 5), (1, 1), (123, 991)]:
         a = num * pow(den, -1, m) % m
         assert polys.rational_reconstruct(a, m) == Fraction(num, den)
-
-
-def test_prime_pool_is_prime_and_deterministic():
-    gen = polys.crt_primes()
-    first = [next(gen) for _ in range(10)]
-    gen2 = polys.crt_primes()
-    assert [next(gen2) for _ in range(10)] == first
-    for p in first:
-        assert polys.is_probable_prime(p)
-        assert p.bit_length() == 30

@@ -71,16 +71,15 @@ def test_every_module_level_import_is_used():
     assert list(SRC.glob("*.py")) and not unused, unused
 
 
-def _imports_at_load(tree):
-    """Import statements that run when the module is imported: everything
-    outside function bodies (module level, class bodies, if/try blocks)."""
+def _nodes_at_load(tree):
+    """The nodes that run when the module is imported: everything outside
+    function bodies (module level, class bodies, if/try blocks)."""
     stack = list(tree.body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
+        yield node
         stack.extend(ast.iter_child_nodes(node))
 
 
@@ -91,11 +90,40 @@ def test_numpy_and_mpmath_are_imported_inside_functions():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in _imports_at_load(tree):
+        for node in _nodes_at_load(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""])
             if any(name.split(".")[0] in heavy for name in names):
                 found.append("%s:%d" % (path.name, node.lineno))
+    assert list(SRC.glob("*.py")) and not found, found
+
+
+_MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+_MUTABLE_TYPES = ("list", "dict", "set", "bytearray")
+
+
+def _is_mutable_container(value):
+    return isinstance(value, _MUTABLE_DISPLAYS) or (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+        and value.func.id in _MUTABLE_TYPES)
+
+
+def test_no_module_level_mutable_container():
+    # a list, dict or set bound at import is state that any call can change
+    # and every later call sees; caches go through functools.lru_cache, and
+    # the package's __all__ is the one exemption
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _nodes_at_load(tree):
+            if (isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                    and node.value is not None and _is_mutable_container(node.value)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [getattr(t, "id", None) for t in targets]
+                if not (path.name == "__init__.py" and names == ["__all__"]):
+                    found.append("%s:%d" % (path.name, node.lineno))
     assert list(SRC.glob("*.py")) and not found, found
 
 
