@@ -341,7 +341,7 @@ def run(args):
             # the levels q p^a at least double with a, so few are factored
             _check_phi_cap(args.q * args.p ** a for a in range(1, args.a_max + 1))
         fam = coleman.ncnd_family(args.p, args.q, args.a_max)
-        sec = coleman.section_independence_check(args.p, args.q, args.a_max)
+        sec = coleman.section_independence_check(fam)
         ok = fam.report.passed and sec.passed
         return _emit(args, {**meta, "p": args.p, "q": args.q, "a_max": args.a_max,
                             "family": fam.report.to_json(),
@@ -371,7 +371,7 @@ def main(argv=None):
     try:
         return run(args)
     except (TableSpecError, SupportError, LevelError, KeyError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % (exc.args[0] if isinstance(exc, KeyError) else exc), file=sys.stderr)
         return 2
     except coleman.SolveError as exc:
         print("solve error: %s" % exc, file=sys.stderr)

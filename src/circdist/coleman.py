@@ -256,7 +256,7 @@ def ncnd_family(p, q, a_max, section="smallest"):
         if polys.prime_factors(v) != [v]:
             raise ValueError("%d is not prime" % v)
     if a_max < 3:
-        raise ValueError("depth must be at least 3")
+        raise ValueError("a_max must be at least 3")
     choose = (lambda cands: cands[0]) if section == "smallest" else (lambda cands: cands[-1])
     levels = [q * p ** a for a in range(1, a_max + 1)]
     # tower[b][a] = the lift of the level-b full-group sum to level a
@@ -290,13 +290,13 @@ def ncnd_family(p, q, a_max, section="smallest"):
                       tuple(values), rep)
 
 
-def section_independence_check(p, q, a_max):
+def section_independence_check(fam1):
     """The last lifting step drops out under the norm: lifting the same
     exponent with two different sections changes the top value only inside
-    the kernel of the projection, which the norm kills exactly.  Also checks
-    that a family built with the alternative section throughout is itself
-    exactly norm-compatible."""
-    fam1 = ncnd_family(p, q, a_max, section="smallest")
+    the kernel of the projection, which the norm kills exactly.  fam1 is the
+    family from `ncnd_family` ("smallest" section); a family built with the
+    "largest" section throughout must itself be exactly norm-compatible."""
+    p, q, a_max = fam1.p, fam1.q, fam1.a_max
     fam2 = ncnd_family(p, q, a_max, section="largest")
     rep = Report("section-independence")
     rep.entries.append({"check": "alt-section-family-norm-compatible",

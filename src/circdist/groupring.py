@@ -10,21 +10,20 @@ coordinate order, so two lattices are equal iff their HNF rows are identical.
 
 Products use discrete-log coordinates.  G_n is a product of cyclic groups
 <g_i> of orders d_i (one per odd prime-power factor of n, and <-1> x <5>
-for 2^a), so Z[G_n] is a multi-cyclic convolution algebra.  Writing each
-unit prod g_i^(e_i) as the Kronecker index sum e_i R_1...R_(i-1) with radix
+for 2^a), and G_n^+ the same axes with -1 divided out (`_frame`), so Z[G_n]
+and Z[G_n^+] are multi-cyclic convolution algebras.  Writing each element
+prod g_i^(e_i) as the Kronecker index sum e_i R_1...R_(i-1) with radix
 R_i = 2 d_i - 1 turns a product of two dense operands into one integer
 polynomial product (polys.int_poly_mul) of their numerators: the exponents
 add digit by digit without a carry, and a cached fold table sends each
-product index to the position of the representative it names (r and n - r
-together in the plus quotient, where the plus representatives lift to
-themselves).  The coordinates are built per level by walking the
-generators, with a check that the walk is a bijection onto the units.
-Products with few terms, such as sigma_g * x, keep the pairwise loop over
-the same indices, which is cheaper there; the rule weighs the number of
-term pairs against the Kronecker length.  The idempotency certificate of
-e_n is the product e_n * e_n under the same rule.  Projections to a lower
-level or to the plus quotient read one cached column map per pair of
-levels.
+product index to the position of the representative it names.  The
+coordinates are built per level by walking the generators, with a check
+that the walk is a bijection onto the group.  Products with few terms, such
+as sigma_g * x, keep the pairwise loop over the same indices, which is
+cheaper there; the rule weighs the number of term pairs against the
+Kronecker length.  The idempotency certificate of e_n is the product
+e_n * e_n under the same rule.  Projections to a lower level or to the plus
+quotient read one cached column map per pair of levels.
 
 The idempotent e_n = prod_(l | n) (1 - e_(D_l)) over the decomposition
 groups, and the annihilator I_n of the totally positive element
@@ -157,31 +156,59 @@ def _walk(n, factors):
     return walk
 
 
+def _frame(n, plus):
+    """(generator, order) pairs writing G_n as a product of cyclic groups,
+    `_cyclic_factors(n)`, or G_n^+ when plus: -1 = prod g_i^(t_i) with t_i
+    0 or d_i / 2.  Among the axes with t_i != 0 take j with d_j of least
+    2-adic valuation, and a_i with a_i d_j / 2 = t_i mod d_i (it exists,
+    since d_i / 2 is a multiple of gcd(d_j / 2, d_i)).  Then h = g_j prod
+    g_i^(a_i) has h^(d_j / 2) = -1, and G_n^+ is the product of <h> of order
+    d_j / 2 and the <g_i>, i != j: e -> (e_i - a_i e_j mod d_i, e_j mod
+    d_j / 2) is a homomorphism from G_n (as a_i d_j = 2 t_i = 0 mod d_i)
+    with kernel <-1>.  Axes of order 1 are dropped."""
+    factors = list(_cyclic_factors(n))
+    if plus and n > 2:
+        try:
+            flat = _walk(n, factors).index(n - 1)
+        except ValueError:
+            raise ArithmeticError("the generators of level %d miss -1" % n) from None
+        t = []
+        for _, d in factors:
+            flat, e = divmod(flat, d)
+            t.append(e)
+        j = min((i for i, e in enumerate(t) if e),
+                key=lambda i: factors[i][1] & -factors[i][1])
+        h, dj = factors[j]
+        for i, ((g, d), e) in enumerate(zip(factors, t)):
+            if e and i != j:
+                h = h * pow(g, next(a for a in range(d) if a * (dj // 2) % d == e), n) % n
+        factors[j] = (h, dj // 2)
+    return tuple((g, d) for g, d in factors if d > 1)
+
+
 @lru_cache(maxsize=None)
 def _coordinates(n, plus):
     """(index, fold) for the convolution product in Z[G_n] (Z[G_n^+]).
 
-    With generators g_i of orders d_i from `_cyclic_factors`, the unit
+    With generators g_i of orders d_i from `_frame(n, plus)`, the element
     prod g_i^(e_i), 0 <= e_i < d_i, has Kronecker index sum e_i R_(i-1)...R_1
-    in radix R_i = 2 d_i - 1, so the exponents of a product of two units
-    add digit by digit without a carry.  index maps each unit to its index;
-    fold maps every index with digits s_i < R_i to the position of the unit
-    prod g_i^(s_i) in group_reps(n, plus), so r and n - r fold together in
-    the plus quotient.  Both come from walking the generators, O(phi(n))
-    and O(2^k phi(n)) for k cyclic factors; the walk must reach every unit
-    exactly once, which is checked."""
-    factors = _cyclic_factors(n)
+    in radix R_i = 2 d_i - 1, so the exponents of a product of two elements
+    add digit by digit without a carry.  index maps each unit to the index
+    of its class; fold maps every index with digits s_i < R_i to the
+    position of prod g_i^(s_i) in group_reps(n, plus).  Both come from
+    walking the generators, which must reach each class once (checked)."""
+    factors = _frame(n, plus)
     keys, radix = [0], 1
     for _, d in factors:
         keys = [k + e * radix for e in range(d) for k in keys]
         radix *= 2 * d - 1
-    walk = _walk(n, factors)
+    at = _unit_positions(n, plus)
+    pos = list(map(at.__getitem__, _walk(n, factors)))
+    if sorted(pos) != list(range(len(group_reps(n, plus)))):
+        raise ArithmeticError("the discrete-log walk of level %d is not a bijection" % n)
+    key_at = dict(zip(pos, keys))
     full = _walk(n, [(g, 2 * d - 1) for g, d in factors])
-    reps = units(n)
-    if len(walk) != len(reps) or set(walk) != set(reps):
-        raise ArithmeticError("discrete-log coordinates of level %d are not a "
-                              "bijection onto its units" % n)
-    return dict(zip(walk, keys)), tuple(map(_unit_positions(n, plus).__getitem__, full))
+    return {u: key_at[i] for u, i in at.items()}, tuple(map(at.__getitem__, full))
 
 
 @lru_cache(maxsize=None)
@@ -200,8 +227,8 @@ def _inverse_keys(n):
 
 # a product whose operands have s and t terms takes the pairwise loop when
 # s * t is at most this many times the Kronecker length L: the loop costs
-# in proportion to s * t, the convolution to L, and the measured crossover
-# lay between 4.5 L and 6.7 L at levels 49 to 2187
+# in proportion to s * t, the convolution to about L; the crossover measured
+# 3-8.4 L at levels 35 to 729 (L < 1000) and 6.9-16.3 L at 1001 to 2187
 _LOOP_PER_KRONECKER = 5
 
 
@@ -217,9 +244,7 @@ def _convolve(n, plus, a, b):
     """Product of two nonzero elements of Z[G_n] (Z[G_n^+]), given as
     (Kronecker index, int) terms: one integer polynomial product of their
     Kronecker forms, folded back.  Returns the integer coefficient at each
-    position of group_reps(n, plus).  A plus representative lifts to itself
-    in Z[G_n], and the product of the lifts maps to the product in the
-    quotient."""
+    position of group_reps(n, plus)."""
     fold = _coordinates(n, plus)[1]
     pa = _kronecker(a)
     prod = polys.int_poly_mul(pa, pa if a is b else _kronecker(b))
@@ -252,42 +277,17 @@ def _product(n, plus, a, b):
 
 @lru_cache(maxsize=None)
 def character_frame(n):
-    """(orders, walk, conj): G_n^+ as a product of cyclic groups of the given
-    orders, for `character_sums`.
-
-    With g_i and d_i from `_cyclic_factors`, -1 = prod g_i^(t_i) with t_i
-    0 or d_i / 2.  Among the axes with t_i != 0 take j with d_j of least
-    2-adic valuation, and a_i with a_i d_j / 2 = t_i mod d_i (it exists,
-    since d_i / 2 is a multiple of gcd(d_j / 2, d_i)).  Then h = g_j prod
-    g_i^(a_i) has h^(d_j / 2) = -1, and G_n^+ is the product of <h> of order
-    d_j / 2 and the <g_i>, i != j: e -> (e_i - a_i e_j mod d_i, e_j mod
-    d_j / 2) is a homomorphism from G_n (as a_i d_j = 2 t_i = 0 mod d_i)
-    with kernel <-1>.  walk lists the plus representative at each flat index of
-    these axes (`_walk`) and is checked to be a bijection; conj maps each
-    flat index to that of its negated exponents: the inverse of the element
-    there, and the conjugate of the character there."""
-    factors = list(_cyclic_factors(n))
-    if n > 2:
-        flat = _walk(n, factors).index(n - 1)
-        t = []
-        for _, d in factors:
-            flat, e = divmod(flat, d)
-            t.append(e)
-        j = min((i for i, e in enumerate(t) if e),
-                key=lambda i: factors[i][1] & -factors[i][1])
-        h, dj = factors[j]
-        for i, ((g, d), e) in enumerate(zip(factors, t)):
-            if e and i != j:
-                h = h * pow(g, next(a for a in range(d) if a * (dj // 2) % d == e), n) % n
-        factors[j] = (h, dj // 2)
-    walk = [min(u, n - u) if n > 2 else u for u in _walk(n, factors)]
-    if sorted(walk) != list(group_reps(n, True)):
-        raise ArithmeticError("the character frame of level %d is not a "
-                              "bijection onto G_n^+" % n)
-    orders, conj = [d for _, d in factors if d > 1], [0]
+    """(orders, walk, conj): G_n^+ as a product of cyclic groups of the
+    given orders (`_frame`), for `character_sums`.  walk lists the plus
+    representative at each flat index sum_i e_i d_1...d_(i-1), the order of
+    the Kronecker indices of `_coordinates`, which checked it; conj maps
+    each flat index to that of its negated exponents: the inverse of the
+    element there, and the conjugate of the character there."""
+    orders, conj = tuple(d for _, d in _frame(n, True)), [0]
     for d in orders:
         conj = [i + (-k % d) * len(conj) for k in range(d) for i in conj]
-    return tuple(orders), tuple(walk), tuple(conj)
+    walk = sorted(group_reps(n, True), key=_coordinates(n, True)[0].__getitem__)
+    return orders, tuple(walk), tuple(conj)
 
 
 @lru_cache(maxsize=None)

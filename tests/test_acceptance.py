@@ -181,7 +181,7 @@ def test_criterion_08_norm_compatible_family():
     for p, q in [(3, 5), (5, 3)]:
         fam = coleman.ncnd_family(p, q, 3)
         assert fam.report.passed, (p, q)
-        sec = coleman.section_independence_check(p, q, 3)
+        sec = coleman.section_independence_check(fam)
         assert sec.passed, (p, q)
     _line(8, True, "exact norm-compatibility and section-independence for "
           "(3,5) and (5,3) up to depth 3")

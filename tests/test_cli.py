@@ -185,6 +185,19 @@ def test_depth_below_one_is_a_usage_error(command, depth, capsys):
     assert captured.out == "" and "depth" in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    # a KeyError's str() quoted its message
+    (["kappa", "--table", "phi", "--support", "closure(24)", "--m", "3", "--p", "2",
+      "--depth", "5"], "level 48 is not in the support"),
+    # the message said "depth"
+    (["ncnd", "--p", "3", "--q", "5", "--a-max", "2"], "a_max must be at least 3"),
+])
+def test_usage_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: %s\n" % message
+
+
 # the ten README commands, none of which loads numpy or mpmath:
 # (argv, exit code)
 EXACT_COMMANDS = (

@@ -129,7 +129,7 @@ def test_ncnd_group_sum_annihilates():
 
 
 def test_ncnd_section_independence():
-    rep = section_independence_check(3, 5, 3)
+    rep = section_independence_check(ncnd_family(3, 5, 3))
     assert rep.passed
     checks = {e["check"] for e in rep.entries}
     assert "one-step-norm-agrees" in checks

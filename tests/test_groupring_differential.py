@@ -257,6 +257,15 @@ def test_coordinates_multiply_units():
                     assert fold[index[u] + index[v]] == pos[gr.canon_rep(u * v, n, plus)]
 
 
+def test_plus_products_use_the_plus_axes():
+    # the Kronecker box of Z[G_n^+] spans the axes of G_n^+, not of G_n
+    for n in range(1, 400):
+        length = 1
+        for d in gr.character_frame(n)[0]:
+            length *= 2 * d - 1
+        assert len(gr._coordinates(n, True)[1]) == length, n
+
+
 def test_coordinates_reject_a_walk_that_misses_units():
     gr._coordinates.cache_clear()
     try:
