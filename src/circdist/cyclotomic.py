@@ -662,7 +662,8 @@ def interval_embedding(x, c):
     other way round where x_i < 0); nothing is rounded after the cosines.
     prec starts at 128 bits and doubles until [lo, hi] excludes 0 and is
     narrower than 2^-53 of its endpoints; the log is read from the endpoint
-    nearer zero.  Raises PrecisionError past 4096 bits.
+    nearer zero, divided by the denominator in one rounding.  Raises
+    PrecisionError past 4096 bits.
     """
     n = x.level
     prec = 128
@@ -682,9 +683,13 @@ def interval_embedding(x, c):
         if lo > 0 or hi < 0:
             near = lo if lo > 0 else -hi
             if (hi - lo) << 53 < near:
-                # near = f 2^e with 1/2 <= f < 1, so the value is f 2^(e - prec)
-                e = near.bit_length()
-                mag = log(near / (1 << e)) + (e - prec) * log(2.0) - log(x.den)
+                # the value is q 2^(s - prec) with q = near / (den 2^s) in
+                # (1/2, 2), one correctly rounded int division; subtracting
+                # log(den) from a log of near instead loses ~1e-15 to
+                # cancellation when both are ~7
+                s = near.bit_length() - x.den.bit_length()
+                q = near / (x.den << s) if s >= 0 else (near << -s) / x.den
+                mag = log(q) + (s - prec) * log(2.0)
                 return (1 if lo > 0 else -1), mag
         prec *= 2
     raise PrecisionError("could not separate embedding %d from zero" % c)

@@ -213,6 +213,7 @@ def _interval_outcome(evaluate, x, c):
 @example(near_zero_element(97, 700, 5, 1))
 @example(near_zero_element(97, 4200, 5, 0))     # beyond 4096 bits at one c
 @example(LEVEL48_LOG)
+@example(one(88) * Fraction(265781, 331776))    # log(den) ~ 12.7, log ~ -0.22
 def test_fixed_point_intervals_match_interval_objects(x):
     for c in group_reps(x.level, True):
         new = _interval_outcome(cyc.interval_embedding, x, c)
