@@ -32,8 +32,10 @@ recurrence, each rounding carried as an integer error bound.
 
 The norm to Q is evaluated at split primes (`polys.cyclo_norm`): modulo a
 prime p = 1 mod n it is the product of x(z^c) over the units c, for a
-primitive n-th root z mod p, and the residues are joined by CRT until the
-modulus exceeds twice the l1 bound of the coefficients raised to phi(n).
+primitive n-th root z mod p, each value a sparse sum of the nonzero
+numerators against the one table of powers of z that `polys.split_prime`
+keeps.  The residues are joined by CRT until the modulus exceeds twice the
+l1 bound of the numerators raised to phi(n).
 Valuations at prime-power levels are read from the coefficients on the
 powers of the uniformizer 1 - zeta, one Taylor shift of the numerators.
 """
@@ -291,8 +293,8 @@ def inverse(x):
     same eps_n is raised to negative exponents again and again."""
     if x.is_zero():
         raise ZeroDivisionError("inverse of zero")
-    inv = polys.cyclo_inverse(list(x.coeffs), x.level)
-    return CycElt(x.level, tuple(inv))
+    inv, den = polys.cyclo_inverse(x.nums, x.level)
+    return CycElt._from_ints(x.level, [c * x.den for c in inv], den)
 
 
 def apply_integer_exponents(x, terms):

@@ -479,13 +479,10 @@ def _character_solve(n, logs):
 
 @lru_cache(maxsize=None)
 def _split_prime(n, after):
-    """The least prime p = 1 mod n above `after`, with the residues mod p
-    of zeta^r and of eps_n at zeta^r for every r mod n; zeta is the root
-    `polys.split_prime` picks."""
-    p, roots = polys.split_prime(n, after)
-    powers = [1] * n
-    for r in range(1, n):
-        powers[r] = powers[r - 1] * roots[0] % p
+    """(p, powers, eps): `polys.split_prime(n, after)`, the least prime
+    p = 1 mod n above `after` with powers[r] = zeta^r mod p, and the
+    residues mod p of eps_n at zeta^r for every r mod n."""
+    p, powers = polys.split_prime(n, after)
     return p, powers, [(2 - powers[r] - powers[-r]) % p for r in range(n)]
 
 

@@ -90,7 +90,7 @@ def group_reps(n, plus):
 
 
 def canon_rep(a, n, plus):
-    if n <= 2:
+    if n == 1:
         return 1
     a %= n
     if gcd(a, n) != 1:
@@ -418,6 +418,8 @@ class GroupRingElt:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("Z[G] has no general inverse: exponent %d < 0" % k)
         result = identity(self.level, self.plus)
         base = self
         while k:

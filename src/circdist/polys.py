@@ -11,9 +11,9 @@ polynomial cheap.
 
 Also here: cyclotomic polynomials by one recursion on the largest prime q
 of n (Phi_n(x) is Phi_(n/q)(x^q), divided by Phi_(n/q)(x) unless q^2 | n),
-mod-l polynomial arithmetic used for residue checks, split primes p = 1
-mod n with a primitive n-th root mod p, and, by CRT over those same split
-primes, field norms and inverses modulo a cyclotomic polynomial (the
+mod-l polynomial arithmetic, and the one table of split primes p = 1 mod n:
+z^r mod p for every r < n, z of order n.  By CRT over those primes, field
+norms and inverses modulo Phi_n are computed on integer numerators (the
 inverses verified exactly).
 """
 
@@ -29,14 +29,6 @@ except ImportError:          # gmpy2 is optional (the fast extra)
 
 # ---------------------------------------------------------------------------
 # integer polynomials
-
-def trim(a):
-    n = len(a)
-    while n and a[n - 1] == 0:
-        n -= 1
-    del a[n:]
-    return a
-
 
 _KRON_LEAF = 32     # chunk count below which packing shifts one by one
 
@@ -95,8 +87,7 @@ def int_poly_mul(a, b):
 
 def int_poly_divexact(a, b):
     """Quotient a / b of integer polynomials, assuming exact division."""
-    a = list(a)
-    trim(a)
+    a = fp_trim(list(a))
     db = len(b) - 1
     lead = b[db]
     out = [0] * (len(a) - db)
@@ -214,18 +205,23 @@ def fp_divmod(a, b, p):
 # ---------------------------------------------------------------------------
 # CRT / rational reconstruction
 
+# Miller-Rabin bases that decide every n < psi_13 ~ 3.317 * 10^24 (without
+# 41 they fail at psi_12 = 318665857834031151167461)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_probable_prime(n):
     """Deterministic Miller-Rabin for n < 3.3 * 10^24 (fixed base set)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -246,10 +242,10 @@ SPLIT_FROM = 1 << 29
 
 @lru_cache(maxsize=None)
 def split_prime(n, after):
-    """(p, roots): the least prime p = 1 mod n above `after`, and the
-    primitive n-th roots of unity mod p, z^c for the units c mod n in
-    ascending order, where z is the first g^((p-1)/n), g = 2, 3, ..., of
-    order n.  Phi_n is the product of the x - z^c mod p."""
+    """(p, powers): the least prime p = 1 mod n above `after`, and
+    powers[r] = z^r mod p for r < n, where z is the first g^((p-1)/n),
+    g = 2, 3, ..., of order n.  Phi_n is the product of the x - powers[c]
+    mod p over the units c."""
     p = (after // n + 1) * n + 1
     while not is_probable_prime(p):
         p += n
@@ -260,7 +256,10 @@ def split_prime(n, after):
         if all(pow(z, e, p) != 1 for e in cofactors):
             break
         g += 1
-    return p, tuple(pow(z, c, p) for c in range(1, n + 1) if gcd(c, n) == 1)
+    powers = [1] * n
+    for r in range(1, n):
+        powers[r] = powers[r - 1] * z % p
+    return p, tuple(powers)
 
 
 def crt_pair(r1, m1, r2, m2):
@@ -274,7 +273,8 @@ def symmetric_residue(r, m):
 
 
 def rational_reconstruct(a, m):
-    """num/den with a*den = num (mod m), |num|, den <= sqrt(m/2), or None."""
+    """(num, den) with a*den = num (mod m), |num|, 0 < den <= sqrt(m/2) and
+    gcd(num, den) = 1, or None."""
     a %= m
     bound = isqrt(m // 2)
     r0, r1 = m, a
@@ -283,81 +283,54 @@ def rational_reconstruct(a, m):
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-    if r1 > bound or abs(s1) > bound or s1 == 0:
+    if abs(s1) > bound or s1 == 0 or gcd(r1, s1) != 1:
         return None
-    if gcd(r1, abs(s1)) != 1:
-        return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 # ---------------------------------------------------------------------------
 # norms and inverses modulo a cyclotomic polynomial, exact via CRT
 
-def int_content_and_primitive(coeffs):
-    """(content, primitive numerator, denominator) of a list of Fractions
-    or ints."""
-    den = lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = gcd(*nums)
-    if g == 0:
-        return 0, [], den
-    return g, [v // g for v in nums], den
+def cyclo_norm(nums, n, den=1):
+    """Field norm from Q(zeta_n) of x = nums / den (nums the phi(n)
+    integer numerators, den > 0), computed by CRT over split primes.
 
-
-def cyclo_norm(coeffs, n, den=1):
-    """Field norm from Q(zeta_n) of the element x = coeffs / den (coeffs a
-    rational coefficient vector of length phi(n), den a positive integer),
-    computed by CRT over split primes.
-
-    At a prime p = 1 mod n the norm of x's primitive integer part g is
-    prod_c g(z^c) mod p over the units c (`_norm_mod_p`), since Phi_n is
-    the product of the x - z^c there (`split_prime`).  The residue is read
-    symmetrically, so the run stops once the product of the primes exceeds
-    twice the bound (sum |g_i|)^phi(n) on |N(g)|.
+    At p = 1 mod n the norm of the primitive part g of nums is the product
+    over the units c of sum_i g_i z^(i c) mod p, a sparse read of the powers
+    of `split_prime`, since Phi_n is the product of the x - z^c there.  The
+    residue is read symmetrically, so the run stops once the product of the
+    primes exceeds twice the bound (sum |g_i|)^phi(n) on |N(g)|.
     """
-    deg = euler_phi(n)
-    content, prim, cden = int_content_and_primitive(list(coeffs))
-    den *= cden
+    content = gcd(*nums)
     if content == 0:
         return Fraction(0)
-    # |N(prim)| <= (sum |prim coeffs|)^deg
-    bound = 2 * max(1, sum(map(abs, prim))) ** deg + 1
-    m = 1
-    res = 0
-    p = SPLIT_FROM
+    terms = [(i, c // content) for i, c in enumerate(nums) if c]
+    deg = euler_phi(n)
+    bound = 2 * sum(abs(g) for _, g in terms) ** deg + 1
+    units = [c for c in range(1, n + 1) if gcd(c, n) == 1]
+    m, res, p = 1, 0, SPLIT_FROM
     while m <= bound:
-        p, roots = split_prime(n, p)
-        rp = _norm_mod_p(prim, p, roots)
-        if m == 1:
-            res, m = rp, p
-        else:
-            res, m = crt_pair(res, m, rp, p), m * p
-    val = symmetric_residue(res, m)
-    return Fraction(val) * Fraction(content, den) ** deg
+        p, powers = split_prime(n, p)
+        mod_p = [(i, g % p) for i, g in terms]
+        rp = 1
+        for c in units:
+            rp = rp * sum(g * powers[i * c % n] for i, g in mod_p) % p
+        res, m = crt_pair(res, m, rp, p), m * p
+    return Fraction(symmetric_residue(res, m)) * Fraction(content, den) ** deg
 
 
-def _norm_mod_p(prim, p, roots):
-    """prod_r prim(r) mod p over the given roots r, by Horner at each."""
-    low = [c % p for c in reversed(prim)]
-    out = 1
-    for r in roots:
-        acc = 0
-        for a in low:
-            acc = (acc * r + a) % p
-        out = out * acc % p
-    return out
-
-
-def cyclo_inverse(coeffs, n):
-    """Inverse of a nonzero element of Q(zeta_n) given by rational coefficient
-    vector, via CRT modular inverses plus exact verification.  The inverses
-    are taken at the split primes of `split_prime`, one at first and twice
-    as many on each failed reconstruction, up to 512."""
-    phi = list(cyclotomic_polynomial(n))
+def cyclo_inverse(nums, n):
+    """(inv, den): the inverse of the nonzero element of Q(zeta_n) with
+    integer numerators nums, as integer numerators over den > 0, via CRT
+    modular inverses plus exact verification.  The inverses are taken at
+    the split primes of `split_prime`, one at first and twice as many on
+    each failed reconstruction, up to 512."""
+    phi = cyclotomic_polynomial(n)
     degree = len(phi) - 1
-    content, prim, den = int_content_and_primitive(list(coeffs))
+    content = gcd(*nums)
     if content == 0:
         raise ZeroDivisionError("inverse of zero")
+    prim = [c // content for c in nums]
     nprimes = 1
     p = SPLIT_FROM
     used = []
@@ -372,27 +345,19 @@ def cyclo_inverse(coeffs, n):
                 continue
             used.append(p)
             residues.append(inv + [0] * (degree - len(inv)))
-        m = 1
-        acc = [0] * degree
+        m, acc = 1, [0] * degree
         for p, vec in zip(used, residues):
-            if m == 1:
-                acc, m = list(vec), p
-            else:
-                acc = [crt_pair(a, m, b, p) for a, b in zip(acc, vec)]
-                m *= p
+            acc = [crt_pair(a, m, b, p) for a, b in zip(acc, vec)]
+            m *= p
         recon = [rational_reconstruct(a, m) for a in acc]
-        if all(r is not None for r in recon):
-            inv_prim = recon
-            # verify prim * inv_prim == 1 mod Phi_n, exactly
-            d = 1
-            for r in inv_prim:
-                d = lcm(d, r.denominator)
-            nums = [int(r * d) for r in inv_prim]
-            rem = int_rem_monic(int_poly_mul(prim, nums), degree,
+        if None not in recon:
+            # verify prim * out == d mod Phi_n, exactly
+            d = lcm(*(q for _, q in recon))
+            out = [r * (d // q) for r, q in recon]
+            rem = int_rem_monic(int_poly_mul(prim, out), degree,
                                 monic_lower_terms(phi))
-            if rem == [d] + [0] * (degree - 1) or (rem == [d] and degree == 1):
-                scale = Fraction(den, content)
-                return [r * scale for r in inv_prim]
+            if rem == [d] + [0] * (degree - 1):
+                return out, d * content
         nprimes *= 2
         if nprimes > 512:
             raise ArithmeticError("modular inverse reconstruction failed")

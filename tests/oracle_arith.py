@@ -24,7 +24,7 @@ largest prime and the closed form Phi_m mod l (l not dividing m) replaced.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, log
+from math import gcd, lcm, log
 
 from circdist import polys
 from circdist.cyclotomic import (LevelError, SubfieldError, inverse, one,
@@ -330,9 +330,12 @@ def cyclo_norm(coeffs, n, log_bound=None):
     primes, with the stop rule of `polys.cyclo_norm`."""
     phi = list(polys.cyclotomic_polynomial(n))
     deg = len(phi) - 1
-    content, prim, den = polys.int_content_and_primitive(list(coeffs))
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    nums = [int(c * den) for c in coeffs]
+    content = gcd(*nums)
     if content == 0:
         return Fraction(0)
+    prim = [c // content for c in nums]
     s = sum(abs(c) for c in prim)
     bound = 2 * max(1, s) ** deg + 1
     stop = float("inf")

@@ -66,11 +66,13 @@ def double_embeddings(x):
 
 @lru_cache(maxsize=None)
 def split_prime(n, after):
-    p, roots = polys.split_prime(n, after)
-    powers = np.array([pow(roots[0], r, p) for r in range(n)], dtype=np.int64)
+    p, table = polys.split_prime(n, after)
+    z = table[1 % n]
+    powers = np.array([pow(z, r, p) for r in range(n)], dtype=np.int64)
     eps = (2 - powers - powers[(-np.arange(n)) % n]) % p
-    tables = (np.array(groupring.units(n), dtype=np.int64),
-              np.array(roots, dtype=np.int64), eps)
+    units = groupring.units(n)
+    tables = (np.array(units, dtype=np.int64),
+              np.array([pow(z, c, p) for c in units], dtype=np.int64), eps)
     for t in tables:
         t.setflags(write=False)
     return (p, *tables)

@@ -1,12 +1,16 @@
 import cmath
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 import oracle_groupring
+import circdist
 from circdist import groupring as gr
 from circdist import polys
 from circdist.cyclotomic import LevelError, PrecisionError, one, zeta
@@ -404,3 +408,27 @@ def test_character_sums_match_the_direct_sums(n):
                      for i, v in enumerate(vals))
         assert abs(direct - got[k]) < 1e-12 * len(walk), (n, k)
     assert all(abs(b / len(walk) - a) < 1e-13 for a, b in zip(vals, back))
+
+
+def test_a_negative_power_raises():
+    # Z[G] has no general inverse; square-and-multiply on k < 0 never ends
+    # (-1 >> 1 == -1), so the call runs in a child process with a timeout
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(circdist.__file__))]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    script = ("from circdist.groupring import grelt\n"
+              "try:\n    grelt(7, True, {1: 2}) ** -1\n"
+              "except ValueError:\n    print('ValueError')\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=30)
+    assert proc.stdout.strip() == "ValueError", proc.stderr
+    assert grelt(7, True, {1: 2}) ** 0 == gr.identity(7, True)
+
+
+def test_an_even_key_is_no_unit_at_level_2():
+    assert grelt(2, False, {1: 3, 3: 1}) == grelt(2, False, {1: 4})
+    for plus in (False, True):
+        with pytest.raises(ValueError):
+            grelt(2, plus, {2: 1})
+    # every integer is a unit mod 1
+    assert grelt(1, False, {0: 1, 2: 1}) == grelt(1, False, {1: 2})

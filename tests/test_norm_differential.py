@@ -43,10 +43,10 @@ def test_a_certified_solve_computes_no_norm(monkeypatch):
     # the unit check runs only when no candidate certifies: a unit at
     # phi(60) = 16 that one does costs no norm residue at all
     calls = []
-    norm_mod_p = polys._norm_mod_p
-    monkeypatch.setattr(polys, "_norm_mod_p",
-                        lambda prim, p, roots: calls.append(p)
-                        or norm_mod_p(prim, p, roots))
+    cyclo_norm = polys.cyclo_norm
+    monkeypatch.setattr(polys, "cyclo_norm",
+                        lambda nums, n, den=1: calls.append(n)
+                        or cyclo_norm(nums, n, den))
     u = grelt(60, True, {1: 2, 7: -3, 11: 1}).act_on(eps_n(60), assume_tau_fixed=True)
     assert solve_exponent(u) is not None
     assert not calls

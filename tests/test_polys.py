@@ -1,9 +1,10 @@
 import random
+from math import gcd, lcm
 
 import pytest
 from sympy import GF, Poly, Symbol, cyclotomic_poly, resultant
 
-from circdist import polys
+from circdist import distributions, polys
 import oracle_arith
 from oracle_arith import fp_resultant, fp_squarefree_part
 
@@ -110,13 +111,45 @@ def test_fp_resultant_matches_sylvester_determinant():
         assert fp_resultant(f, g, p) % p == sylvester_resultant(f, g, p)
 
 
+def test_miller_rabin_rejects_psi_12():
+    # the least strong pseudoprime to every prime base up to 37, below the
+    # documented 3.3 * 10^24
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert not polys.is_probable_prime(psi_12)
+    assert polys.is_probable_prime(798330580441)
+
+
+def test_split_prime_table():
+    for n in range(1, 200):
+        p, powers = polys.split_prime(n, polys.SPLIT_FROM)
+        assert p > polys.SPLIT_FROM and (p - 1) % n == 0 and polys.is_probable_prime(p)
+        assert len(powers) == n
+        z = powers[1 % n]
+        assert pow(z, n, p) == 1
+        assert all(pow(z, n // q, p) != 1 for q in polys.prime_factors(n))
+        assert all(powers[r] == pow(z, r, p) for r in range(n))
+        prod = [1]
+        for c in range(1, n + 1):
+            if gcd(c, n) == 1:
+                root = powers[c % n]
+                prod = [(a - root * b) % p for a, b in zip([0] + prod, prod + [0])]
+        assert prod == [c % p for c in polys.cyclotomic_polynomial(n)], n
+
+
+def test_the_solver_reads_the_same_table():
+    for n in (1, 2, 7, 60, 105):
+        p = polys.split_prime(n, polys.SPLIT_FROM)[0]
+        assert distributions._split_prime(n, p)[1] is polys.split_prime(n, p)[1]
+
+
 def test_cyclo_norm_against_sympy_resultant():
     rng = random.Random(13)
     from fractions import Fraction
     for n in (5, 8, 12, 15):
         phi = to_sympy(polys.cyclotomic_polynomial(n))
         for _ in range(5):
-            vec = [Fraction(rng.randint(-5, 5)) for _ in range(polys.euler_phi(n))]
+            vec = [rng.randint(-5, 5) for _ in range(polys.euler_phi(n))]
             if not any(vec):
                 continue
             ref = resultant(phi.as_expr(), to_sympy([int(v) for v in vec]).as_expr(), X)
@@ -133,7 +166,9 @@ def test_cyclo_inverse_roundtrip():
                    for _ in range(deg)]
             if not any(vec):
                 vec[0] = Fraction(1)
-            inv = polys.cyclo_inverse(vec, n)
+            den = lcm(*(v.denominator for v in vec))
+            inv, inv_den = polys.cyclo_inverse([int(v * den) for v in vec], n)
+            inv = [Fraction(c * den, inv_den) for c in inv]
             # verify with exact rational convolution + reduction
             acc = [Fraction(0)] * (2 * deg - 1)
             for i, a in enumerate(vec):
@@ -153,4 +188,4 @@ def test_rational_reconstruct():
     from fractions import Fraction
     for num, den in [(3, 7), (-22, 5), (1, 1), (123, 991)]:
         a = num * pow(den, -1, m) % m
-        assert polys.rational_reconstruct(a, m) == Fraction(num, den)
+        assert polys.rational_reconstruct(a, m) == (num, den)

@@ -219,5 +219,6 @@ def test_split_prime_norm_matches_the_resultant(n):
         nums = [rng.randint(-size, size) if rng.random() < 0.3 else 0
                 for _ in range(phi)]
         nums[0] = nums[0] or 1
-        coeffs = list(CycElt(n, tuple(Fraction(c, den) for c in nums)).coeffs)
-        assert polys.cyclo_norm(coeffs, n) == oracle_arith.cyclo_norm(coeffs, n)
+        x = CycElt(n, tuple(Fraction(c, den) for c in nums))
+        assert (polys.cyclo_norm(x.nums, n, x.den)
+                == oracle_arith.cyclo_norm(list(x.coeffs), n))
