@@ -31,6 +31,10 @@ DEFAULT_MAX_PHI = 72
 # table specs nest pow/mul/conj at most this deep; the parser recurses once
 # per level, so an unbounded spec would end in RecursionError
 MAX_TABLE_DEPTH = 64
+# and weigh at most this much: phi and delta weigh 1, pow(T, R) T's weight
+# times the sum of R's |coefficients|, mul the sum of its two tables' and
+# conj its table's; every part is weighed before any table is built
+MAX_EXPONENT_WEIGHT = 4096
 
 
 class TableSpecError(ValueError):
@@ -79,6 +83,16 @@ class _Scanner:
             raise TableSpecError("expected an integer", start)
         return int(self.text[start:self.pos])
 
+    def integers(self):
+        """( INT , INT ... )"""
+        self.expect("(")
+        out = [self.integer()]
+        while self.peek() == ",":
+            self.expect(",")
+            out.append(self.integer())
+        self.expect(")")
+        return out
+
     def done(self):
         self.skip_ws()
         if self.pos != len(self.text):
@@ -90,12 +104,7 @@ def parse_support(text):
     name = sc.ident()
     if name != "closure":
         raise TableSpecError("support spec must be closure(...)", 0)
-    sc.expect("(")
-    levels = [sc.integer()]
-    while sc.peek() == ",":
-        sc.expect(",")
-        levels.append(sc.integer())
-    sc.expect(")")
+    levels = sc.integers()
     sc.done()
     _check_phi_cap(levels)         # phi(d) <= phi(n) for every divisor d of n
     return divisor_closure(levels)
@@ -108,7 +117,7 @@ def _parse_tower(sc, support):
         save = sc.pos
         name = sc.ident()
         if name in RTower._PRESETS:
-            return RTower.preset(name)
+            return RTower.preset(name), 1 if name in ("one", "tau") else 2
         if name != "s":
             raise TableSpecError("unknown tower %r" % name, save)
         sc.pos = save
@@ -117,24 +126,19 @@ def _parse_tower(sc, support):
 
     def term(sign):
         sc.skip_ws()
-        if sc.peek() == "s":
-            sc.ident()
-            sc.expect("(")
-            a = sc.integer()
-            sc.expect(")")
-            return (sign, a)
-        c = sc.integer()
-        sc.skip_ws()
-        if sc.peek() == "*":
+        c = 1
+        if sc.peek() != "s":
+            c = sc.integer()
+            sc.skip_ws()
+            if sc.peek() != "*":
+                return (sign * c, 1)
             sc.expect("*")
-            nm = sc.ident()
-            if nm != "s":
-                raise TableSpecError("expected s(...)", sc.pos)
-            sc.expect("(")
-            a = sc.integer()
-            sc.expect(")")
-            return (sign * c, a)
-        return (sign * c, 1)
+        if sc.ident() != "s":
+            raise TableSpecError("expected s(...)", sc.pos)
+        sc.expect("(")
+        a = sc.integer()
+        sc.expect(")")
+        return (sign * c, a)
 
     terms.append(term(1))
     while sc.peek() in "+-":
@@ -148,56 +152,59 @@ def _parse_tower(sc, support):
             raise TableSpecError("tower base must be >= 1", sc.pos)
         # the combination is built at every lift level lcm(base, n)
         _check_phi_cap(lcm(base, n) for n in support)
-        return RTower.combo(base, terms)
+        return RTower.combo(base, terms), sum(abs(c) for c, _ in terms)
     if any(a != 1 for _, a in terms):
         raise TableSpecError("sigma terms need a base level (@n)", start)
-    return RTower.scalar(sum(c for c, _ in terms))
+    return RTower.scalar(sum(c for c, _ in terms)), sum(abs(c) for c, _ in terms)
 
 
 def _parse_table(sc, support, depth=0):
+    """(weight, build): the spec's exponent weight (`MAX_EXPONENT_WEIGHT`)
+    and a function that builds its table."""
     if depth > MAX_TABLE_DEPTH:
         raise TableSpecError("table spec nested deeper than %d" % MAX_TABLE_DEPTH, sc.pos)
     name = sc.ident()
     if name == "phi":
-        return phi_table(support)
-    if name == "delta":
-        sc.expect("(")
-        ps = [sc.integer()]
-        while sc.peek() == ",":
-            sc.expect(",")
-            ps.append(sc.integer())
-        sc.expect(")")
+        weight, build = 1, lambda: phi_table(support)
+    elif name == "delta":
+        ps = sc.integers()
         try:
-            return delta_table(ps, support)
+            table = delta_table(ps, support)
         except ValueError as exc:
             raise TableSpecError(str(exc), sc.pos)
-    if name == "pow":
+        weight, build = 1, lambda: table
+    elif name == "pow":
         sc.expect("(")
-        base = _parse_table(sc, support, depth + 1)
+        weight, base = _parse_table(sc, support, depth + 1)
         sc.expect(",")
-        tower = _parse_tower(sc, support)
+        tower, size = _parse_tower(sc, support)
         sc.expect(")")
-        return power_by_tower(base, tower)
-    if name == "mul":
+        weight, build = weight * size, lambda: power_by_tower(base(), tower)
+    elif name == "mul":
         sc.expect("(")
-        a = _parse_table(sc, support, depth + 1)
+        wa, a = _parse_table(sc, support, depth + 1)
         sc.expect(",")
-        b = _parse_table(sc, support, depth + 1)
+        wb, b = _parse_table(sc, support, depth + 1)
         sc.expect(")")
-        return table_product(a, b)
-    if name == "conj":
+        weight, build = wa + wb, lambda: table_product(a(), b())
+    elif name == "conj":
         sc.expect("(")
-        a = _parse_table(sc, support, depth + 1)
+        weight, a = _parse_table(sc, support, depth + 1)
         sc.expect(")")
-        return table_conj(a)
-    raise TableSpecError("unknown table %r" % name, sc.pos)
+        build = lambda: table_conj(a())
+    else:
+        raise TableSpecError("unknown table %r" % name, sc.pos)
+    if weight > MAX_EXPONENT_WEIGHT:
+        raise TableSpecError("table spec has exponent weight %d, above %d"
+                             % (weight, MAX_EXPONENT_WEIGHT), sc.pos)
+    return weight, build
 
 
 def parse_table(text, support):
     sc = _Scanner(text)
-    t = _parse_table(sc, support)
+    _, build = _parse_table(sc, support)
     sc.done()
-    return t
+    return build()
 
 
 def _check_phi_cap(levels):

@@ -253,7 +253,7 @@ def ncnd_family(p, q, a_max, section="smallest"):
     if p == q or p == 2 or q == 2:
         raise ValueError("the primes must be odd and distinct")
     for v in (p, q):
-        if polys.prime_factors(v) != [v]:
+        if not polys.is_probable_prime(v):
             raise ValueError("%d is not prime" % v)
     if a_max < 3:
         raise ValueError("a_max must be at least 3")

@@ -29,11 +29,11 @@ inequality.  Matches at primes with product P prove equality once
 phi(n) log P exceeds an upper bound on the log of the norm of the
 difference of the two sides, since a nonzero algebraic integer divisible by
 P has norm at least P^phi(n).  Error model: the residues are exact integer
-arithmetic.  The norm bound sums the eps sides as integers, over a
-per-level table of the logs log sigma_r(eps_n) rounded up with a margin,
-and takes the moduli of u from doubles with an explicit rounding margin;
-every term of it is an upper bound, and an overestimate only costs more
-primes.
+arithmetic, and so is the comparison: each log it reads from a double
+(log 2, log D, the moduli of u, the table log sigma_r(eps_n) and log p)
+becomes an integer bound in units of 2^-48 by one rule (`_log_units`), and
+every sum, product and maximum after that is exact.  An overestimate of
+the norm bound only costs more primes.
 
 All embeddings come from the one evaluator in `cyclotomic`: the solver
 takes its positivity verdict and its logarithms from `embedding_logs` (one
@@ -45,7 +45,7 @@ and serves both.  The library uses Python floats and integers alone.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import ceil, frexp, gcd, isfinite, lcm, ldexp, log, pi, sin
+from math import ceil, floor, frexp, gcd, lcm, ldexp, log, pi, sin
 
 from . import cyclotomic, groupring, intlinalg, polys
 from .cyclotomic import (LevelError, act, cyc_from_json, cyc_to_json,
@@ -153,7 +153,7 @@ def delta_table(pi, support):
     if not pi:
         raise ValueError("the prime set must be nonempty")
     for p in pi:
-        if p == 2 or polys.prime_factors(p) != [p]:
+        if p == 2 or not polys.is_probable_prime(p):
             raise ValueError("%d is not an odd prime" % p)
     vals = {}
     for n in support:
@@ -387,7 +387,7 @@ def classify_torsion(f):
         else:
             raise ValueError("values outside {+1, -1}")
     pi = tuple(sorted(p for p in plus1
-                      if polys.prime_factors(p) == [p] and p != 2 and plus1[p] == -1))
+                      if p != 2 and plus1[p] == -1 and polys.is_probable_prime(p)))
     for n in f.support:
         expected = -1 if all(q in pi for q in polys.prime_factors(n)) else 1
         if plus1[n] != expected:
@@ -539,64 +539,56 @@ def _log_abs_bounds(x):
     return [log(abs(v) + 2.0 ** 10 * err) + shift for v in vals]
 
 
-# The norm bound reads log sigma_r(eps_n) as integers in units of 2^-48:
-# each is raised by 2^-40 (1 + its size), far above the few units of 2^-52
-# the double carries, and rounded up.
-_LOG_BITS = 48
+def _log_units(x, size, up):
+    """An upper (up) or lower bound on 2^48 times the log that the double x
+    stands for: ceil(2^48 (x + 2^-40 (1 + size))), or the floor of
+    2^48 (x - 2^-40 (1 + size)).  size is the sum of the magnitudes of the
+    doubles combined into x; each carries a few units of 2^-52 of its own
+    (of 1 for a log near 0), which the margin covers a thousand times over.
+    SolveError unless x is finite."""
+    margin = 2.0 ** -40 * (1.0 + size)
+    try:
+        return ceil(ldexp(x + margin, 48)) if up else floor(ldexp(x - margin, 48))
+    except (OverflowError, ValueError):
+        raise SolveError("log %r is not finite" % x) from None
 
 
 @lru_cache(maxsize=None)
 def _log_eps_ceilings(n):
-    """Two tables of (Kronecker index, int) terms at the plus
-    representatives r, for L = log sigma_r(eps_n): the upper bounds
-    ceil(2^48 (L + 2^-40 (1 + |L|))), and ceil(2^48 (|L| + 1))."""
+    """(Kronecker index, int) terms at the plus representatives r: upper
+    bounds on 2^48 log sigma_r(eps_n) (`_log_units`)."""
     leps = _log_eps(n)
-    keys = groupring._rep_keys(n, True)
-    reps = group_reps(n, True)
-    return ([(key, ceil(ldexp(leps[r] + 2.0 ** -40 * (1.0 + abs(leps[r])), _LOG_BITS)))
-             for key, r in zip(keys, reps)],
-            [(key, ceil(ldexp(abs(leps[r]) + 1.0, _LOG_BITS)))
-             for key, r in zip(keys, reps)])
+    return [(key, _log_units(leps[r], abs(leps[r]), True))
+            for key, r in zip(groupring._rep_keys(n, True), group_reps(n, True))]
 
 
 def _eps_log_sums(n, terms):
-    """(sums, sizes) at each plus representative c, in units of 2^-48: an
-    upper bound on sum k log sigma_(c a)(eps_n) over the terms (a, k), and
-    one on sum k (|log sigma_(c a)(eps_n)| + 1).  Each is one integer
-    product of sum k sigma_(a^-1) and a table of `_log_eps_ceilings`; the
-    weights k are positive, so the ceilings give upper bounds."""
+    """Upper bounds on 2^48 sum k log sigma_(c a)(eps_n) over the terms
+    (a, k), at each plus representative c: one integer product of
+    sum k sigma_(a^-1) and `_log_eps_ceilings(n)`; the weights k are
+    positive, so the ceilings give upper bounds."""
     keys = groupring._inverse_keys(n)
     at = groupring._unit_positions(n, True)
-    weights = [(keys[at[a]], k) for a, k in terms]
-    return [groupring._product(n, True, weights, table)
-            for table in _log_eps_ceilings(n)]
+    return groupring._product(n, True, [(keys[at[a]], k) for a, k in terms],
+                              _log_eps_ceilings(n))
 
 
 def _norm_bound(u, d, pos, neg):
-    """Upper bound on sum_c log(|sigma_c A| + |sigma_c B|) over all units c.
-
-    Per plus representative c it takes log 2 plus the larger of the two
-    sides' logs, built from the bounds on |sigma_c u|, log D and the eps
-    sides.  Each eps side is an exact integer sum (`_eps_log_sums`), an
-    upper bound in units of 2^-48, so its only floating-point input is the
-    per-level table log sigma_r(eps_n).  The rest is read to a few units of
-    2^-52 relative to the terms' sizes, and each sum adds 2^-53 of its
-    terms' size per term, so a slack of 2^-24 times (1 + the terms'
-    absolute values + their integer weights) covers the rounding while
-    there are fewer than 2^20 terms; for the eps terms that size is the
-    second sum of `_eps_log_sums`.
+    """Integer upper bound on 2^48 sum_c log(|sigma_c A| + |sigma_c B|) over
+    the units c: log 2 plus the larger of d (log |sigma_c u| + log D) plus
+    the eps side of A (`_eps_log_sums`) and d log D plus that of B.  A
+    modulus a of u (`_log_abs_bounds`) adds log(|v| + 2^10 err), log top and
+    -log D; its size |a| + 2 (log top + log D) covers all three, whatever
+    cancels between the last two in a.
     """
     n = u.level
-    scale = 1 << _LOG_BITS
-    lb = d * log(u.den)
-    sums = zip(group_reps(n, True), _log_abs_bounds(u),
-               *_eps_log_sums(n, neg), *_eps_log_sums(n, pos))
-    total = 0.0
-    for c, a, tneg, sneg, tpos, spos in sums:
-        la = d * (a + log(u.den))
-        mag = abs(la) + abs(lb) + 2 * d + (sneg + spos) / scale
-        per = (log(2.0) + max(la + tneg / scale, lb + tpos / scale)
-               + 2.0 ** -24 * (1.0 + mag))
+    log_den = log(u.den)
+    size = 2 * (log(max(map(abs, u.nums))) + log_den)
+    d_log_den = d * _log_units(log_den, log_den, True)
+    total = len(u.nums) * _log_units(log(2.0), log(2.0), True)
+    for c, a, tneg, tpos in zip(group_reps(n, True), _log_abs_bounds(u),
+                                _eps_log_sums(n, neg), _eps_log_sums(n, pos)):
+        per = max(d * _log_units(a, abs(a) + size, True) + tneg, tpos) + d_log_den
         total += per if 2 * c % n == 0 else 2 * per
     return total
 
@@ -615,7 +607,8 @@ def verify_exponent_identity(u, j):
     |sigma_c B|), the identity holds once phi(n) log P exceeds an upper
     bound on sum_c log(|sigma_c A| + |sigma_c B|) (`_norm_bound`).  Only
     upper bounds on the embeddings enter, so a loose estimate costs primes,
-    never soundness; the floating bounds carry explicit rounding margins.
+    never soundness; both sides are compared as integers in units of 2^-48,
+    with each log p rounded down (`_log_units`).
     """
     n = u.level
     if n < 2:
@@ -623,28 +616,21 @@ def verify_exponent_identity(u, j):
     if j.level != n or not j.plus:
         raise LevelError("exponent must live in Q[G_n^+]")
     d = j.den
-    pos, neg = [], []
-    for r, k in zip(group_reps(n, True), j.nums):
-        if k > 0:
-            pos.append((r, k))
-        elif k < 0:
-            neg.append((r, -k))
+    terms = list(zip(group_reps(n, True), j.nums))
+    pos = [(r, k) for r, k in terms if k > 0]
+    neg = [(r, -k) for r, k in terms if k < 0]
     phi = len(u.nums)
-    bound = None
-    log_p = 0.0
-    p = polys.SPLIT_FROM
-    while bound is None or phi * log_p * (1 - 2.0 ** -40) <= bound:
+    bound, log_p, p = None, 0, polys.SPLIT_FROM
+    while bound is None or phi * log_p <= bound:
         prime = _split_prime(n, p)
         p = prime[0]
         if u.den % p == 0:
             continue
         if not _residues_match(u, d, pos, neg, prime):
             return False
-        log_p += log(p)
+        log_p += _log_units(log(p), log(p), False)
         if bound is None:
             bound = _norm_bound(u, d, pos, neg)
-            if not isfinite(bound):
-                raise SolveError("norm bound is not finite at level %d" % n)
     return True
 
 

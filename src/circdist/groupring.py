@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from math import cos, gcd, lcm, log, pi, sin
+from math import gcd, lcm, log, pi, sin
 from operator import mul
 
 from . import cyclotomic, intlinalg, polys
@@ -290,22 +290,19 @@ def character_frame(n):
     return orders, tuple(walk), tuple(conj)
 
 
-@lru_cache(maxsize=None)
-def _roots(d, sign):
-    return tuple(complex(cos(2 * pi * k / d), sign * sin(2 * pi * k / d))
-                 for k in range(d))
-
-
 def _fft(x, sign):
     """out[k] = sum_j e^(sign 2 pi i j k / d) x[j], d = len(x): mixed radix,
     split by the least prime factor r of d (Cooley-Tukey), O(d sum of its
-    prime factors); a prime d is summed directly."""
+    prime factors); a prime d is summed directly.  The roots of unity are
+    the one table `cyclotomic._zeta_powers(d)`, conjugated for sign -1."""
     d = len(x)
     if d == 1:
         return x
     if d == 2:
         return [x[0] + x[1], x[0] - x[1]]
-    roots = _roots(d, sign)
+    roots = cyclotomic._zeta_powers(d)[0]
+    if sign < 0:
+        roots = [z.conjugate() for z in roots]
     r = polys.prime_factors(d)[0]
     if r == d:
         return [sum(map(mul, x, [roots[j * k % d] for j in range(d)])) for k in range(d)]

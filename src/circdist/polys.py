@@ -205,18 +205,22 @@ def fp_divmod(a, b, p):
 # ---------------------------------------------------------------------------
 # CRT / rational reconstruction
 
-# Miller-Rabin bases that decide every n < psi_13 ~ 3.317 * 10^24 (without
-# 41 they fail at psi_12 = 318665857834031151167461)
+# Miller-Rabin bases that decide every n < psi_13 (without 41 they fail at
+# psi_12 = 318665857834031151167461)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_probable_prime(n):
-    """Deterministic Miller-Rabin for n < 3.3 * 10^24 (fixed base set)."""
+    """Deterministic Miller-Rabin for n < psi_13 ~ 3.3 * 10^24 (fixed base
+    set); ValueError above, unless a base divides n."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n >= _PSI_13:
+        raise ValueError("%d is beyond the deterministic primality range" % n)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

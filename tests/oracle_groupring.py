@@ -21,10 +21,15 @@ held integer numerators, kept here only as oracles:
 * `project` pushes each (rep, Fraction) term through `canon_rep` and adds
   the images in a dict;
 * `section_lift` groups the units of the upper level by the `canon_rep` of
-  their images, two `canon_rep`s per unit, and picks one preimage per term.
+  their images, two `canon_rep`s per unit, and picks one preimage per term;
+* `fft` is the mixed-radix transform of `groupring._fft` over its own
+  table of roots of unity (`roots`, by cos and sin), as it was before the
+  transform read the embeddings' table `cyclotomic._zeta_powers`.
 """
 
 from fractions import Fraction
+from math import cos, pi, sin
+from operator import mul as times
 
 from circdist import intlinalg, polys
 from circdist.groupring import (IdealLattice, LevelError, canon_rep,
@@ -162,3 +167,27 @@ def section_lift(elt, target_level, choose):
         r = choose(sorted(preimages[g]))
         out[r] = out.get(r, Fraction(0)) + c
     return grelt(target_level, True, out)
+
+
+def roots(d, sign):
+    return tuple(complex(cos(2 * pi * k / d), sign * sin(2 * pi * k / d))
+                 for k in range(d))
+
+
+def fft(x, sign):
+    d = len(x)
+    if d == 1:
+        return x
+    if d == 2:
+        return [x[0] + x[1], x[0] - x[1]]
+    table = roots(d, sign)
+    r = polys.prime_factors(d)[0]
+    if r == d:
+        return [sum(map(times, x, [table[j * k % d] for j in range(d)])) for k in range(d)]
+    m = d // r
+    subs = [fft(x[j::r], sign) for j in range(r)]
+    if r == 2:
+        a, b = subs
+        b = [w * v for w, v in zip(table, b)]
+        return [u + v for u, v in zip(a, b)] + [u - v for u, v in zip(a, b)]
+    return [sum(table[j * k % d] * subs[j][k % m] for j in range(r)) for k in range(d)]

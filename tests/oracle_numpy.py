@@ -111,8 +111,9 @@ def log_abs_bounds(x):
     return np.log(np.abs(vals) + 2.0 ** 10 * err) + shift
 
 
-def norm_bound(u, d, pos, neg, abs_bounds=log_abs_bounds):
-    """The float bound, with the moduli of u from `abs_bounds`."""
+def norm_bound(u, d, pos, neg, abs_bounds=log_abs_bounds, slack=2.0 ** -24):
+    """The float bound, with the moduli of u from `abs_bounds`, raised by
+    `slack` times the terms' sizes to cover its own rounding."""
     n = u.level
     reps = np.array(group_reps(n, True))
     mult = np.where((2 * reps) % n == 0, 1, 2)
@@ -126,5 +127,5 @@ def norm_bound(u, d, pos, neg, abs_bounds=log_abs_bounds):
     for a, k in pos:
         t = float(k) * leps[reps * a % n]
         lb, mag = lb + t, mag + np.abs(t) + k
-    per = log(2.0) + np.maximum(la, lb) + 2.0 ** -24 * (1.0 + mag)
+    per = log(2.0) + np.maximum(la, lb) + slack * (1.0 + mag)
     return float(mult @ per)

@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from circdist import groupring
-from circdist.cli import (MAX_TABLE_DEPTH, TableSpecError, main, parse_support,
-                          parse_table)
+from circdist.cli import (MAX_EXPONENT_WEIGHT, MAX_TABLE_DEPTH, TableSpecError,
+                          main, parse_support, parse_table)
 from circdist.cyclotomic import PrecisionError, SubfieldError
 from circdist.distributions import SolveError, divisor_closure
 from circdist.groupring import eps_n
@@ -42,6 +42,8 @@ def test_parse_table_specs():
     assert t4.value(12) == act(tau(12), parse_table("phi", S).value(12))
     with pytest.raises(TableSpecError):
         parse_table("pow(phi, 2+s(5))", S)   # sigma without a base level
+    with pytest.raises(TableSpecError):
+        parse_table("pow(phi, 2+sx(5)@12)", S)   # a name other than s
     with pytest.raises(TableSpecError):
         parse_table("frob(phi)", S)
 
@@ -173,6 +175,30 @@ def test_deeply_nested_table_spec_is_a_usage_error():
     # as deep as the cap allows still parses
     spec = "conj(" * MAX_TABLE_DEPTH + "phi" + ")" * MAX_TABLE_DEPTH
     assert parse_table(spec, divisor_closure([6])).support == divisor_closure([6])
+
+
+def test_exponent_weight_cap(monkeypatch):
+    # pow multiplies by the sum of the tower's |coefficients|, mul adds and
+    # conj keeps; each sub-spec is weighed before any table is built
+    S = divisor_closure([6])
+    cap = MAX_EXPONENT_WEIGHT
+    built = []
+    monkeypatch.setattr("circdist.cli.power_by_tower",
+                        lambda *args: built.append(args) or args[0])
+    for spec in ["pow(phi, %d)" % cap, "pow(phi, %d-1)" % (cap - 1),
+                 "pow(pow(phi, one_plus_tau), %d)" % (cap // 2),
+                 "conj(pow(phi, -%d))" % cap, "pow(pow(phi, %d), 0)" % cap,
+                 "mul(pow(phi, %d), delta(3))" % (cap - 1)]:
+        parse_table(spec, S)
+    for spec in ["pow(phi, %d)" % (cap + 1), "pow(phi, %d-2)" % (cap - 1),
+                 "pow(pow(phi, one_minus_tau), %d)" % (cap // 2 + 1),
+                 "pow(pow(phi, %d), 0)" % (cap + 1),
+                 "mul(pow(phi, %d), phi)" % cap,
+                 "mul(pow(phi, %d), pow(phi, 2))" % (cap - 1)]:
+        count = len(built)
+        with pytest.raises(TableSpecError, match="exponent weight"):
+            parse_table(spec, S)
+        assert len(built) == count, spec
 
 
 @pytest.mark.parametrize("command", ["kappa", "boundedness"])
@@ -311,7 +337,14 @@ def _cap_address_space():
      "--p", "2", "--depth", "100000000"],
     # the combination was built in the units of lcm(base, n)
     ["verify", "--table", "pow(phi, s(1)@100000000)", "--support", "closure(6)"],
-], ids=["euler-r", "euler-m", "kappa-depth", "boundedness-depth", "tower-base"])
+    # the prime was trial-divided
+    ["torsion", "--table", "delta(1000000000000000000000000000057)",
+     "--support", "closure(3)"],
+    # the power was computed, however large its exponent
+    ["verify", "--table", "pow(phi, 1000000000000000000000)", "--support", "closure(60)"],
+    ["verify", "--table", "pow(pow(phi, 4096), 4096)", "--support", "closure(60)"],
+], ids=["euler-r", "euler-m", "kappa-depth", "boundedness-depth", "tower-base",
+        "delta-prime", "tower-exponent", "nested-tower-exponent"])
 def test_unbounded_inputs_are_refused_before_any_work(argv):
     proc = subprocess.run([sys.executable, "-m", "circdist.cli", *argv],
                           capture_output=True, text=True, timeout=20,

@@ -29,6 +29,10 @@ in oracle_groupring that they replaced.
   lattices of level 120 with no HNF elimination; its cached column map gives
   GroupRingElt.project (full to full, full to plus, plus to plus) and both
   sections of coleman._section_lift at every divisor pair m | M < 120;
+* the character transform `_fft`, on its one table of roots of unity
+  (`cyclotomic._zeta_powers`), gives bit for bit the doubles of the oracle
+  transform on its own cos/sin table, at every length below 600 and both
+  signs;
 * grelt normalizes rational draws to integer numerators over one
   denominator (den > 0, gcd(den, *nums) = 1, zero with den = 1), and coeffs
   and the JSON form read back the value drawn.
@@ -360,3 +364,15 @@ def test_grelt_normalizes_rational_draws(data, n, plus):
     assert x.to_vector() == [Fraction(v, x.den) for v in x.nums]
     assert gr.grelt(n, plus, dict(x.coeffs)) == x
     assert gr.gr_from_json(gr.gr_to_json(x)) == x
+
+
+def _bits(zs):
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
+def test_transform_roots_match_the_cos_sin_table():
+    rng = random.Random(21)
+    for d in range(1, 600):
+        x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d)]
+        for sign in (1, -1):
+            assert _bits(gr._fft(x, sign)) == _bits(oracle.fft(x, sign)), (d, sign)

@@ -120,6 +120,17 @@ def test_miller_rabin_rejects_psi_12():
     assert polys.is_probable_prime(798330580441)
 
 
+def test_miller_rabin_refuses_past_psi_13():
+    # psi_13 passes all thirteen bases but is composite: from there on the
+    # test would be no proof, so only a factor among the bases is answered
+    psi_13 = 3317044064679887385961981
+    assert psi_13 == 1287836182261 * 2575672364521
+    for n in (psi_13, 10 ** 30 + 57):
+        with pytest.raises(ValueError):
+            polys.is_probable_prime(n)
+    assert not polys.is_probable_prime(psi_13 + 1)
+
+
 def test_split_prime_table():
     for n in range(1, 200):
         p, powers = polys.split_prime(n, polys.SPLIT_FROM)

@@ -54,6 +54,21 @@ def test_every_module_level_function_is_used():
     assert list(SRC.glob("*.py")) and not unused, unused
 
 
+def test_certificate_rounds_logs_by_one_rule():
+    # distributions.py turns doubles into integer bounds only through
+    # _log_units: a ceil or floor anywhere else would be a second rounding
+    # rule on the certificate's path
+    tree = ast.parse((SRC / "distributions.py").read_text())
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_log_units"
+              for node in ast.walk(fn)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in ("ceil", "floor")]
+    outside = [node.lineno for node in calls if id(node) not in inside]
+    assert len(calls) == 2 and not outside, outside
+
+
 def test_every_module_level_import_is_used():
     # a name imported at module level that the module never reads is dead;
     # the package's __init__ imports only to re-export

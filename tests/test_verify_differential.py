@@ -9,20 +9,23 @@ sound if the embedding bounds never underestimate, which is checked against
 exact norms.
 
 Every residue verdict is also compared with the numpy residue check the
-certificate had before (`oracle_numpy`), and every norm bound, whose eps
-sides are now integers, with the float bound on the same moduli of u, by
-an autouse fixture.
+certificate had before (`oracle_numpy`), and every norm bound, now an
+integer in units of 2^-48, with the float bound on the same moduli of u, by
+an autouse fixture.  The integer bound must hold for A - B formed in the
+field, each table entry and each log p it reads must bound the log taken
+at 60 digits from the right side, and it takes one group-ring product per
+side.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracle_numpy
 import oracle_verify as oracle
-from circdist import distributions as dist, polys
+from circdist import distributions as dist, groupring, polys
 from circdist.cyclotomic import CycElt, norm_to_q, one
 from circdist.distributions import (RTower, divisor_closure, phi_table,
                                     power_by_tower, solve_exponent,
@@ -51,9 +54,12 @@ def same_as_numpy(monkeypatch):
     def checked_bound(u, d, pos, neg):
         got = bound(u, d, pos, neg)
         # the moduli of u are compared with the table's on their own
-        # (test_numpy_differential.py); here both read the same ones
+        # (test_numpy_differential.py); here both read the same ones.  The
+        # integer bound, in units of 2^-48, may fall below the float one by
+        # at most the float one's own 2^-24 slack
         ref = oracle_numpy.norm_bound(u, d, pos, neg, dist._log_abs_bounds)
-        assert abs(got - ref) <= 1e-6 * abs(ref), (got, ref)
+        tight = oracle_numpy.norm_bound(u, d, pos, neg, dist._log_abs_bounds, slack=0.0)
+        assert tight <= got / 2 ** 48 <= ref + 1e-9 * (1 + abs(ref)), (got, tight, ref)
         return got
 
     monkeypatch.setattr(dist, "_residues_match", checked_match)
@@ -202,3 +208,72 @@ def test_embedding_bounds_only_overestimate(x):
     nrm = abs(norm_to_q(x))
     assert nrm != 0
     assert total >= math.log(nrm.numerator) - math.log(nrm.denominator)
+
+
+def _sides(j):
+    """The terms (r, k) of d j^+ and d j^-, as `verify_exponent_identity`
+    splits them."""
+    reps = group_reps(j.level, True)
+    return ([(r, k) for r, k in zip(reps, j.nums) if k > 0],
+            [(r, -k) for r, k in zip(reps, j.nums) if k < 0])
+
+
+@st.composite
+def near_identities(draw):
+    """(u, j) at a level up to 40: u is a small element, alone or added to
+    eps^r, over a small denominator, and j = r / den."""
+    n, r = draw(exponents(range(3, 41), -2, 2))
+    phi = len(one(n).nums)
+    small = draw(st.lists(st.integers(-2, 2), min_size=phi, max_size=phi).filter(any))
+    u = CycElt(n, tuple(map(Fraction, small)))
+    if draw(st.booleans()):
+        u = u + _power(n, r)
+    u = u * Fraction(1, draw(st.sampled_from((1, 2, 7))))
+    return u, r * Fraction(1, draw(st.sampled_from((1, 2, 3))))
+
+
+@settings(CASES, max_examples=40)
+@given(near_identities())
+def test_norm_bound_holds_for_the_difference(case):
+    # |N(A - B)| <= prod_c (|sigma_c A| + |sigma_c B|) <= e^(bound / 2^48)
+    u, j = case
+    assume(not u.is_zero())
+    pos, neg = _sides(j)
+    d = j.den
+    U = u * u.den
+    a = U ** d * grelt(u.level, True, dict(neg)).act_on(eps_n(u.level), assume_tau_fixed=True)
+    b = one(u.level) * u.den ** d * grelt(u.level, True, dict(pos)).act_on(
+        eps_n(u.level), assume_tau_fixed=True)
+    assume(a != b)
+    nrm = abs(norm_to_q(a - b))
+    assert nrm.denominator == 1
+    bound = dist._norm_bound(u, d, pos, neg)
+    assert isinstance(bound, int)
+    assert bound >= 2 ** 48 * math.log(nrm.numerator)
+
+
+def test_log_units_bound_the_logs_from_the_right_side():
+    from mpmath import log, mp, mpf, pi, sin
+    with mp.workdps(60):
+        scale = mpf(2) ** 48
+        for n in range(2, 200):
+            for (_, got), r in zip(dist._log_eps_ceilings(n), group_reps(n, True)):
+                assert got >= scale * 2 * log(2 * sin(pi * r / n)), (n, r)
+            p = polys.SPLIT_FROM
+            for _ in range(3):
+                p = dist._split_prime(n, p)[0]
+                # the stop rule's lower bound on log p
+                assert dist._log_units(math.log(p), math.log(p), False) <= scale * log(p), p
+
+
+def test_norm_bound_takes_one_product_per_side(monkeypatch):
+    calls = []
+    product = groupring._product
+    monkeypatch.setattr(groupring, "_product",
+                        lambda *args: calls.append(args[0]) or product(*args))
+    for n in (7, 15, 36):
+        r = grelt(n, True, {1: 2, group_reps(n, True)[-1]: -1})
+        pos, neg = _sides(r)
+        del calls[:]
+        dist._norm_bound(_power(n, r) * 3, 1, pos, neg)
+        assert calls == [n, n]
