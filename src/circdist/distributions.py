@@ -44,7 +44,7 @@ and serves both.  The library uses Python floats and integers alone.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import ceil, floor, frexp, gcd, lcm, ldexp, log, pi, sin
 
 from . import cyclotomic, groupring, intlinalg, polys
@@ -479,11 +479,29 @@ def _character_solve(n, logs):
 
 @lru_cache(maxsize=None)
 def _split_prime(n, after):
-    """(p, powers, eps): `polys.split_prime(n, after)`, the least prime
-    p = 1 mod n above `after` with powers[r] = zeta^r mod p, and the
-    residues mod p of eps_n at zeta^r for every r mod n."""
+    """(p, powers, eps, norm): `polys.split_prime(n, after)`, p = 1 mod n
+    with powers[r] = zeta^r mod p, eps_n(zeta^r) mod p for every r mod n, and
+    eps_n^N mod p, N the sum of G_n^+: Phi_n(1) (4 at n = 2), a unit mod p."""
     p, powers = polys.split_prime(n, after)
-    return p, powers, [(2 - powers[r] - powers[-r]) % p for r in range(n)]
+    eps = [(2 - powers[r] - powers[-r]) % p for r in range(n)]
+    norm = reduce(lambda t, r: t * eps[r % n] % p, group_reps(n, True), 1)
+    return p, powers, eps, norm
+
+
+def _around_mode(n, terms):
+    """(m, dev): the weights k of the terms (a, k), 0 at the other plus
+    representatives, as m + dev: m the most common weight (0 on a tie with
+    0, so a sparse exponent keeps its terms), dev the nonzero (a, k - m).
+    As a -> c a permutes them, sum k f(c a) = m sum_r f(r) + sum dev f(c a)."""
+    reps = group_reps(n, True)
+    counts = {0: len(reps) - len(terms)}
+    for _, k in terms if 2 * len(terms) >= len(reps) else ():
+        counts[k] = counts.get(k, 0) + 1
+    m = max(counts, key=lambda k: (counts[k], k == 0))
+    if m == 0:
+        return 0, terms
+    w = dict(terms)
+    return m, [(a, w.get(a, 0) - m) for a in reps if w.get(a, 0) != m]
 
 
 def _eps_residues(c, groups, eps, n, p):
@@ -501,23 +519,22 @@ def _residues_match(u, d, pos, neg, prime):
     """A = B modulo every prime above p: A(zeta^c) = B(zeta^c) in F_p at
     each unit c, with A = U^d eps^(d j^-) and B = D^d eps^(d j^+) (pos and
     neg hold the terms of d j^+ and d j^-).  U is read over its nonzero
-    terms; the eps side, even in c, once per plus representative.  When u
-    is tau-fixed (`cyclotomic.is_tau_fixed`) so are A and B, so c and -c
-    give the same equation and the plus representatives suffice."""
+    terms; the eps side, even in c, once per plus representative, as
+    U^d eps^(dev^-) = D^d T^m eps^(dev^+) with T = eps^N (`_around_mode`).
+    When u is tau-fixed (`cyclotomic.is_tau_fixed`) so are A and B, so c and
+    -c give the same equation and the plus representatives suffice."""
     n = u.level
-    p, powers, eps = prime
+    p, powers, eps, norm = prime
     terms = [(i, v % p) for i, v in enumerate(u.nums) if v]
-    groups = []
-    for side in (neg, pos):
-        by_k = {}
-        for a, k in side:
-            by_k.setdefault(k, []).append(a)
-        groups.append(by_k)
-    den = pow(u.den, d, p)
+    m, dev = _around_mode(n, pos + [(a, -k) for a, k in neg])
+    groups = ({}, {})
+    for a, k in dev:
+        groups[k > 0].setdefault(abs(k), []).append(a)
+    scale = pow(u.den, d, p) * pow(norm, m, p) % p
     real = None        # read after the first equation, which may decide
     for c in group_reps(n, True):
         lhs = _eps_residues(c, groups[0], eps, n, p)
-        rhs = den * _eps_residues(c, groups[1], eps, n, p) % p
+        rhs = scale * _eps_residues(c, groups[1], eps, n, p) % p
         for unit in (c, n - c):
             acc = sum(v * powers[i * unit % n] for i, v in terms)
             if pow(acc, d, p) * lhs % p != rhs:
@@ -564,13 +581,18 @@ def _log_eps_ceilings(n):
 
 def _eps_log_sums(n, terms):
     """Upper bounds on 2^48 sum k log sigma_(c a)(eps_n) over the terms
-    (a, k), at each plus representative c: one integer product of
-    sum k sigma_(a^-1) and `_log_eps_ceilings(n)`; the weights k are
-    positive, so the ceilings give upper bounds."""
+    (a, k), k > 0, at each plus representative c, from the ceilings
+    `_log_eps_ceilings(n)`: m times their sum plus one integer product of
+    sum (k - m) sigma_(a^-1) and them, m the most common k (`_around_mode`)."""
+    m, dev = _around_mode(n, terms)
     keys = groupring._inverse_keys(n)
     at = groupring._unit_positions(n, True)
-    return groupring._product(n, True, [(keys[at[a]], k) for a, k in terms],
+    prod = groupring._product(n, True, [(keys[at[a]], k) for a, k in dev],
                               _log_eps_ceilings(n))
+    if m == 0:
+        return prod
+    shift = m * sum(v for _, v in _log_eps_ceilings(n))
+    return [v + shift for v in prod]
 
 
 def _norm_bound(u, d, pos, neg):
@@ -601,7 +623,9 @@ def verify_exponent_identity(u, j):
     the algebraic integers A = U^d eps^(d j^-) and B = D^d eps^(d j^+).  At
     a prime p = 1 mod n not dividing D, Z[zeta_n] / p splits into phi(n)
     copies of F_p, one per zeta^c; A and B are compared there, one scalar
-    equation per unit c.  A mismatch at any c proves A != B.  Matches at
+    equation per unit c, whose eps side is read around the most common
+    coefficient of d j, as eps to the sum of G_n^+ is the rational Phi_n(1)
+    in every embedding.  A mismatch at any c proves A != B.  Matches at
     primes with product P put A - B in P Z[zeta_n], where every nonzero
     element has |N| >= P^phi(n); since |N(A - B)| <= prod_c (|sigma_c A| +
     |sigma_c B|), the identity holds once phi(n) log P exceeds an upper

@@ -1,18 +1,60 @@
-"""Reference exponent-identity check for the differential tests.
+"""Reference exponent-identity checks for the differential tests.
 
-This is the check circdist used before identities were certified by
-split-prime residues and a norm bound, kept here only as an oracle: a
-prescreen in F_p[t]/(Phi_n) at two fixed primes that can only reject, then
-acceptance by the exact product u^d * eps^(d j^-) = eps^(d j^+) in the
-field.  Its products reach thousands of bits at the tower levels, so only
-small levels are affordable.
+`verify_exponent_identity` is the check circdist used before identities
+were certified by split-prime residues and a norm bound, kept here only as
+an oracle: a prescreen in F_p[t]/(Phi_n) at two fixed primes that can only
+reject, then acceptance by the exact product u^d * eps^(d j^-) =
+eps^(d j^+) in the field.  Its products reach thousands of bits at the
+tower levels, so only small levels are affordable.
+
+`residues_match` and `eps_log_sums` are the certificate's residue
+comparison and eps log sums as they were before the eps side was read
+around the exponent's most common coefficient: every term of d j at every
+plus representative, O(mu * terms) per split prime.
 """
 
 from functools import lru_cache
 
-from circdist import polys
+from circdist import cyclotomic, distributions, groupring, polys
 from circdist.cyclotomic import LevelError, act, one
-from circdist.groupring import eps_n
+from circdist.groupring import eps_n, group_reps
+
+
+def residues_match(u, d, pos, neg, prime):
+    """A(zeta^c) = B(zeta^c) in F_p at each unit c, A = U^d eps^(d j^-) and
+    B = D^d eps^(d j^+), with the eps side multiplied out over every term
+    (a, k) of pos and neg at each plus representative c; prime is a tuple
+    from `distributions._split_prime`, whose first three entries it reads."""
+    n = u.level
+    p, powers, eps = prime[:3]
+    terms = [(i, v % p) for i, v in enumerate(u.nums) if v]
+
+    def eps_side(c, side):
+        acc = 1
+        for a, k in side:
+            acc = acc * pow(eps[c * a % n], k, p) % p
+        return acc
+
+    den = pow(u.den, d, p)
+    real = cyclotomic.is_tau_fixed(u)
+    for c in group_reps(n, True):
+        lhs = eps_side(c, neg)
+        rhs = den * eps_side(c, pos) % p
+        for unit in ((c,) if real else (c, n - c)):
+            acc = sum(v * powers[i * unit % n] for i, v in terms)
+            if pow(acc, d, p) * lhs % p != rhs:
+                return False
+    return True
+
+
+def eps_log_sums(n, terms):
+    """sum k ceil(2^48 log sigma_(c a)(eps_n)) over the terms (a, k) at each
+    plus representative c: one product of the unshifted weights with the
+    table of ceilings."""
+    keys = groupring._inverse_keys(n)
+    at = groupring._unit_positions(n, True)
+    return groupring._product(n, True, [(keys[at[a]], k) for a, k in terms],
+                              distributions._log_eps_ceilings(n))
 
 
 def fp_powmod(base, e, modulus, p):

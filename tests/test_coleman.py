@@ -10,7 +10,8 @@ from circdist.coleman import (boundedness_report, kappa_digits, ncnd_family,
                               valuation_constancy)
 from circdist.cyclotomic import norm_down, one, zeta
 from circdist.distributions import (RTower, delta_table, divisor_closure,
-                                    phi_table, power_by_tower, table_product)
+                                    phi_table, power_by_tower, solve_exponent,
+                                    table_product, verify_exponent_identity)
 from circdist.groupring import eps_n, grelt, group_reps
 
 
@@ -43,6 +44,35 @@ def test_kappa_digits_track_the_tower_coefficient():
             if k >= kd.stabilization:
                 assert dp == c % 3 ** (e.n - k)
                 assert dm == (-c) % 3 ** (e.n - k)
+
+
+def test_kappa_digits_at_depth_8_of_the_5_3_tower():
+    # the criterion 07 tower (5, 3) to level 5 * 3^8 = 32805: digits c mod
+    # p^(n - k) with c = 1 at every k >= b0; its exponents c e_n are dense
+    m, p, depth = 5, 3, 8
+    support = divisor_closure([m * p ** depth])
+    table = power_by_tower(power_by_tower(phi_table(support, verify=False),
+                                          RTower.preset("one_plus_tau"), verify=False),
+                           RTower.combo(5, [(1, 1), (1, 2)]), verify=False)
+    kd = kappa_digits(table, m, p, depth, k_list=range(depth))
+    assert kd.stabilization == 1
+    checked = 0
+    for e in kd.entries:
+        for k, dp, dm in e.digits:
+            if k >= kd.stabilization:
+                assert (dp, dm) == (1, -1 % p ** (e.n - k)), (e.n, k)
+                checked += 1
+    assert checked == depth * (depth - 1) // 2
+    # the certified dense exponent at 10935 with one coefficient changed
+    n = m * p ** 7
+    u = table.value(n)
+    j = solve_exponent(u)
+    reps = group_reps(n, True)
+    assert sum(1 for v in j.nums if v) > len(reps) // 2
+    bump = grelt(n, True, {reps[5]: 1})
+    assert not gr.annihilator_In_formula(n).contains(bump)
+    assert verify_exponent_identity(u, j)
+    assert not verify_exponent_identity(u, j + bump)
 
 
 def test_kappa_digits_negative_tower_is_minus_bounded():
