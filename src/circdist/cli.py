@@ -15,11 +15,10 @@ import argparse
 import json
 import os
 import sys
-import tempfile
+from contextlib import suppress
 from math import lcm
 
 from . import coleman, distributions, groupring, polys
-from .cyclotomic import LevelError
 from .distributions import (RTower, SupportError, delta_table,
                             divisor_closure, phi_table, power_by_tower,
                             table_conj, table_product, verify_relations,
@@ -230,12 +229,8 @@ def _emit(args, payload, exit_code):
             lines.append("%s: %s" % (key, json.dumps(val, sort_keys=True)))
         text = "\n".join(lines) + "\n"
     if args.out:
-        d = os.path.dirname(os.path.abspath(args.out))
         try:
-            fd, tmp = tempfile.mkstemp(dir=d, prefix=".circdist-")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, args.out)
+            _write_atomic(args.out, text)
         except OSError as exc:
             print("cannot write report: %s" % exc, file=sys.stderr)
             return 2
@@ -244,10 +239,25 @@ def _emit(args, payload, exit_code):
     return exit_code
 
 
-def _table_args(sub, with_table=True):
-    if with_table:
-        sub.add_argument("--table", required=True, help="table spec, e.g. pow(phi, one_plus_tau)")
-        sub.add_argument("--support", required=True, help="support spec, e.g. closure(30,60)")
+def _write_atomic(path, text):
+    """Write text to a fresh file beside path (mode 0o666 less the umask, as
+    open() gives) and rename it over path; a failed step removes the file."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       ".circdist-%s" % os.urandom(4).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _table_args(sub):
+    sub.add_argument("--table", required=True, help="table spec, e.g. pow(phi, one_plus_tau)")
+    sub.add_argument("--support", required=True, help="support spec, e.g. closure(30,60)")
 
 
 def build_parser():
@@ -276,18 +286,12 @@ def build_parser():
     idm.add_argument("--n", type=int, required=True)
 
     kap = cmd("kappa", "exponent digit table along a p-power tower")
-    _table_args(kap)
-    kap.add_argument("--m", type=int, required=True)
-    kap.add_argument("--p", type=int, required=True)
-    kap.add_argument("--depth", type=int, required=True)
-    kap.add_argument("--k", default=None, help="comma-separated digit indices")
-
     bnd = cmd("boundedness", "digit boundedness evidence")
-    _table_args(bnd)
-    bnd.add_argument("--m", type=int, required=True)
-    bnd.add_argument("--p", type=int, required=True)
-    bnd.add_argument("--depth", type=int, required=True)
-    bnd.add_argument("--k", default=None)
+    for parser in (kap, bnd):
+        _table_args(parser)
+        for opt in ("--m", "--p", "--depth"):
+            parser.add_argument(opt, type=int, required=True)
+        parser.add_argument("--k", default=None, help="comma-separated digit indices")
     bnd.add_argument("--threshold", type=int, default=None)
 
     nc = cmd("ncnd", "norm-compatible family from lifted group sums")
@@ -311,11 +315,12 @@ def _build_table(args):
 
 def run(args):
     meta = {"command": args.command, "seed": args.seed}
-    if args.command == "verify":
-        rep = verify_relations(_build_table(args))
-        return _emit(args, {**meta, **rep.to_json()}, 0 if rep.passed else 1)
-    if args.command == "strictness":
-        rep = verify_strictness(_build_table(args))
+    # the commands whose payload is one Report on the table
+    report = {"verify": verify_relations, "strictness": verify_strictness,
+              "euler": lambda t: distributions.check_euler_conditions(t, args.m, args.r),
+              "valuation": coleman.valuation_constancy}.get(args.command)
+    if report is not None:
+        rep = report(_build_table(args))
         return _emit(args, {**meta, **rep.to_json()}, 0 if rep.passed else 1)
     if args.command in ("annihilator", "idempotent"):
         _check_phi_cap([args.n])
@@ -335,8 +340,7 @@ def run(args):
                             "idempotent": groupring.gr_to_json(e)}, 0)
     if args.command in ("kappa", "boundedness"):
         table = _build_table(args)
-        k_list = ([int(v) for v in args.k.split(",")] if args.k
-                  else None)
+        k_list = [int(v) for v in args.k.split(",")] if args.k else None
         kd = coleman.kappa_digits(table, args.m, args.p, args.depth, k_list)
         if args.command == "kappa":
             return _emit(args, {**meta, **kd.to_json()}, 0)
@@ -353,9 +357,6 @@ def run(args):
         return _emit(args, {**meta, "p": args.p, "q": args.q, "a_max": args.a_max,
                             "family": fam.report.to_json(),
                             "sections": sec.to_json()}, 0 if ok else 1)
-    if args.command == "euler":
-        rep = distributions.check_euler_conditions(_build_table(args), args.m, args.r)
-        return _emit(args, {**meta, **rep.to_json()}, 0 if rep.passed else 1)
     if args.command == "torsion":
         kind, pi = distributions.classify_torsion(_build_table(args))
         payload = {**meta, "classification": kind}
@@ -363,9 +364,6 @@ def run(args):
             payload["pi"] = list(pi)
             payload["trivial"] = not pi
         return _emit(args, payload, 0)
-    if args.command == "valuation":
-        rep = coleman.valuation_constancy(_build_table(args))
-        return _emit(args, {**meta, **rep.to_json()}, 0 if rep.passed else 1)
     raise AssertionError("unreachable")
 
 
@@ -377,7 +375,7 @@ def main(argv=None):
         return 2 if exc.code else 0
     try:
         return run(args)
-    except (TableSpecError, SupportError, LevelError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         print("error: %s" % (exc.args[0] if isinstance(exc, KeyError) else exc), file=sys.stderr)
         return 2
     except coleman.SolveError as exc:

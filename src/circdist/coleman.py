@@ -64,12 +64,16 @@ class KappaDigits:
                 } for e in self.entries]}
 
 
-def _digit_pair(coefficient, modulus):
-    """Representatives of +-coefficient in [0, modulus) for a p-integral
-    rational coefficient."""
-    inv = pow(coefficient.denominator, -1, modulus)
-    plus = (coefficient.numerator * inv) % modulus
-    return plus, (-plus) % modulus
+def _digits(c, p, n, k_list):
+    """(k, plus, minus) for each k < n in k_list: the representatives of
+    c and -c in [0, p^(n-k)) for a p-integral rational c."""
+    out = []
+    for k in k_list:
+        if k < n:
+            modulus = p ** (n - k)
+            plus = c.numerator * pow(c.denominator, -1, modulus) % modulus
+            out.append((k, plus, -plus % modulus))
+    return tuple(out)
 
 
 def p_integral_exponent(u, p):
@@ -116,13 +120,8 @@ def kappa_digits(f, m, p, depth, k_list=None):
         lev = m * p ** n
         a = p_integral_exponent(f.value(lev), p)
         proj = a.project(to_level=m)
-        c = proj.coefficient(1)
-        digits = []
-        for k in k_list:
-            if k < n:
-                dp, dm = _digit_pair(c, p ** (n - k))
-                digits.append((k, dp, dm))
-        entries.append(KappaEntry(n, lev, a, proj, tuple(digits)))
+        entries.append(KappaEntry(n, lev, a, proj,
+                                  _digits(proj.coefficient(1), p, n, k_list)))
     return KappaDigits(m, p, depth, k_list, tuple(entries), b0)
 
 
@@ -193,17 +192,13 @@ def synthetic_digits(m, p, depth, k_list, numerator, denominator):
     denominator prime to p; used to exercise the boundedness verdicts on
     streams that cannot come from an integral exponent."""
     c = Fraction(numerator, denominator)
+    k_list = tuple(sorted(set(k_list)))
+    ident = grelt(m, True, {1: c})
     entries = []
     for n in range(1, depth + 1):
-        digits = []
-        for k in sorted(set(k_list)):
-            if k < n:
-                dp, dm = _digit_pair(c, p ** (n - k))
-                digits.append((k, dp, dm))
-        ident = grelt(m, True, {1: c})
         entries.append(KappaEntry(n, m * p ** n, ident.project(to_level=m),
-                                  ident, tuple(digits)))
-    return KappaDigits(m, p, depth, tuple(sorted(set(k_list))), tuple(entries), 0)
+                                  ident, _digits(c, p, n, k_list)))
+    return KappaDigits(m, p, depth, k_list, tuple(entries), 0)
 
 
 # ---------------------------------------------------------------------------

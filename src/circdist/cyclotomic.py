@@ -386,15 +386,9 @@ def norm_down(x, n):
 def sigma_ell(ell, n):
     """The automorphism acting trivially on the ell-part of level n and as
     the inverse Frobenius on the prime-to-ell part (CRT construction)."""
-    if n <= 2:
-        return GaloisElt(n, 1)
-    q = 1
-    while n % (q * ell) == 0:
-        q *= ell
+    q = ell ** polys.order_at(n, ell)
     m = n // q
-    if m == 1:
-        return GaloisElt(n, 1)
-    return GaloisElt(n, polys.crt_pair(1, q, pow(ell % m, -1, m), m))
+    return GaloisElt(n, polys.crt_pair(1, q, pow(ell, -1, m), m) if m > 1 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +417,7 @@ def vanishes_at_all_primes_above(x, ell):
     res = reduce_mod_ell(x, ell)
     if not res:
         return True
-    m = n // ell ** _order_at(n, ell)
+    m = n // ell ** polys.order_at(n, ell)
     rad = [c % ell for c in polys.cyclotomic_polynomial(m)]
     return not polys.fp_divmod(res, rad, ell)[1]
 
@@ -433,15 +427,6 @@ def _prime_power_split(n):
     if len(ps) != 1:
         raise LevelError("level %d is not a prime power" % n)
     return ps[0]
-
-
-def _order_at(v, p):
-    """Exponent of the prime p in the nonzero integer v."""
-    e = 0
-    while v % p == 0:
-        v //= p
-        e += 1
-    return e
 
 
 def valuation_at_p(x, p):
@@ -464,8 +449,8 @@ def valuation_at_p(x, p):
     for i in range(phi - 1):
         for j in range(phi - 2, i - 1, -1):
             b[j] += b[j + 1]
-    return (min(phi * _order_at(c, p) + i for i, c in enumerate(b) if c)
-            - phi * _order_at(x.den, p))
+    return (min(phi * polys.order_at(c, p) + i for i, c in enumerate(b) if c)
+            - phi * polys.order_at(x.den, p))
 
 
 def norm_to_q(x):
@@ -492,7 +477,7 @@ def is_p_unit(x, p):
     val = nrm.numerator
     if nrm.denominator != 1 or val == 0:
         return False
-    return val == p ** _order_at(val, p)
+    return val == p ** polys.order_at(val, p)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from .cyclotomic import (LevelError, act, cyc_from_json, cyc_to_json,
                          norm_down, one, raise_level, sigma_ell,
                          vanishes_at_all_primes_above, zeta)
 from .groupring import (GroupRingElt, annihilator_In_formula, grelt,
-                        group_reps, idempotent_e_n, sigma)
+                        group_reps, idempotent_e_n)
 
 
 class SupportError(ValueError):
@@ -180,8 +180,9 @@ def table_conj(f):
 
 class RTower:
     """Family of integer group-ring exponents r_n with pi(r_m) = r_n for
-    n | m.  Symbolic kinds generate a compatible element at every level;
-    explicit chains are validated and pushed down by projection."""
+    n | m.  A combination sum of c * sigma_a at a base level generates a
+    compatible element at every level; explicit chains are validated and
+    pushed down by projection."""
 
     _PRESETS = ("one", "tau", "one_plus_tau", "one_minus_tau")
 
@@ -193,11 +194,13 @@ class RTower:
     def preset(cls, name):
         if name not in cls._PRESETS:
             raise ValueError("unknown tower preset %r" % name)
-        return cls("preset", name)
+        # coefficients of 1 and of tau, the term (c, 1, -1): -1 on every prime
+        c1, ct = ((1, 0), (0, 1), (1, 1), (1, -1))[cls._PRESETS.index(name)]
+        return cls("combo", (1, ((c1, 1, 1), (ct, 1, -1))))
 
     @classmethod
     def scalar(cls, k):
-        return cls("scalar", int(k))
+        return cls("combo", (1, ((int(k), 1, 1),)))
 
     @classmethod
     def combo(cls, base, terms):
@@ -211,7 +214,7 @@ class RTower:
             a = a % base if base > 1 else 1
             if base > 1 and gcd(a, base) != 1:
                 raise ValueError("%d is not a unit mod %d" % (a, base))
-            norm.append((int(c), a))
+            norm.append((int(c), a, 1))
         return cls("combo", (base, tuple(norm)))
 
     @classmethod
@@ -233,46 +236,27 @@ class RTower:
     def covers(self, support):
         if self.kind != "explicit":
             return True
-        levels = sorted(self.data)
-        return all(any(L % n == 0 for L in levels) for n in support)
+        return all(any(L % n == 0 for L in self.data) for n in support)
 
-    def _lift_unit(self, a, base, target):
-        # residue a on primes shared with base, 1 on new primes, via CRT
-        parts = []
-        rest = target
-        for p in polys.prime_factors(target):
-            q = 1
-            while rest % p == 0:
-                rest //= p
-                q *= p
-            parts.append((q, a % q if base % p == 0 else 1))
+    @staticmethod
+    def _lift_unit(a, s, base, target):
+        # by CRT: a mod each prime power q || target dividing base, else s mod q
         x, mod = 0, 1
-        for q, r in parts:
-            x, mod = polys.crt_pair(x, mod, r, q), mod * q
+        for p in polys.prime_factors(target):
+            q = p ** polys.order_at(target, p)
+            x, mod = polys.crt_pair(x, mod, (a if base % p == 0 else s) % q, q), mod * q
         return x
 
     def at_level(self, n):
-        if self.kind == "preset":
-            name = self.data
-            t = cyclotomic.tau(n).a
-            if name == "one":
-                return grelt(n, False, {1: 1})
-            if name == "tau":
-                return grelt(n, False, {t: 1})
-            if name == "one_plus_tau":
-                return grelt(n, False, {1: 1}) + grelt(n, False, {t: 1})
-            return grelt(n, False, {1: 1}) - grelt(n, False, {t: 1})
-        if self.kind == "scalar":
-            return grelt(n, False, {1: self.data})
         if self.kind == "combo":
             base, terms = self.data
             big = lcm(base, n)
-            acc = grelt(big, False, {})
-            for c, a in terms:
-                acc = acc + sigma(big, self._lift_unit(a, base, big)) * c
-            return acc.project(to_level=n)
-        levels = sorted(self.data)
-        for L in levels:
+            coeffs = {}
+            for c, a, s in terms:
+                u = self._lift_unit(a, s, base, big)
+                coeffs[u] = coeffs.get(u, 0) + c
+            return grelt(big, False, coeffs).project(to_level=n)
+        for L in sorted(self.data):
             if L % n == 0:
                 return self.data[L].project(to_level=n)
         raise SupportError("tower chain does not cover level %d" % n)
@@ -359,19 +343,25 @@ def verify_strictness(f):
         if n % ell == 0:
             continue
         big = n * ell
-        x = act((n + ell) % big, f.value(big))   # value at z_l * z_n
-        y = raise_level(f.value(n), big)
-        entry = {"check": "strictness", "n": n, "ell": ell}
-        try:
-            ok = vanishes_at_all_primes_above(x - y, ell)
-            entry["pass"] = bool(ok)
-            if not ok:
-                entry["witness"] = {"difference": cyc_to_json(x - y)}
-        except ValueError:
-            entry["pass"] = False
-            entry["structural"] = "value is not %d-integral" % ell
-        rep.entries.append(entry)
+        rep.entries.append(_congruence_entry(
+            {"check": "strictness", "n": n, "ell": ell},
+            act((n + ell) % big, f.value(big)),   # value at z_l * z_n
+            raise_level(f.value(n), big), ell))
     return rep
+
+
+def _congruence_entry(entry, x, y, ell):
+    """entry completed by the verdict on x = y modulo every prime above ell:
+    the difference as witness when it fails, structural if not ell-integral."""
+    try:
+        diff = x - y
+        entry["pass"] = bool(vanishes_at_all_primes_above(diff, ell))
+        if not entry["pass"]:
+            entry["witness"] = {"difference": cyc_to_json(diff)}
+    except ValueError:
+        entry["pass"] = False
+        entry["structural"] = "value is not %d-integral" % ell
+    return entry
 
 
 def classify_torsion(f):
@@ -663,7 +653,7 @@ def exponent_denominator_profile(j):
     that integrality properties can be inspected, never asserted."""
     d = j.denominator_lcm()
     return {"denominator": d,
-            "factorization": {p: cyclotomic._order_at(d, p)
+            "factorization": {p: polys.order_at(d, p)
                               for p in polys.prime_factors(d)}}
 
 
@@ -828,15 +818,7 @@ def check_euler_conditions(f, m, r):
             frob = cyclotomic.GaloisElt(lower_level_n, ell % lower_level_n)
             ok3 = lhs * vals[down] == act(frob, vals[down])
             rep.entries.append({"check": "ES3", "r": rp, "ell": ell, "pass": bool(ok3)})
-            entry = {"check": "ES4", "r": rp, "ell": ell}
-            try:
-                diff = vals[rp] - raise_level(vals[down], m * rp)
-                ok4 = vanishes_at_all_primes_above(diff, ell)
-                entry["pass"] = bool(ok4)
-                if not ok4:
-                    entry["witness"] = {"difference": cyc_to_json(diff)}
-            except ValueError:
-                entry["pass"] = False
-                entry["structural"] = "value is not %d-integral" % ell
-            rep.entries.append(entry)
+            rep.entries.append(_congruence_entry(
+                {"check": "ES4", "r": rp, "ell": ell},
+                vals[rp], raise_level(vals[down], m * rp), ell))
     return rep

@@ -125,9 +125,7 @@ def _cyclic_factors(n):
     5 for 2^a (-1 alone for a = 2), each lifted by CRT to 1 mod the rest."""
     out = []
     for p in polys.prime_factors(n):
-        q = p
-        while n % (q * p) == 0:
-            q *= p
+        q = p ** polys.order_at(n, p)
         if p == 2:
             gens = ([(q - 1, 2)] if q >= 4 else []) + ([(5, q // 4)] if q >= 8 else [])
         else:
@@ -531,9 +529,7 @@ def _frobenius(n, ell):
         raise ValueError("%d is not a prime" % ell)
     if n % ell:
         raise LevelError("%d does not divide %d" % (ell, n))
-    m = n
-    while m % ell == 0:
-        m //= ell
+    m = n // ell ** polys.order_at(n, ell)
     frob, f = {1 % m}, ell % m
     while f not in frob:
         frob.add(f)

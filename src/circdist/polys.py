@@ -6,8 +6,8 @@ operand is packed into one big integer by halving shifts, the two are
 multiplied once (by gmpy2 when it is installed, else by Python's int), and
 the product is unpacked with a 2^(w-1) offset per w-bit chunk so negative
 coefficients come out exactly.  Remainders modulo a monic polynomial touch
-only its nonzero coefficients, which keeps reduction modulo a cyclotomic
-polynomial cheap.
+only its nonzero coefficients, one operation per nonzero lower term of Phi_n
+per step: 6 at n = 1215, but 342 at the squarefree 1155 and 916 at 3003.
 
 Also here: cyclotomic polynomials by one recursion on the largest prime q
 of n (Phi_n(x) is Phi_(n/q)(x^q), divided by Phi_(n/q)(x) unless q^2 | n),
@@ -114,8 +114,8 @@ def int_rem_monic(a, degree, terms):
     """Remainder of the integer list a modulo the monic x^degree + sum c x^k
     over (k, c) in terms, as a list of length degree; a is overwritten.
 
-    Long division that touches only the nonzero terms, so a sparse divisor
-    such as a cyclotomic polynomial costs a few operations per step."""
+    Long division that touches only the nonzero terms: each step costs one
+    operation per entry of terms (hundreds for Phi_n at n = 1155 or 3003)."""
     for j in range(len(a) - 1, degree - 1, -1):
         c = a[j]
         if c:
@@ -139,6 +139,17 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def order_at(v, p):
+    """Exponent of the prime p in the nonzero integer v."""
+    if not v:
+        raise ValueError("0 has no finite order at %d" % p)
+    e = 0
+    while v % p == 0:
+        v //= p
+        e += 1
+    return e
 
 
 def euler_phi(n):

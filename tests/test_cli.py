@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -352,3 +353,26 @@ def test_unbounded_inputs_are_refused_before_any_work(argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "" and proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_failed_out_leaves_no_file_behind(tmp_path):
+    # the report is written, then the rename over a directory fails
+    target = tmp_path / "D"
+    target.mkdir()
+    code, out, err = run_cli("idempotent", "--n", "12", "--out", str(target))
+    assert code == 2 and out == "" and "cannot write report" in err
+    assert os.listdir(tmp_path) == ["D"] and os.listdir(target) == []
+
+
+@pytest.mark.parametrize("umask,mode", [("022", 0o644), ("077", 0o600)])
+def test_out_report_gets_the_umask_mode(tmp_path, umask, mode):
+    # created as open() creates a file: 0o666 less the umask, which the
+    # child's shell sets, not this process
+    target = tmp_path / "report.json"
+    proc = subprocess.run(
+        ["sh", "-c", 'umask %s && exec "$@"' % umask, "sh", sys.executable,
+         "-m", "circdist.cli", "idempotent", "--n", "12", "--out", str(target)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    assert json.loads(target.read_text())["n"] == 12

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -325,3 +326,14 @@ def test_inverse_is_cached_within_its_bound():
     assert info.maxsize is not None and info.currsize <= info.maxsize < 38
     with pytest.raises(ZeroDivisionError):
         cyc.inverse(one(7) * 0)
+
+
+def test_sigma_ell_matches_a_search_over_the_units():
+    # the unit that is 1 mod the ell-part q of n and ell^-1 mod n / q
+    for n in range(2, 500):
+        for ell in (p for p in range(2, n + 1) if n % p == 0 and is_probable_prime(p)):
+            q = max(ell ** k for k in range(n.bit_length()) if n % ell ** k == 0)
+            m = n // q
+            found = [a for a in range(n)
+                     if a % q == 1 % q and a * ell % m == 1 % m and gcd(a, n) == 1]
+            assert len(found) == 1 and sigma_ell(ell, n) == GaloisElt(n, found[0]), (n, ell)

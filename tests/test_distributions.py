@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from circdist import cyclotomic as cyc
 from circdist import distributions as dist
 from circdist import groupring as gr
+from circdist import polys
 from circdist.cyclotomic import (CycElt, act, embedding_logs, one, raise_level,
                                  zeta, zeta_power)
 from circdist.distributions import (DistTable, RTower, SupportError,
@@ -336,3 +338,60 @@ def test_construction_checks_raise_when_relations_fail(monkeypatch):
     with pytest.raises(ArithmeticError, match="norm relations"):
         power_by_tower(f, RTower.scalar(2))
     assert power_by_tower(f, RTower.scalar(2), verify=False).value(12) == f.value(12) ** 2
+
+
+def _lift_unit_by_division(a, base, target):
+    # a on the prime powers of target that divide base, 1 on the others, each
+    # prime power split off by repeated division
+    x, mod, rest = 0, 1, target
+    for p in polys.prime_factors(target):
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        x, mod = polys.crt_pair(x, mod, a % q if base % p == 0 else 1, q), mod * q
+    return x
+
+
+def _tower_by_kind(kind, data, n):
+    # the preset, scalar and combination towers as separate constructions:
+    # sigma_1 and sigma_tau at n, the identity times k, and a sum of sigma's
+    # at lcm(base, n) projected to n
+    if kind == "preset":
+        one_, tau_ = gr.sigma(n, 1), gr.sigma(n, cyc.tau(n).a)
+        return {"one": one_, "tau": tau_, "one_plus_tau": one_ + tau_,
+                "one_minus_tau": one_ - tau_}[data]
+    if kind == "scalar":
+        return grelt(n, False, {1: data})
+    base, terms = data
+    big = lcm(base, n)
+    acc = grelt(big, False, {})
+    for c, a in terms:
+        acc = acc + gr.sigma(big, _lift_unit_by_division(a, base, big)) * c
+    return acc.project(to_level=n)
+
+
+def test_tower_kinds_match_their_separate_constructions():
+    for name in RTower._PRESETS:
+        tower = RTower.preset(name)
+        for n in range(2, 401):
+            assert tower.at_level(n) == _tower_by_kind("preset", name, n), (name, n)
+    for k in (-2, 0, 3):
+        tower = RTower.scalar(k)
+        for n in range(2, 401):
+            assert tower.at_level(n) == _tower_by_kind("scalar", k, n), (k, n)
+    # 37 = 7 mod 30 and 11 + 12 = 11 mod 12: repeated units add their
+    # coefficients, and a zero sum drops out
+    for base, terms in ((5, [(1, 1), (2, 2), (-1, 4)]),
+                        (12, [(2, 1), (1, 5), (-3, 7), (1, 11), (-1, 23)]),
+                        (30, [(1, 1), (1, 7), (-2, 11), (3, 29), (1, 37)])):
+        tower = RTower.combo(base, terms)
+        for n in range(1, 201):
+            expected = _tower_by_kind("combo", (base, [(c, a % base) for c, a in terms]), n)
+            assert tower.at_level(n) == expected, (base, n)
+
+
+def test_tower_one_plus_and_minus_tau_at_level_2():
+    # tau is the identity at level 2: 1 + tau is 2 sigma_1, 1 - tau is 0
+    assert RTower.preset("one_plus_tau").at_level(2) == grelt(2, False, {1: 2})
+    assert RTower.preset("one_minus_tau").at_level(2) == grelt(2, False, {})

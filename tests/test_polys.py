@@ -200,3 +200,19 @@ def test_rational_reconstruct():
     for num, den in [(3, 7), (-22, 5), (1, 1), (123, 991)]:
         a = num * pow(den, -1, m) % m
         assert polys.rational_reconstruct(a, m) == (num, den)
+
+
+def test_order_at_matches_repeated_division():
+    rng = random.Random(47)
+    primes = [p for p in range(2, 50) if polys.is_probable_prime(p)]
+    for _ in range(300):
+        v = rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)
+        for p in primes:
+            v2 = v * p ** rng.randint(0, 5)
+            e, w = 0, v2
+            while w % p == 0:
+                w //= p
+                e += 1
+            assert polys.order_at(v2, p) == e, (v2, p)
+    with pytest.raises(ValueError):
+        polys.order_at(0, 3)
