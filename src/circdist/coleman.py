@@ -15,24 +15,22 @@ eps at non-prime-power levels), and the constancy check for valuations of
 prime-power-level values.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groupring, polys
-from .cyclotomic import norm_down, one, valuation_at_p
+from .cyclotomic import _Value, norm_down, one, valuation_at_p
 from .distributions import (Report, SolveError, _annihilator,
                             _integral_coset_representative, solve_exponent)
 from .groupring import (GroupRingElt, eps_n, grelt, group_reps,
                         group_sum, stabilization_b0)
 
 
-@dataclass(frozen=True)
-class KappaEntry:
-    n: int
-    level: int
-    a_n: GroupRingElt          # exponent at level m*p^n, p-integral
-    projected: GroupRingElt    # push-forward to the base level
-    digits: tuple              # tuple of (k, plus digit, minus digit)
+class KappaEntry(_Value):
+    """Tower step n at level m p^n: ``a_n`` is the p-integral exponent there,
+    ``projected`` its push-forward to the base level m and ``digits`` the
+    tuple of (k, plus digit, minus digit)."""
+
+    __slots__ = ("n", "level", "a_n", "projected", "digits")
 
     def digit(self, k):
         for kk, dp, dm in self.digits:
@@ -41,14 +39,11 @@ class KappaEntry:
         raise KeyError("no digit stored for k = %d" % k)
 
 
-@dataclass(frozen=True)
-class KappaDigits:
-    m: int
-    p: int
-    depth: int
-    k_list: tuple
-    entries: tuple
-    stabilization: int         # detected b_0 for the (m, p) tower
+class KappaDigits(_Value):
+    """The KappaEntry of each step of the (m, p) tower up to depth, with the
+    detected b_0 as ``stabilization``."""
+
+    __slots__ = ("m", "p", "depth", "k_list", "entries", "stabilization")
 
     def to_json(self):
         from .distributions import exponent_denominator_profile
@@ -125,13 +120,14 @@ def kappa_digits(f, m, p, depth, k_list=None):
     return KappaDigits(m, p, depth, k_list, tuple(entries), b0)
 
 
-@dataclass(frozen=True)
-class BoundednessVerdict:
-    m: int
-    p: int
-    n_range: tuple
-    per_k: tuple       # tuple of (k, dict)
-    evidence_only: bool = True
+class BoundednessVerdict(_Value):
+    """Per-k boundedness of the digits over n_range; ``per_k`` is a tuple of
+    (k, dict) pairs."""
+
+    __slots__ = ("m", "p", "n_range", "per_k", "evidence_only")
+
+    def __init__(self, m, p, n_range, per_k, evidence_only=True):
+        super().__init__(m, p, n_range, per_k, evidence_only)
 
     def bounded(self, k):
         for kk, d in self.per_k:
@@ -205,15 +201,11 @@ def synthetic_digits(m, p, depth, k_list, numerator, denominator):
 # the norm-compatible family built from lifted group sums
 
 
-@dataclass(frozen=True)
-class NcndFamily:
-    p: int
-    q: int
-    a_max: int
-    levels: tuple
-    exponents: tuple     # Pi_a at its own level, a >= 2
-    family_values: tuple  # eps^(Pi_a)
-    report: Report
+class NcndFamily(_Value):
+    """For a = 2..a_max: ``exponents`` holds Pi_a at its own level and
+    ``family_values`` holds eps^(Pi_a)."""
+
+    __slots__ = ("p", "q", "a_max", "levels", "exponents", "family_values", "report")
 
     def value(self, a):
         for (aa, v) in zip(range(2, self.a_max + 1), self.family_values):

@@ -40,10 +40,10 @@ Valuations at prime-power levels are read from the coefficients on the
 powers of the uniformizer 1 - zeta, one Taylor shift of the numerators.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import cos, gcd, isqrt, lcm, log, pi, sin
+from operator import attrgetter, mul
 
 from . import polys
 
@@ -85,6 +85,54 @@ class _LevelCtx:
 _set = object.__setattr__
 
 
+class _Value:
+    """Immutable value whose fields are its public ``__slots__``, in order.
+    Equality (same class, equal fields), hashing, ``Name(field=value, ...)``
+    repr and pickling read those fields, as for a frozen dataclass; slots
+    named with a leading underscore are caches outside the value, and a
+    subclass that declares no fields keeps its parent's."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        if fields:
+            cls._fields = fields
+            cls._key = attrgetter(*fields)      # a tuple: every value has 2+ fields
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs:
+            try:
+                args += tuple(kwargs.pop(f) for f in names[len(args):])
+            except KeyError as missing:
+                raise TypeError("%s() missing field %s" % (type(self).__name__, missing)) from None
+        if len(args) != len(names) or kwargs:
+            raise TypeError("%s() takes the fields %s" % (type(self).__name__, ", ".join(names)))
+        for f, v in zip(names, args):
+            _set(self, f, v)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+
 def _fill(x, level, nums, den):
     _set(x, "level", level)
     _set(x, "nums", tuple(nums))
@@ -93,7 +141,7 @@ def _fill(x, level, nums, den):
     return x
 
 
-class CycElt:
+class CycElt(_Value):
     """Element of Q(zeta_level) on the power basis; immutable value.
 
     ``CycElt(level, coeffs)`` takes the phi(level) rational coefficients.
@@ -131,20 +179,6 @@ class CycElt:
             den = self.den
             _set(self, "_coeffs", tuple(Fraction(c, den) for c in self.nums))
         return self._coeffs
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycElt is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, CycElt):
-            return NotImplemented
-        return (self.level == other.level and self.den == other.den
-                and self.nums == other.nums)
-
-    def __hash__(self):
-        return hash((self.level, self.nums, self.den))
 
     def __repr__(self):
         return "CycElt(level=%d, coeffs=%r)" % (self.level, self.coeffs)
@@ -194,15 +228,7 @@ class CycElt:
     def __pow__(self, k):
         if k < 0:
             return inverse(self) ** (-k)
-        result = one(self.level)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k) if k else one(self.level)
 
     def is_zero(self):
         return not any(self.nums)
@@ -228,6 +254,19 @@ def zero(n):
     return from_rational(n, 0)
 
 
+def _power(x, k):
+    """x ** k for k >= 1 by repeated squaring, starting from the first
+    factor: no product by the identity."""
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else result * x
+        k >>= 1
+        if not k:
+            return result
+        x = x * x
+
+
 def zeta(n):
     """The distinguished primitive n-th root (exponent convention z_n)."""
     return zeta_power(n, 1)
@@ -243,19 +282,18 @@ def zeta_power(n, k):
 # Galois action
 
 
-@dataclass(frozen=True)
-class GaloisElt:
+class GaloisElt(_Value):
     """Automorphism z_n -> z_n^a of Q(zeta_n); a is a unit mod n."""
 
-    level: int
-    a: int
+    __slots__ = ("level", "a")
 
-    def __post_init__(self):
-        n = self.level
-        if n < 1:
+    def __init__(self, level, a):
+        if level < 1:
             raise LevelError("level must be >= 1")
-        if n > 1 and (not 1 <= self.a < n or gcd(self.a, n) != 1):
-            raise ValueError("a = %d is not a reduced unit mod %d" % (self.a, n))
+        if level > 1 and (not 1 <= a < level or gcd(a, level) != 1):
+            raise ValueError("a = %d is not a reduced unit mod %d" % (a, level))
+        _set(self, "level", level)
+        _set(self, "a", a)
 
 
 def tau(n):
@@ -299,17 +337,14 @@ def inverse(x):
 
 def apply_integer_exponents(x, terms):
     """Product of sigma_a(x)^k over (a, k) pairs with integer k (any sign)."""
-    n = x.level
-    pos = one(n)
-    xinv = None
+    pos = xinv = None
     for a, k in terms:
-        if k > 0:
-            pos = pos * act(a, x) ** k
-        elif k < 0:
-            if xinv is None:
-                xinv = inverse(x)
-            pos = pos * act(a, xinv) ** -k
-    return pos
+        if k < 0 and xinv is None:
+            xinv = inverse(x)
+        if k:
+            f = act(a, x) ** k if k > 0 else act(a, xinv) ** -k
+            pos = f if pos is None else pos * f
+    return one(x.level) if pos is None else pos
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +412,8 @@ def norm_down(x, n):
     m = x.level
     if m % n:
         raise LevelError("%d does not divide %d" % (n, m))
-    prod = one(m)
-    for a in relative_galois_group(m, n):
-        prod = prod * act(a % m if m > 1 else 1, x)
-    return lower_level(prod, n)
+    conj = (act(a % m if m > 1 else 1, x) for a in relative_galois_group(m, n))
+    return lower_level(reduce(mul, conj), n)
 
 
 def sigma_ell(ell, n):

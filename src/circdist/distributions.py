@@ -43,12 +43,11 @@ table log sigma_k(eps_n) = 2 log|2 sin(pi k / n)| is built once per level
 and serves both.  The library uses Python floats and integers alone.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import ceil, floor, frexp, gcd, lcm, ldexp, log, pi, sin
 
 from . import cyclotomic, groupring, intlinalg, polys
-from .cyclotomic import (LevelError, act, cyc_from_json, cyc_to_json,
+from .cyclotomic import (LevelError, _Value, act, cyc_from_json, cyc_to_json,
                          norm_down, one, raise_level, sigma_ell,
                          vanishes_at_all_primes_above, zeta)
 from .groupring import (GroupRingElt, annihilator_In_formula, grelt,
@@ -86,12 +85,11 @@ def is_divisor_closed(support):
     return True
 
 
-@dataclass(frozen=True)
-class DistTable:
-    """Map from a divisor-closed support to nonzero cyclotomic values."""
+class DistTable(_Value):
+    """Map from a divisor-closed support to nonzero cyclotomic values:
+    ``values`` is the tuple of (n, CycElt) pairs aligned with ``support``."""
 
-    support: tuple
-    values: tuple          # tuple of (n, CycElt) aligned with support
+    __slots__ = ("support", "values")
 
     @classmethod
     def from_dict(cls, values):
@@ -283,10 +281,18 @@ def power_by_tower(f, tower, verify=True):
 # verification reports
 
 
-@dataclass
-class Report:
-    name: str
-    entries: list = field(default_factory=list)
+class Report(_Value):
+    """A named list of check entries; mutable and unhashable, as entries are
+    appended while the checks run."""
+
+    __slots__ = ("name", "entries")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name, entries=None):
+        self.name = name
+        self.entries = [] if entries is None else entries
 
     @property
     def passed(self):

@@ -47,15 +47,15 @@ stabilization level b_0 tests those residues on the units 1 + k*base alone,
 never listing the units of the higher levels.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm, log, pi, sin
 from operator import mul
 
 from . import cyclotomic, intlinalg, polys
-from .cyclotomic import LevelError, PrecisionError, act, one, zeta
+from .cyclotomic import (LevelError, PrecisionError, _power, _set, _Value, act,
+                         one, zeta)
 
 
 class HypothesisNotMetError(ValueError):
@@ -331,18 +331,21 @@ def character_sums(n, vals, sign=-1):
 # group-ring elements
 
 
-@dataclass(frozen=True)
-class GroupRingElt:
+class GroupRingElt(_Value):
     """Element of Q[G_n] (or Q[G_n^+] when plus) as integer numerators over
     one denominator: nums[i] / den is the coefficient of the i-th entry of
     group_reps(level, plus), with den > 0 and gcd(den, *nums) = 1 (so zero
     has den = 1).  ``coeffs`` is the sorted tuple of nonzero (rep, Fraction)
     pairs, built on first use."""
 
-    level: int
-    plus: bool
-    nums: tuple
-    den: int
+    __slots__ = ("level", "plus", "nums", "den", "_coeffs")
+
+    def __init__(self, level, plus, nums, den):
+        _set(self, "level", level)
+        _set(self, "plus", plus)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
+        _set(self, "_coeffs", None)
 
     @classmethod
     def _from_ints(cls, level, plus, nums, den):
@@ -355,11 +358,13 @@ class GroupRingElt:
                 den //= g
         return cls(level, plus, tuple(nums), den)
 
-    @cached_property
+    @property
     def coeffs(self):
-        den = self.den
-        return tuple((r, Fraction(v, den))
-                     for r, v in zip(group_reps(self.level, self.plus), self.nums) if v)
+        if self._coeffs is None:
+            den = self.den
+            _set(self, "_coeffs", tuple((r, Fraction(v, den)) for r, v in
+                                        zip(group_reps(self.level, self.plus), self.nums) if v))
+        return self._coeffs
 
     def coefficient(self, a):
         i = _unit_positions(self.level, self.plus)[canon_rep(a, self.level, self.plus)]
@@ -415,15 +420,7 @@ class GroupRingElt:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("Z[G] has no general inverse: exponent %d < 0" % k)
-        result = identity(self.level, self.plus)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k) if k else identity(self.level, self.plus)
 
     # -- structure maps ------------------------------------------------------
 
@@ -608,14 +605,12 @@ def _certify_idempotent(e):
 # ideal lattices
 
 
-@dataclass(frozen=True)
-class IdealLattice:
+class IdealLattice(_Value):
     """Finitely generated subgroup of the group ring, rows in canonical HNF
-    over the fixed coordinate order (ascending representatives)."""
+    over the fixed coordinate order (ascending representatives): ``hnf`` is
+    a tuple of tuples of ints."""
 
-    level: int
-    plus: bool
-    hnf: tuple    # tuple of tuples of ints
+    __slots__ = ("level", "plus", "hnf")
 
     @classmethod
     def from_rows(cls, level, plus, rows):

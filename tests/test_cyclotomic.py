@@ -337,3 +337,32 @@ def test_sigma_ell_matches_a_search_over_the_units():
             found = [a for a in range(n)
                      if a % q == 1 % q and a * ell % m == 1 % m and gcd(a, n) == 1]
             assert len(found) == 1 and sigma_ell(ell, n) == GaloisElt(n, found[0]), (n, ell)
+
+
+def test_powers_and_actions_make_no_product_by_one(monkeypatch):
+    # x ** k and x^(sum k_a sigma_a) start from their first factor: x ** k
+    # costs (bits of k - 1) squarings and (ones in k - 1) products, and a
+    # one-term exponent with coefficient 1 is a bare Galois action
+    x = one(15) * 2 + zeta(15) - zeta(15) ** 4
+    naive = [one(15)]
+    for _ in range(9):
+        naive.append(naive[-1] * x)
+    calls = []
+    real = cyc.polys.int_poly_mul
+    monkeypatch.setattr(cyc.polys, "int_poly_mul",
+                        lambda a, b: calls.append(1) or real(a, b))
+
+    def products(value, expected):
+        calls.clear()
+        assert value() == expected
+        return len(calls)
+
+    for k in range(10):
+        want = k.bit_length() + bin(k).count("1") - 2 if k else 0
+        assert products(lambda: x ** k, naive[k]) == want, k
+    assert products(lambda: grelt(15, False, {2: 1}).act_on(x), act(2, x)) == 0
+    assert products(lambda: grelt(15, False, {}).act_on(x), one(15)) == 0
+    assert products(lambda: grelt(15, False, {1: 1, 2: 2}).act_on(x),
+                    x * act(2, naive[2])) == 2
+    assert products(lambda: norm_down(x, 15), x) == 0
+    assert products(lambda: norm_down(x, 5), lower_level(x * act(11, x), 5)) == 1

@@ -432,3 +432,19 @@ def test_an_even_key_is_no_unit_at_level_2():
             grelt(2, plus, {2: 1})
     # every integer is a unit mod 1
     assert grelt(1, False, {0: 1, 2: 1}) == grelt(1, False, {1: 2})
+
+
+def test_powers_make_no_product_by_the_identity(monkeypatch):
+    # e ** k starts from its first factor: (bits of k - 1) squarings and
+    # (ones in k - 1) products, none for k = 0 or 1
+    e = grelt(21, True, {1: 2, 2: -1, 4: 3})
+    naive = [gr.identity(21, True)]
+    for _ in range(9):
+        naive.append(naive[-1] * e)
+    calls = []
+    real = gr._product
+    monkeypatch.setattr(gr, "_product", lambda *args: calls.append(1) or real(*args))
+    for k in range(10):
+        calls.clear()
+        assert e ** k == naive[k]
+        assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k

@@ -225,3 +225,39 @@ def test_every_trace_target_resolves():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"]
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # every circdist command is one fresh process; the value classes are
+    # plain __slots__ classes, so importing the CLI pays for neither module
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = ("import sys, circdist.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
+ALLOWED_IMPORTS = {"argparse", "bisect", "contextlib", "fractions", "functools",
+                   "itertools", "json", "math", "operator", "os", "sys", "gmpy2"}
+
+
+def test_library_imports_only_the_allowlist():
+    # a module outside this list costs every CLI process its import time;
+    # adding one is a deliberate edit here (gmpy2 is the optional fast path)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
+                      if name.split(".")[0] not in ALLOWED_IMPORTS]
+    assert list(SRC.glob("*.py")) and not found, found
