@@ -223,9 +223,8 @@ def _section_lift(elt, target_level, choose):
     for i, g in enumerate(groupring._push_columns(target_level, elt.level, True, True)):
         preimages.setdefault(g, []).append(i)
     nums = [0] * len(group_reps(target_level, True))
-    for g, v in enumerate(elt.nums):
-        if v:
-            nums[choose(preimages[g])] = v
+    for g, v in elt.nonzero():
+        nums[choose(preimages[g])] = v
     return GroupRingElt(target_level, True, tuple(nums), elt.den)
 
 

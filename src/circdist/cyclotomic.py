@@ -3,12 +3,14 @@
 Elements are rational coefficient vectors on the power basis
 1, z, ..., z^(phi(n)-1) of Q(zeta_n), reduced modulo the n-th cyclotomic
 polynomial, and stored as integer numerators over one positive common
-denominator that shares no factor with all of them.  The compatible-system
-convention is zeta_(mn)^m = zeta_n, so coercion up a level sends z_n^i to
-z_m^((m/n) i).  Coercion down goes one prime q at a time: where q^2 divides
-the level it keeps every q-th coefficient, elsewhere it takes the relative
-trace over Q(zeta_(m/q)) divided by q - 1, and each step verifies subfield
-membership exactly instead of assuming it.
+denominator that shares no factor with all of them.  Group-ring elements
+share that representation (`_Vector`), its sums and its one reader of
+the nonzero numerators, which every scan and evaluation reads.  The
+compatible-system convention is zeta_(mn)^m = zeta_n, so coercion up a
+level sends z_n^i to z_m^((m/n) i).  Coercion down goes one prime q at a
+time: where q^2 divides the level it keeps every q-th coefficient,
+elsewhere it takes the relative trace over Q(zeta_(m/q)) divided by q - 1,
+and each step verifies subfield membership exactly instead of assuming it.
 
 Products are one integer convolution of the numerators.  Reduction folds
 exponents with z^n = 1 and then divides by Phi_n using only its nonzero
@@ -133,21 +135,82 @@ class _Value:
         return type(self), self._key(self)
 
 
-def _fill(x, level, nums, den):
-    _set(x, "level", level)
-    _set(x, "nums", tuple(nums))
-    _set(x, "den", den)
-    _set(x, "_coeffs", None)
-    return x
+class _Vector(_Value):
+    """Value whose fields end in ``nums, den``: integer numerators over a
+    positive den with gcd(den, *nums) = 1, after a head (`_head`) that
+    operands must share (`_check`).  Equality reads nums and den first."""
+
+    __slots__ = ()
+
+    def _put(self, nums, den):
+        """self with the fields nums / den (den > 0), divided by their gcd."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
+        _set(self, "nums", tuple(nums))
+        _set(self, "den", den)
+        return self
+
+    def nonzero(self):
+        """Iterator over the (position, numerator) pairs with numerator != 0."""
+        return ((i, c) for i, c in enumerate(self.nums) if c)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den and self._head() == other._head()
+
+    def _add(self, other, sign):
+        other = self._check(other)
+        d = lcm(self.den, other.den)
+        fa, fb = d // self.den, sign * (d // other.den)
+        nums = [a * fa + b * fb for a, b in zip(self.nums, other.nums)]
+        return self._from_ints(*self._head(), nums, d)
+
+    def __add__(self, other):
+        return self._add(other, 1)
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __neg__(self):
+        return self._from_ints(*self._head(), [-a for a in self.nums], self.den)
+
+    def _scaled(self, q):
+        """self times the int or Fraction q."""
+        nums = [a * q.numerator for a in self.nums]
+        return self._from_ints(*self._head(), nums, self.den * q.denominator)
+
+    def is_zero(self):
+        return not any(self.nums)
+
+    def is_integral(self):
+        return self.den == 1
+
+    def denominator_lcm(self):
+        return self.den
 
 
-class CycElt(_Value):
+def _numerators(coeffs, length):
+    """(nums, den): the rationals coeffs as integer numerators over the lcm
+    of their reduced denominators, which shares no factor with all of them.
+    ValueError unless there are length of them."""
+    coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+    if len(coeffs) != length:
+        raise ValueError("vector of length %d for %d coefficients" % (len(coeffs), length))
+    den = lcm(*[c.denominator for c in coeffs])
+    return tuple([c.numerator * (den // c.denominator) for c in coeffs]), den
+
+
+class CycElt(_Vector):
     """Element of Q(zeta_level) on the power basis; immutable value.
 
     ``CycElt(level, coeffs)`` takes the phi(level) rational coefficients.
-    The value is held as ``nums`` (a tuple of integers) over ``den`` (a
-    positive integer with gcd(den, *nums) = 1); ``coeffs`` is the tuple of
-    Fractions nums[i] / den, built on first use.
+    The value is held as ``nums`` (a tuple of integers) over ``den``
+    (`_Vector`); ``coeffs`` is the tuple of Fractions nums[i] / den, built
+    on first use.
     """
 
     __slots__ = ("level", "nums", "den", "_coeffs")
@@ -155,30 +218,32 @@ class CycElt(_Value):
     def __init__(self, level, coeffs):
         if level < 1:
             raise LevelError("level must be >= 1")
-        coeffs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c)
-                       for c in coeffs)
-        if len(coeffs) != polys.euler_phi(level):
-            raise ValueError("coefficient vector has wrong length")
-        # the lcm of reduced denominators shares no factor with all numerators
-        den = lcm(*(c.denominator for c in coeffs))
-        _fill(self, level, [c.numerator * (den // c.denominator) for c in coeffs], den)
+        nums, den = _numerators(coeffs, polys.euler_phi(level))
+        _set(self, "level", level)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
 
     @classmethod
     def _from_ints(cls, level, nums, den=1):
         """Element nums / den (den > 0, len(nums) = phi(level)), normalized."""
-        if den != 1:
-            g = gcd(den, *nums)
-            if g != 1:
-                nums = [c // g for c in nums]
-                den //= g
-        return _fill(object.__new__(cls), level, nums, den)
+        x = object.__new__(cls)
+        _set(x, "level", level)
+        return x._put(nums, den)
+
+    def _head(self):
+        return (self.level,)
+
+    def __hash__(self):
+        return hash((self.level, self.nums, self.den))
 
     @property
     def coeffs(self):
-        if self._coeffs is None:
+        try:
+            return self._coeffs
+        except AttributeError:
             den = self.den
             _set(self, "_coeffs", tuple(Fraction(c, den) for c in self.nums))
-        return self._coeffs
+            return self._coeffs
 
     def __repr__(self):
         return "CycElt(level=%d, coeffs=%r)" % (self.level, self.coeffs)
@@ -188,36 +253,17 @@ class CycElt(_Value):
 
     # -- ring operations ---------------------------------------------------
 
-    def _binop_check(self, other):
+    def _check(self, other):
         if not isinstance(other, CycElt):
             other = from_rational(self.level, other)
         if other.level != self.level:
             raise LevelError("level mismatch: %d vs %d" % (self.level, other.level))
         return other
 
-    def _add(self, other, sign):
-        other = self._binop_check(other)
-        d = lcm(self.den, other.den)
-        fa, fb = d // self.den, sign * (d // other.den)
-        nums = [a * fa + b * fb for a, b in zip(self.nums, other.nums)]
-        return CycElt._from_ints(self.level, nums, d)
-
-    def __add__(self, other):
-        return self._add(other, 1)
-
-    def __sub__(self, other):
-        return self._add(other, -1)
-
-    def __neg__(self):
-        return CycElt._from_ints(self.level, [-a for a in self.nums], self.den)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycElt._from_ints(self.level,
-                                     [a * q.numerator for a in self.nums],
-                                     self.den * q.denominator)
-        other = self._binop_check(other)
+            return self._scaled(other)
+        other = self._check(other)
         prod = polys.int_poly_mul(self.nums, other.nums)
         return CycElt._from_ints(self.level,
                                  _LevelCtx(self.level).reduce_int_vec(prod),
@@ -229,15 +275,6 @@ class CycElt(_Value):
         if k < 0:
             return inverse(self) ** (-k)
         return _power(self, k) if k else one(self.level)
-
-    def is_zero(self):
-        return not any(self.nums)
-
-    def denominator_lcm(self):
-        return self.den
-
-    def is_integral(self):
-        return self.den == 1
 
 
 def from_rational(n, q):
@@ -319,9 +356,8 @@ def act(g, x):
 def _scatter(x, m, step):
     """x with z^i sent to z_m^(step i), at level m."""
     long = [0] * m
-    for i, c in enumerate(x.nums):
-        if c:
-            long[(i * step) % m] += c
+    for i, c in x.nonzero():
+        long[(i * step) % m] += c
     return CycElt._from_ints(m, _LevelCtx(m).reduce_int_vec(long), x.den)
 
 
@@ -381,15 +417,14 @@ def lower_level(x, n):
             m = x.level
             low = m // q
             if low % q == 0:
-                if any(c for k, c in enumerate(x.nums) if k % q):
+                if any(k % q for k, _ in x.nonzero()):
                     raise SubfieldError("element is not in the level-%d subfield" % n)
                 x = CycElt._from_ints(low, x.nums[::q], x.den)
                 continue
             u = pow(q, -1, low) if low > 1 else 0
             trace = [0] * low
-            for k, c in enumerate(x.nums):
-                if c:
-                    trace[u * k % low] += c * (q - 1) if k % q == 0 else -c
+            for k, c in x.nonzero():
+                trace[u * k % low] += c * (q - 1) if k % q == 0 else -c
             y = CycElt._from_ints(low, _LevelCtx(low).reduce_int_vec(trace),
                                   x.den * (q - 1))
             if raise_level(y, m) != x:
@@ -402,17 +437,12 @@ def relative_galois_group(m, n):
     """Units a mod m with a = 1 (mod n): Gal(Q(m)/Q(n)) under the convention."""
     if m % n:
         raise LevelError("%d does not divide %d" % (n, m))
-    if n <= 2:
-        return [a for a in range(1, m + 1) if gcd(a, m) == 1] if m > 1 else [1]
-    return [a for a in range(1, m) if gcd(a, m) == 1 and a % n == 1]
+    return [a for a in polys.units(m) if a % n == 1 % n]
 
 
 def norm_down(x, n):
     """Field norm from level x.level to level n (n | x.level), verified."""
-    m = x.level
-    if m % n:
-        raise LevelError("%d does not divide %d" % (n, m))
-    conj = (act(a % m if m > 1 else 1, x) for a in relative_galois_group(m, n))
+    conj = (act(a, x) for a in relative_galois_group(x.level, n))
     return lower_level(reduce(mul, conj), n)
 
 
@@ -556,7 +586,7 @@ def double_embeddings(x):
     reps = group_reps(n, True)
     powers = _zeta_powers(n)[is_tau_fixed(x)]
     top = max(map(abs, x.nums))
-    terms = [(i, c / top) for i, c in enumerate(x.nums) if c]
+    terms = [(i, c / top) for i, c in x.nonzero()]
     vals = tuple(sum(v * powers[i * c % n] for i, v in terms) for c in reps)
     err = (len(x.nums) + 2) * 2.0 ** -52 * sum(abs(v) for _, v in terms)
     return reps, vals, err, log(top) - log(x.den)
@@ -680,26 +710,24 @@ def interval_embedding(x, c):
     the integers lo = sum_i x_i lo_i and hi = sum_i x_i hi_i, where lo_i
     and hi_i are the floor and ceiling bounds of the cosines (taken the
     other way round where x_i < 0); nothing is rounded after the cosines.
+    Only the nonzero x_i are summed, their cosine indices found once.
     prec starts at 128 bits and doubles until [lo, hi] excludes 0 and is
     narrower than 2^-53 of its endpoints; the log is read from the endpoint
     nearer zero, divided by the denominator in one rounding.  Raises
     PrecisionError past 4096 bits.
     """
     n = x.level
+    terms = [(min(r, n - r), a) for i, a in x.nonzero() for r in [i * c % n]]
     prec = 128
     while prec <= 4096:
         bounds = _cos_bounds(n, prec)
         lo = hi = 0
-        for i, a in enumerate(x.nums):
-            if a:
-                r = i * c % n
-                cl, ch = bounds[min(r, n - r)]
-                if a > 0:
-                    lo += a * cl
-                    hi += a * ch
-                else:
-                    lo += a * ch
-                    hi += a * cl
+        for r, a in terms:
+            cl, ch = bounds[r]
+            if a < 0:
+                cl, ch = ch, cl
+            lo += a * cl
+            hi += a * ch
         if lo > 0 or hi < 0:
             near = lo if lo > 0 else -hi
             if (hi - lo) << 53 < near:

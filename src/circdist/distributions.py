@@ -39,18 +39,19 @@ All embeddings come from the one evaluator in `cyclotomic`: the solver
 takes its positivity verdict and its logarithms from `embedding_logs` (one
 evaluation of u, interval arithmetic wherever doubles cannot read a value),
 and the norm bound takes moduli from the same double-precision pass.  The
-table log sigma_k(eps_n) = 2 log|2 sin(pi k / n)| is built once per level
-and serves both.  The library uses Python floats and integers alone.
+table log sigma_k(eps_n) = 2 log|2 sin(pi k / n)| (`groupring._log_eps`)
+is built once per level and serves both.  The library uses Python floats
+and integers alone.
 """
 
 from functools import lru_cache, reduce
-from math import ceil, floor, frexp, gcd, lcm, ldexp, log, pi, sin
+from math import ceil, floor, frexp, gcd, lcm, ldexp, log
 
 from . import cyclotomic, groupring, intlinalg, polys
 from .cyclotomic import (LevelError, _Value, act, cyc_from_json, cyc_to_json,
                          norm_down, one, raise_level, sigma_ell,
                          vanishes_at_all_primes_above, zeta)
-from .groupring import (GroupRingElt, annihilator_In_formula, grelt,
+from .groupring import (GroupRingElt, _log_eps, annihilator_In_formula, grelt,
                         group_reps, idempotent_e_n)
 
 
@@ -400,17 +401,6 @@ def _annihilator(n):
     return annihilator_In_formula(n)
 
 
-@lru_cache(maxsize=None)
-def _log_eps(n):
-    """log sigma_k(eps_n) = 2 log(2 sin(pi k / n)) for every residue k mod n
-    (entry 0, never a unit, is 0); k and n - k hold the same double, read
-    at k <= n / 2 where the sine has no cancellation."""
-    out = [0.0] * n
-    for k in range(1, n // 2 + 1):
-        out[k] = out[n - k] = 2.0 * log(2.0 * sin(pi * k / n))
-    return tuple(out)
-
-
 def _fixed(vals):
     """(ints, shift): each double times 2^shift, rounded to an integer, the
     largest in size below 2^62."""
@@ -521,7 +511,7 @@ def _residues_match(u, d, pos, neg, prime):
     -c give the same equation and the plus representatives suffice."""
     n = u.level
     p, powers, eps, norm = prime
-    terms = [(i, v % p) for i, v in enumerate(u.nums) if v]
+    terms = [(i, v % p) for i, v in u.nonzero()]
     m, dev = _around_mode(n, pos + [(a, -k) for a, k in neg])
     groups = ({}, {})
     for a, k in dev:

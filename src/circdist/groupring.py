@@ -3,10 +3,11 @@
 Group elements are reduced representatives a with 1 <= a < n (for the plus
 quotient, the smaller of {a, n-a}).  A group-ring element holds one integer
 numerator per representative, in ascending order, over one positive
-denominator, normalized as CycElt is; canon_rep is needed only where a
-caller names a group element by any integer (grelt, coefficient).  Ideal
-lattices are integer matrices in canonical Hermite normal form over the same
-coordinate order, so two lattices are equal iff their HNF rows are identical.
+denominator, in the base `cyclotomic._Vector` it shares with CycElt;
+canon_rep is needed only where a caller names a group element by any
+integer (grelt, coefficient).  Ideal lattices are integer matrices in
+canonical Hermite normal form over the same coordinate order, so two
+lattices are equal iff their HNF rows are identical.
 
 Products use discrete-log coordinates.  G_n is a product of cyclic groups
 <g_i> of orders d_i (one per odd prime-power factor of n, and <-1> x <5>
@@ -36,7 +37,7 @@ Math. 62, 1980), and the rows saturated; their HNF pivots are all 1 (one
 subgroup's rows are their own HNF) except at a few levels such as 290 and
 1155, the only ones that need kernels.  Analytically, from double-precision
 log embeddings, each kernel vector verified exactly (the independent
-oracle).
+oracle, on the exponent solver's table of log sigma_k(eps_n), `_log_eps`).
 
 The annihilators of mu_n, -z_n and -z_(2n) are single congruences
 sum_a c_a e_a = 0 mod N, written down in canonical HNF by
@@ -49,13 +50,13 @@ never listing the units of the higher levels.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from math import gcd, lcm, log, pi, sin
+from math import gcd, log, pi, sin
 from operator import mul
 
 from . import cyclotomic, intlinalg, polys
-from .cyclotomic import (LevelError, PrecisionError, _power, _set, _Value, act,
-                         one, zeta)
+from .cyclotomic import (LevelError, PrecisionError, _power, _set, _Value,
+                         _Vector, _numerators, act, one, zeta)
+from .polys import units
 
 
 class HypothesisNotMetError(ValueError):
@@ -65,18 +66,6 @@ class HypothesisNotMetError(ValueError):
 
 # ---------------------------------------------------------------------------
 # group bookkeeping
-
-
-@lru_cache(maxsize=None)
-def units(n):
-    """The units 1 <= a < n mod n, ascending: the multiples of the prime
-    factors of n sieved out of range(n)."""
-    if n <= 2:
-        return (1,)
-    keep = bytearray(b"\x01") * n
-    for p in polys.prime_factors(n):
-        keep[::p] = bytes(-(-n // p))
-    return tuple(compress(range(n), keep))
 
 
 @lru_cache(maxsize=None)
@@ -331,12 +320,11 @@ def character_sums(n, vals, sign=-1):
 # group-ring elements
 
 
-class GroupRingElt(_Value):
-    """Element of Q[G_n] (or Q[G_n^+] when plus) as integer numerators over
-    one denominator: nums[i] / den is the coefficient of the i-th entry of
-    group_reps(level, plus), with den > 0 and gcd(den, *nums) = 1 (so zero
-    has den = 1).  ``coeffs`` is the sorted tuple of nonzero (rep, Fraction)
-    pairs, built on first use."""
+class GroupRingElt(_Vector):
+    """Element of Q[G_n] (or Q[G_n^+] when plus) in the base
+    `cyclotomic._Vector`: nums[i] / den is the coefficient of the i-th
+    entry of group_reps(level, plus).  ``coeffs`` is the sorted tuple of
+    nonzero (rep, Fraction) pairs, built on first use."""
 
     __slots__ = ("level", "plus", "nums", "den", "_coeffs")
 
@@ -345,26 +333,30 @@ class GroupRingElt(_Value):
         _set(self, "plus", plus)
         _set(self, "nums", nums)
         _set(self, "den", den)
-        _set(self, "_coeffs", None)
 
     @classmethod
     def _from_ints(cls, level, plus, nums, den):
         """Element nums / den (den > 0, one numerator per representative),
         normalized."""
-        if den != 1:
-            g = gcd(den, *nums)
-            if g != 1:
-                nums = [v // g for v in nums]
-                den //= g
-        return cls(level, plus, tuple(nums), den)
+        x = object.__new__(cls)
+        _set(x, "level", level)
+        _set(x, "plus", plus)
+        return x._put(nums, den)
+
+    def _head(self):
+        return self.level, self.plus
+
+    def __hash__(self):
+        return hash((self.level, self.plus, self.nums, self.den))
 
     @property
     def coeffs(self):
-        if self._coeffs is None:
-            den = self.den
-            _set(self, "_coeffs", tuple((r, Fraction(v, den)) for r, v in
-                                        zip(group_reps(self.level, self.plus), self.nums) if v))
-        return self._coeffs
+        try:
+            return self._coeffs
+        except AttributeError:
+            reps, den = group_reps(self.level, self.plus), self.den
+            _set(self, "_coeffs", tuple((reps[i], Fraction(v, den)) for i, v in self.nonzero()))
+            return self._coeffs
 
     def coefficient(self, a):
         i = _unit_positions(self.level, self.plus)[canon_rep(a, self.level, self.plus)]
@@ -373,43 +365,21 @@ class GroupRingElt(_Value):
     def augmentation(self):
         return Fraction(sum(self.nums), self.den)
 
-    def is_integral(self):
-        return self.den == 1
-
-    def denominator_lcm(self):
-        return self.den
-
     def _terms(self):
         """(Kronecker index, numerator) of each nonzero coefficient."""
-        return [(k, v) for k, v in zip(_rep_keys(self.level, self.plus), self.nums) if v]
+        keys = _rep_keys(self.level, self.plus)
+        return [(keys[i], v) for i, v in self.nonzero()]
 
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):
         if self.level != other.level or self.plus != other.plus:
             raise LevelError("group-ring mismatch")
-
-    def _add(self, other, sign):
-        self._check(other)
-        d = lcm(self.den, other.den)
-        fa, fb = d // self.den, sign * (d // other.den)
-        return GroupRingElt._from_ints(self.level, self.plus,
-                                       [a * fa + b * fb for a, b in zip(self.nums, other.nums)], d)
-
-    def __add__(self, other):
-        return self._add(other, 1)
-
-    def __sub__(self, other):
-        return self._add(other, -1)
-
-    def __neg__(self):
-        return GroupRingElt(self.level, self.plus, tuple(-a for a in self.nums), self.den)
+        return other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return GroupRingElt._from_ints(self.level, self.plus,
-                                           [a * other.numerator for a in self.nums],
-                                           self.den * other.denominator)
+            return self._scaled(other)
         self._check(other)
         a = self._terms()
         prod = _product(self.level, self.plus, a, a if other is self else other._terms())
@@ -483,13 +453,7 @@ def sigma(n, a, plus=False):
 
 def from_vector(n, plus, vec):
     """Element with coefficient vec[i] at the i-th entry of group_reps(n, plus)."""
-    mu = len(group_reps(n, plus))
-    if len(vec) != mu:
-        raise ValueError("vector of length %d for %d representatives" % (len(vec), mu))
-    vec = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in vec]
-    # the lcm of reduced denominators shares no factor with all numerators
-    den = lcm(*(c.denominator for c in vec))
-    return GroupRingElt(n, plus, tuple(c.numerator * (den // c.denominator) for c in vec), den)
+    return GroupRingElt(n, plus, *_numerators(vec, len(group_reps(n, plus))))
 
 
 def subgroup_sum(n, plus, members):
@@ -622,8 +586,7 @@ class IdealLattice(_Value):
 
     def contains(self, x):
         if isinstance(x, GroupRingElt):
-            if x.level != self.level or x.plus != self.plus:
-                raise LevelError("group-ring mismatch")
+            self._check(x)
             if x.den != 1:
                 return False
             vec = list(x.nums)
@@ -635,9 +598,7 @@ class IdealLattice(_Value):
                                  % (len(vec), ncols))
         return intlinalg.hnf_contains(self.hnf, vec)
 
-    def _check(self, other):
-        if other.level != self.level or other.plus != self.plus:
-            raise LevelError("group-ring mismatch")
+    _check = GroupRingElt._check
 
     def contains_lattice(self, other):
         self._check(other)
@@ -663,6 +624,17 @@ def eps_n(n):
     """The totally positive cyclotomic element (1 - z_n)^(1 + tau)."""
     x = one(n) - zeta(n)
     return x * act(cyclotomic.tau(n), x)
+
+
+@lru_cache(maxsize=None)
+def _log_eps(n):
+    """log sigma_k(eps_n) = 2 log(2 sin(pi k / n)) for every residue k mod n
+    (entry 0, never a unit, is 0); k and n - k hold the same double, read
+    at k <= n / 2 where the sine has no cancellation."""
+    out = [0.0] * n
+    for k in range(1, n // 2 + 1):
+        out[k] = out[n - k] = 2.0 * log(2.0 * sin(pi * k / n))
+    return tuple(out)
 
 
 def annihilator_In_formula(n):
@@ -710,13 +682,11 @@ def annihilator_In_oracle(n, max_phi=16):
         raise ValueError("phi(%d) exceeds the configured oracle bound %d" % (n, max_phi))
     reps = group_reps(n, True)
     eps = eps_n(n)
-    ell = {d: 2 * log(2 * sin(pi * d / n)) for d in reps}
-    rows = [[ell[canon_rep(c * g, n, True)] for g in reps] for c in reps]
+    leps = _log_eps(n)
+    rows = [[leps[c * g % n] for g in reps] for c in reps]
     candidates = []
     for vec in _float_kernel(rows):
-        fr = [Fraction(v).limit_denominator(4096) for v in vec]
-        den = lcm(*(q.denominator for q in fr))
-        ivec = [int(q * den) for q in fr]
+        ivec = _numerators([Fraction(v).limit_denominator(4096) for v in vec], len(reps))[0]
         if from_vector(n, True, ivec).act_on(eps, assume_tau_fixed=True) != one(n):
             raise PrecisionError("oracle kernel vector failed eps_%d^v = 1" % n)
         candidates.append(ivec)

@@ -19,6 +19,7 @@ inverses verified exactly).
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, lcm
 
 try:
@@ -157,6 +158,18 @@ def euler_phi(n):
     for p in prime_factors(n):
         r -= r // p
     return r
+
+
+@lru_cache(maxsize=None)
+def units(n):
+    """The units 1 <= a < n mod n, ascending ((1,) for n <= 2): the
+    multiples of the prime factors of n sieved out of range(n)."""
+    if n <= 2:
+        return (1,)
+    keep = bytearray(b"\x01") * n
+    for p in prime_factors(n):
+        keep[::p] = bytes(-(-n // p))
+    return tuple(compress(range(n), keep))
 
 
 @lru_cache(maxsize=None)
@@ -322,13 +335,12 @@ def cyclo_norm(nums, n, den=1):
     terms = [(i, c // content) for i, c in enumerate(nums) if c]
     deg = euler_phi(n)
     bound = 2 * sum(abs(g) for _, g in terms) ** deg + 1
-    units = [c for c in range(1, n + 1) if gcd(c, n) == 1]
     m, res, p = 1, 0, SPLIT_FROM
     while m <= bound:
         p, powers = split_prime(n, p)
         mod_p = [(i, g % p) for i, g in terms]
         rp = 1
-        for c in units:
+        for c in units(n):
             rp = rp * sum(g * powers[i * c % n] for i, g in mod_p) % p
         res, m = crt_pair(res, m, rp, p), m * p
     return Fraction(symmetric_residue(res, m)) * Fraction(content, den) ** deg

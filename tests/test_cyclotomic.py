@@ -366,3 +366,11 @@ def test_powers_and_actions_make_no_product_by_one(monkeypatch):
                     x * act(2, naive[2])) == 2
     assert products(lambda: norm_down(x, 15), x) == 0
     assert products(lambda: norm_down(x, 5), lower_level(x * act(11, x), 5)) == 1
+
+
+def test_relative_galois_group_reads_the_units_of_the_top_level():
+    for m in range(1, 73):
+        for n in (d for d in range(1, m + 1) if m % d == 0):
+            units = [a for a in range(1, m + 1) if gcd(a, m) == 1]
+            expected = units if n <= 2 else [a for a in units if a % n == 1]
+            assert cyc.relative_galois_group(m, n) == expected, (m, n)

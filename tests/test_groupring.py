@@ -448,3 +448,21 @@ def test_powers_make_no_product_by_the_identity(monkeypatch):
         calls.clear()
         assert e ** k == naive[k]
         assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+
+
+def test_one_list_of_the_units_mod_n():
+    assert gr.units is polys.units
+    for n in range(1, 200):
+        assert polys.units(n) == tuple(a for a in range(1, max(n, 2)) if gcd(a, n) == 1)
+
+
+def test_the_oracle_reads_the_one_table_of_log_eps():
+    # the oracle's rows were 2 log(2 sin(pi d / n)) at the plus class d of
+    # c * g; the table holds the same double at both d and n - d
+    from math import log, pi, sin
+    from circdist import distributions
+    assert distributions._log_eps is gr._log_eps
+    for n in (2, 3, 7, 12, 15, 16, 35, 60):
+        leps = gr._log_eps(n)
+        for d in gr.group_reps(n, True):
+            assert leps[d] == leps[n - d] == 2 * log(2 * sin(pi * d / n))

@@ -261,3 +261,31 @@ def test_library_imports_only_the_allowlist():
             found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
                       if name.split(".")[0] not in ALLOWED_IMPORTS]
     assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_nonzero_numerators_have_one_reader():
+    # CycElt and GroupRingElt list their nonzero numerators through the one
+    # reader `cyclotomic._Vector.nonzero`; an enumerate(x.nums) scan
+    # anywhere else would be a second copy of it
+    def reader(path, tree):
+        if path.name != "cyclotomic.py":
+            return set()
+        return {id(node) for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name == "_Vector"
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "nonzero"
+                for node in ast.walk(fn)}
+
+    found, allowed = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = reader(path, tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "enumerate"
+                    and node.args and isinstance(node.args[0], ast.Attribute)
+                    and node.args[0].attr == "nums"):
+                if id(node) in inside:
+                    allowed += 1
+                else:
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert allowed == 1 and not found, found

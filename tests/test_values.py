@@ -144,3 +144,86 @@ def test_cyc_elt_keeps_its_hash_and_rejects_deletion():
             delattr(x, name)
         with pytest.raises(AttributeError):
             setattr(x, name, 0)
+
+
+# ---------------------------------------------------------------------------
+# the numerator-vector base shared by CycElt and GroupRingElt
+
+
+def _vectors():
+    """Elements of both types with zero and nonzero numerators, and zero."""
+    x = zeta(15) ** 3 - Fraction(2, 5) * zeta(15)
+    g = grelt(15, True, {1: Fraction(2, 3), 4: -1})
+    return [x, cyclotomic.zero(15), g, groupring.GroupRingElt(15, True, (0, 0, 0, 0), 1),
+            grelt(15, False, {2: 3, 7: Fraction(-1, 2)})]
+
+
+def test_nonzero_lists_the_nonzero_numerators():
+    for x in _vectors():
+        assert list(x.nonzero()) == [(i, c) for i, c in enumerate(x.nums) if c]
+        assert list(x.nonzero()) == list(x.nonzero())
+
+
+def test_reading_nonzero_stores_nothing_on_the_value():
+    for x, fresh in zip(_vectors(), _vectors()):
+        before = (hash(x), repr(x), pickle.dumps(x))
+        list(x.nonzero())
+        assert x == fresh and fresh == x
+        assert (hash(x), repr(x), pickle.dumps(x)) == before
+        assert pickle.loads(pickle.dumps(x)) == x
+        for act in (lambda: setattr(x, "_nonzero", ()), lambda: delattr(x, "_nonzero")):
+            with pytest.raises(AttributeError):
+                act()
+        assert not hasattr(x, "__dict__") and "_nonzero" not in type(x).__slots__
+
+
+def test_vector_hash_is_the_hash_of_the_field_tuple():
+    x, _, g, _, h = _vectors()
+    assert hash(x) == hash((x.level, x.nums, x.den))
+    for y in (g, h):
+        assert hash(y) == hash((y.level, y.plus, y.nums, y.den))
+
+
+def test_vector_equality_reads_every_field():
+    one_plus = groupring.GroupRingElt(2, True, (1,), 1)
+    assert one_plus != groupring.GroupRingElt(2, False, (1,), 1)
+    assert one_plus != groupring.GroupRingElt(1, True, (1,), 1)
+    assert CycElt(2, [1]) != CycElt(1, [1])
+    assert zeta(5) != zeta(5) * Fraction(1, 2) and zeta(5) != zeta(5) * 2
+
+
+def test_mismatched_sums_keep_their_errors():
+    with pytest.raises(cyclotomic.LevelError, match="level mismatch: 12 vs 15"):
+        zeta(12) + zeta(15)
+    with pytest.raises(cyclotomic.LevelError, match="level mismatch: 12 vs 15"):
+        zeta(12) - zeta(15)
+    g = grelt(12, True, {1: 1})
+    for other in (grelt(12, False, {1: 1}), grelt(15, True, {1: 1})):
+        for op in (g.__add__, g.__sub__, g.__mul__):
+            with pytest.raises(cyclotomic.LevelError, match="group-ring mismatch"):
+                op(other)
+
+
+def test_cyc_elt_sums_still_coerce_rationals():
+    x = zeta(12)
+    assert x + Fraction(1, 3) == x + cyclotomic.from_rational(12, Fraction(1, 3))
+    assert (x - 2).coeffs == (Fraction(-2), Fraction(1), Fraction(0), Fraction(0))
+    assert (x * Fraction(3, 4)).den == 4 and Fraction(3, 4) * x == x * Fraction(3, 4)
+    assert (-x).nums == (0, -1, 0, 0) and -(-x) == x
+
+
+def test_scaling_and_negation_normalize_both_types():
+    g = grelt(12, True, {1: Fraction(2, 3), 5: -1})
+    assert (g * 3).nums == (2, -3) and (g * 3).den == 1
+    assert (g * Fraction(3, 2)).nums == (2, -3) and (g * Fraction(3, 2)).den == 2
+    assert (g * 0).den == 1 and (g * 0).is_zero() and not g.is_zero()
+    assert -g == g * -1 and (g - g).is_zero() and (g - g).den == 1
+    assert (g + g).is_integral() is False and (g * 3).denominator_lcm() == 1
+
+
+def test_both_constructors_check_the_length_of_their_coefficients():
+    with pytest.raises(ValueError, match="vector of length 3 for 4 coefficients"):
+        CycElt(12, [1, 2, Fraction(1, 2)])
+    with pytest.raises(ValueError, match="vector of length 1 for 2 coefficients"):
+        groupring.from_vector(12, True, [Fraction(1, 3)])
+    assert CycElt(12, (Fraction(1, 2), 0, "1/3", 1.5)).nums == (3, 0, 2, 9)
