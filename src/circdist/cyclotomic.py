@@ -702,6 +702,14 @@ def _cos_bounds(n, prec):
     return table
 
 
+@lru_cache(maxsize=1)
+def _nonzero_terms(x):
+    """x.nonzero() as a tuple, kept for the last x: `embedding_logs` sends
+    one element to `interval_embedding` at each embedding it cannot read,
+    and its numerators are scanned for the first of them alone."""
+    return tuple(x.nonzero())
+
+
 def interval_embedding(x, c):
     """(sign, log |sigma_c(x)|) of the tau-fixed x at the real embedding c,
     certified by an exact fixed-point sum.
@@ -710,14 +718,15 @@ def interval_embedding(x, c):
     the integers lo = sum_i x_i lo_i and hi = sum_i x_i hi_i, where lo_i
     and hi_i are the floor and ceiling bounds of the cosines (taken the
     other way round where x_i < 0); nothing is rounded after the cosines.
-    Only the nonzero x_i are summed, their cosine indices found once.
+    Only the nonzero x_i are summed (`_nonzero_terms`), their cosine
+    indices found once.
     prec starts at 128 bits and doubles until [lo, hi] excludes 0 and is
     narrower than 2^-53 of its endpoints; the log is read from the endpoint
     nearer zero, divided by the denominator in one rounding.  Raises
     PrecisionError past 4096 bits.
     """
     n = x.level
-    terms = [(min(r, n - r), a) for i, a in x.nonzero() for r in [i * c % n]]
+    terms = [(min(r, n - r), a) for i, a in _nonzero_terms(x) for r in [i * c % n]]
     prec = 128
     while prec <= 4096:
         bounds = _cos_bounds(n, prec)
@@ -749,7 +758,8 @@ def embedding_logs(x):
 
     Each real part comes from `double_embeddings`; one that does not stand
     _READ_MARGIN times its rounding bound away from zero is evaluated by
-    `interval_embedding`, which certifies its sign.  A real part read as
+    `interval_embedding`, which certifies its sign; x's nonzero numerators
+    are read once for all of them (`_nonzero_terms`).  A real part read as
     negative decides at once, without evaluating the rest.
     """
     reps, vals, err, shift = double_embeddings(x)

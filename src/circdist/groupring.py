@@ -26,6 +26,22 @@ Kronecker length.  The idempotency certificate of e_n is the product
 e_n * e_n under the same rule.  Projections to a lower level or to the plus
 quotient read one cached column map per pair of levels.
 
+The characters of G_n^+ live on the same axes (`character_frame`), and
+`character_sums` transforms one axis at a time, every line along it in one
+pass of `_fft`.  The pass splits the axis order d by its least prime factor
+first, as the Cooley-Tukey recursion does, and runs the radix levels bottom
+up: leaves of length p, the largest prime factor, are direct sums, and each
+level joins r transforms of length m into one of length r m against the
+roots of unity `cyclotomic._zeta_powers(r m)`.  A level holds all lines and
+sub-transforms in one of two layouts: rows, one per entry, while a row is
+at least as long as the transform, so that each twiddle is one scalar; then
+contiguous blocks, one per line and sub-transform, with twiddle vectors cut
+from the table by slicing.  Each level is a few whole-list maps, so an axis
+costs O(mu sum of its radices) for mu = |G_n^+|, and a prime axis O(mu d).
+Only the conjugated root tables are cached, no per-level plan.  The sums
+and products are those of the per-line recursion, in the same order, so
+every double is bit for bit the same.
+
 The idempotent e_n = prod_(l | n) (1 - e_(D_l)) over the decomposition
 groups, and the annihilator I_n of the totally positive element
 eps_n = (1-z_n)^(1+tau), are both read off the cosets of the D_l, each
@@ -50,8 +66,9 @@ never listing the units of the higher levels.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice, repeat
 from math import gcd, log, pi, sin
-from operator import mul
+from operator import add, mul, sub
 
 from . import cyclotomic, intlinalg, polys
 from .cyclotomic import (LevelError, PrecisionError, _power, _set, _Value,
@@ -277,29 +294,103 @@ def character_frame(n):
     return orders, tuple(walk), tuple(conj)
 
 
-def _fft(x, sign):
-    """out[k] = sum_j e^(sign 2 pi i j k / d) x[j], d = len(x): mixed radix,
-    split by the least prime factor r of d (Cooley-Tukey), O(d sum of its
-    prime factors); a prime d is summed directly.  The roots of unity are
-    the one table `cyclotomic._zeta_powers(d)`, conjugated for sign -1."""
-    d = len(x)
-    if d == 1:
-        return x
-    if d == 2:
-        return [x[0] + x[1], x[0] - x[1]]
+@lru_cache(maxsize=None)
+def _roots(d, sign):
+    """e^(sign 2 pi i k / d) for k < d: the one table
+    `cyclotomic._zeta_powers(d)`, conjugated for sign -1."""
     roots = cyclotomic._zeta_powers(d)[0]
-    if sign < 0:
-        roots = [z.conjugate() for z in roots]
-    r = polys.prime_factors(d)[0]
-    if r == d:
-        return [sum(map(mul, x, [roots[j * k % d] for j in range(d)])) for k in range(d)]
-    m = d // r
-    subs = [_fft(x[j::r], sign) for j in range(r)]
-    if r == 2:
-        a, b = subs
-        b = [w * v for w, v in zip(roots, b)]
-        return [u + v for u, v in zip(a, b)] + [u - v for u, v in zip(a, b)]
-    return [sum(roots[j * k % d] * subs[j][k % m] for j in range(r)) for k in range(d)]
+    return roots if sign > 0 else tuple(z.conjugate() for z in roots)
+
+
+def _blocks(rows):
+    """The columns of rows, each listed in full, one after the other."""
+    flat = [None] * (len(rows) * len(rows[0]))
+    for k, row in enumerate(rows):
+        flat[k::len(rows)] = row
+    return flat
+
+
+def _fft(x, sign, width=1):
+    """out[k] = sum_j e^(sign 2 pi i j k / d) x[j] on each of the width
+    lines of length d stored axis-major in x (entry j of line i at
+    x[j * width + i]), returned line-major (entry k of line i at
+    out[i * d + k]); for width 1 both are the plain list.
+
+    Mixed radix, split by the least prime factor r of d first
+    (Cooley-Tukey), run bottom-up over all lines at once.  The leaves of
+    length p, the largest prime factor of d, are summed directly,
+    sum(map(mul, x, row)), or x0 + x1, x0 - x1 for p = 2; each level above
+    joins r transforms sub_j of length m into one of length r m,
+    out[k] = sum_j roots[j k] sub_j[k mod m], or u + w v, u - w v with w v
+    computed once for r = 2, roots being `_roots(r m, sign)`.  These are
+    the sums, products and roots of the per-line recursion, in its order,
+    so the doubles are the same; a product the recursion repeats is
+    computed once (x0 roots[0] in each leaf row, roots[0] sub_0[c] at
+    every k = c mod m).  A level is held as rows, one per entry, while a
+    row (lines times sub-transforms) is at least as long as the
+    transform, so each twiddle is a scalar; after that as blocks, one per
+    line and sub-transform, with twiddle vectors sliced from the table.
+    Cost O(len(x) (r_1 + ... + r_k)) for d = r_1 ... r_k in primes."""
+    d = len(x) // width
+    if d < 3:
+        return list(x) if d == 1 else [v for a, b in zip(x, x[width:]) for v in (a + b, a - b)]
+    radices = [p for p in polys.prime_factors(d) for _ in range(polys.order_at(d, p))]
+    size = radices.pop()
+    n = len(x) // size        # lines times sub-transforms at this level
+    rows = None
+    if size == 2:
+        rows = [list(map(add, x, x[n:])), list(map(sub, x, x[n:]))]
+    else:
+        roots = _roots(size, sign)
+        xs = [x[j * n:(j + 1) * n] for j in range(size)]
+        if n >= size:
+            x0 = list(map(mul, xs[0], repeat(roots[0])))
+            rows = [list(map(sum, zip(x0, *[map(mul, xs[j], repeat(roots[j * k % size]))
+                                            for j in range(1, size)])))
+                    for k in range(size)]
+        else:
+            flat = [sum(map(mul, c, [roots[j * k % size] for j in range(size)]))
+                    for c in zip(*xs) for k in range(size)]
+    for r in reversed(radices):
+        m, size, n = size, size * r, n // r
+        roots = _roots(size, sign)
+        if rows and n < size:
+            rows, flat = None, _blocks(rows)
+        if rows and r == 2:
+            plus, minus = [], []
+            for w, row in zip(roots, rows):
+                b = list(map(mul, repeat(w), islice(row, n, None)))
+                plus.append(list(map(add, row, b)))
+                minus.append(list(map(sub, row, b)))
+            rows = plus + minus
+        elif rows:
+            out = [None] * size
+            for c, row in enumerate(rows):
+                p0 = list(map(mul, repeat(roots[0]), row[:n]))
+                subs = [row[j * n:(j + 1) * n] for j in range(1, r)]
+                for k in range(c, size, m):
+                    out[k] = list(map(sum, zip(p0, *[map(mul, repeat(roots[j * k % size]), s)
+                                                     for j, s in enumerate(subs, 1)])))
+            rows = out
+        elif r == 2:
+            half = n * m
+            b = list(map(mul, roots[:m] * n, islice(flat, half, None)))
+            plus, minus = list(map(add, flat, b)), list(map(sub, flat, b))
+            flat = []
+            for q in range(0, half, m):
+                flat += plus[q:q + m]
+                flat += minus[q:q + m]
+        else:
+            subs = [list(map(mul, repeat(roots[0]), flat[:n * m]))]
+            subs += [flat[j * n * m:(j + 1) * n * m] for j in range(1, r)]
+            prods = []
+            for j, s in enumerate(subs):
+                rep = []
+                for q in range(0, n * m, m):
+                    rep += s[q:q + m] * r
+                prods.append(map(mul, (roots * j)[::j] * n, rep) if j else rep)
+            flat = list(map(sum, zip(*prods)))
+    return flat if rows is None else _blocks(rows)
 
 
 def character_sums(n, vals, sign=-1):
@@ -307,12 +398,15 @@ def character_sums(n, vals, sign=-1):
     by its values along `character_frame(n)`'s walk and the result listed
     by the same flat index k: chi_k is prod e^(sign 2 pi i k_i e_i / d_i)
     on the flat index e.  sign = 1 gives mu times the inverse transform.
-    One pass per axis, the slowest first: each line along it is transformed
-    and the pass leaves that axis the fastest."""
-    for d in reversed(character_frame(n)[0]):
-        width = len(vals) // d
-        vals = [v for line in zip(*[vals[t * width:(t + 1) * width] for t in range(d)])
-                for v in _fft(list(line), sign)]
+    One `_fft` pass per axis, the slowest first, over all its lines at
+    once; the pass leaves that axis the fastest.  Returns a new list;
+    raises ValueError unless there is one value per element of G_n^+."""
+    orders, walk, _ = character_frame(n)
+    if len(vals) != len(walk):
+        raise ValueError("%d values for the %d elements of G_%d^+" % (len(vals), len(walk), n))
+    vals = list(vals)
+    for d in reversed(orders):
+        vals = _fft(vals, sign, len(vals) // d)
     return vals
 
 

@@ -328,6 +328,30 @@ def test_solve_exponent_evaluates_each_embedding_once(n, terms, monkeypatch):
     assert all(x == u for x, _ in intervals)
 
 
+@pytest.mark.parametrize("n,terms", PAST_DOUBLE)
+def test_embedding_logs_reads_the_numerators_once(n, terms, monkeypatch):
+    # every embedding that doubles cannot read goes to interval_embedding,
+    # and u's numerators are scanned for the first of them alone
+    _, u = _past_double(n, terms)
+    want = embedding_logs(u)
+    cyc._nonzero_terms.cache_clear()
+    scans, intervals = [], []
+    real_nonzero, real_interval = cyc._Vector.nonzero, cyc.interval_embedding
+
+    def nonzero(x):
+        scans.append(x)
+        return real_nonzero(x)
+
+    def counted(x, c):
+        intervals.append(c)
+        return real_interval(x, c)
+
+    monkeypatch.setattr(cyc._Vector, "nonzero", nonzero)
+    monkeypatch.setattr(cyc, "interval_embedding", counted)
+    assert embedding_logs(u) == want
+    assert len(intervals) > 1 and scans == [u]
+
+
 def test_construction_checks_raise_when_relations_fail(monkeypatch):
     failing = dist.Report("relations", [{"check": "norm-relation", "pass": False}])
     monkeypatch.setattr(dist, "verify_relations", lambda table: failing)

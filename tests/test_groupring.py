@@ -410,6 +410,16 @@ def test_character_sums_match_the_direct_sums(n):
     assert all(abs(b / len(walk) - a) < 1e-13 for a, b in zip(vals, back))
 
 
+@pytest.mark.parametrize("n", [3, 5, 47, 105, 405])
+def test_character_sums_reject_a_wrong_length(n):
+    # the lines of an axis are cut from the length, so a list of any other
+    # length would be transformed wrongly rather than refused
+    mu = len(gr.character_frame(n)[1])
+    for size in (0, mu - 1, mu + 1, 2 * mu):
+        with pytest.raises(ValueError, match="%d values for the %d elements of G_%d" % (size, mu, n)):
+            gr.character_sums(n, [1j] * size)
+
+
 def test_a_negative_power_raises():
     # Z[G] has no general inverse; square-and-multiply on k < 0 never ends
     # (-1 >> 1 == -1), so the call runs in a child process with a timeout

@@ -32,7 +32,10 @@ in oracle_groupring that they replaced.
 * the character transform `_fft`, on its one table of roots of unity
   (`cyclotomic._zeta_powers`), gives bit for bit the doubles of the oracle
   transform on its own cos/sin table, at every length below 600 and both
-  signs;
+  signs; character_sums, all lines of an axis in one pass, gives bit for
+  bit the oracle transform run line by line over the axes, on doubles with
+  signed zeros, at every level below 1200 with n != 2 mod 4 and at 10935
+  and 32805, returning a new list and leaving its input as it was;
 * grelt normalizes rational draws to integer numerators over one
   denominator (den > 0, gcd(den, *nums) = 1, zero with den = 1), and coeffs
   and the JSON form read back the value drawn.
@@ -376,3 +379,43 @@ def test_transform_roots_match_the_cos_sin_table():
         x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d)]
         for sign in (1, -1):
             assert _bits(gr._fft(x, sign)) == _bits(oracle.fft(x, sign)), (d, sign)
+
+
+def _oracle_character_sums(n, vals, sign):
+    # the per-line oracle transform on every line of each axis, the slowest
+    # axis first, each pass leaving its axis the fastest
+    for d in reversed(gr.character_frame(n)[0]):
+        width = len(vals) // d
+        vals = [v for line in zip(*[vals[t * width:(t + 1) * width] for t in range(d)])
+                for v in oracle.fft(list(line), sign)]
+    return vals
+
+
+def _check_character_sums(n, rng):
+    # random doubles and exact zeros of either sign (the inverse transform
+    # of the exponent solver gets 0j at every character it drops)
+    zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+    vals = [rng.choice(zeros) if rng.random() < 0.2
+            else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for _ in gr.character_frame(n)[1]]
+    before = _bits(vals)
+    for sign in (1, -1):
+        got = gr.character_sums(n, vals, sign)
+        assert got is not vals and _bits(vals) == before, (n, sign)
+        assert _bits(got) == _bits(_oracle_character_sums(n, vals, sign)), (n, sign)
+
+
+def test_character_sums_match_the_per_line_oracle():
+    levels = [n for n in range(1, 1200) if n % 4 != 2]
+    # prime axes (47: 23, 89: 44 = 4 * 11) and several axes (105: 4 x 6,
+    # 405: 27 x 4, 1155: 4 x 6 x 10) are among them
+    assert [gr.character_frame(n)[0] for n in (47, 89, 105, 405, 1155)] == [
+        (23,), (44,), (4, 6), (27, 4), (4, 6, 10)]
+    rng = random.Random(26)
+    for n in levels:
+        _check_character_sums(n, rng)
+
+
+@pytest.mark.parametrize("n", [10935, 32805])
+def test_character_sums_match_the_per_line_oracle_deep(n):
+    _check_character_sums(n, random.Random(n))
