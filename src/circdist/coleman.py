@@ -19,10 +19,10 @@ from fractions import Fraction
 
 from . import groupring, polys
 from .cyclotomic import _Value, norm_down, one, valuation_at_p
-from .distributions import (Report, SolveError, _annihilator,
-                            _integral_coset_representative, solve_exponent)
-from .groupring import (GroupRingElt, eps_n, grelt, group_reps,
-                        group_sum, stabilization_b0)
+from .distributions import (Report, SolveError, _integral_coset_representative,
+                            solve_exponent)
+from .groupring import (GroupRingElt, annihilator_In_formula, eps_n, grelt,
+                        group_reps, group_sum, stabilization_b0)
 
 
 class KappaEntry(_Value):
@@ -78,7 +78,7 @@ def p_integral_exponent(u, p):
     j = solve_exponent(u)
     if j is None:
         raise SolveError("no exponent found at level %d" % u.level)
-    rep = _integral_coset_representative(j, _annihilator(u.level), p=p)
+    rep = _integral_coset_representative(j, annihilator_In_formula(u.level), p=p)
     if rep is None:
         raise SolveError("no p-integral representative found at level %d" % u.level)
     return rep

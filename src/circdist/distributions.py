@@ -396,11 +396,6 @@ def classify_torsion(f):
 # exponent solving against eps_n
 
 
-@lru_cache(maxsize=None)
-def _annihilator(n):
-    return annihilator_In_formula(n)
-
-
 def _fixed(vals):
     """(ints, shift): each double times 2^shift, rounded to an integer, the
     largest in size below 2^62."""
@@ -743,7 +738,7 @@ def solve_exponent(u):
         seen.add(j)
         je = j * e_n
         if verify_exponent_identity(u, je):
-            integral = _integral_coset_representative(je, _annihilator(n))
+            integral = _integral_coset_representative(je, annihilator_In_formula(n))
             return integral if integral is not None else je
     if u.is_integral() and polys.euler_phi(n) <= _UNIT_CHECK_MAX_PHI:
         ps = polys.prime_factors(n)

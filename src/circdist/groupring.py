@@ -62,6 +62,16 @@ read off the one pivot above 1.  Decomposition groups are filtered from the
 plus representatives by the Frobenius residues <l mod m>; the
 stabilization level b_0 tests those residues on the units 1 + k*base alone,
 never listing the units of the higher levels.
+
+Each level's lattices and groups are built once per process:
+decomposition_group, annihilator_In_formula, annihilator_mu and
+annihilator_Tn are lru_caches, as idempotent_e_n, _e_n_vector and
+stabilization_b0 are, because the criteria and the exponent solver come
+back to the same levels many times.  Every caller shares the one result,
+which is safe because each is a value: an IdealLattice refuses attribute
+assignment and holds its HNF as a tuple of tuples, and a decomposition
+group is a tuple.  A check that must watch a construction run calls the
+uncached `__wrapped__`.
 """
 
 from fractions import Fraction
@@ -592,6 +602,7 @@ def _frobenius(n, ell):
     return m, frob
 
 
+@lru_cache(maxsize=None)
 def decomposition_group(n, ell):
     """Decomposition subgroup of the prime ell | n in G_n^+, as a sorted
     tuple of plus representatives: via CRT it is the image of
@@ -702,6 +713,11 @@ class IdealLattice(_Value):
         return [from_vector(self.level, self.plus, row) for row in self.hnf]
 
     def scaled(self, k):
+        """k times the lattice, for an integer k >= 1: each HNF row times k
+        is again in canonical HNF.  ValueError for k < 1, whose rows would
+        not be (a negative pivot, or a zero row counted in the rank)."""
+        if k < 1:
+            raise ValueError("scale factor %d is not a positive integer" % k)
         return IdealLattice(self.level, self.plus,
                             tuple(tuple(k * v for v in row) for row in self.hnf))
 
@@ -731,6 +747,7 @@ def _log_eps(n):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def annihilator_In_formula(n):
     """Annihilator of eps_n in Z[G_n^+], the integer kernel of e_n, in HNF:
     one row per coset of each minimal D_l (a coset sum of a larger D_l is a
@@ -858,6 +875,7 @@ def _root_exponents(n, root):
     return exps, order
 
 
+@lru_cache(maxsize=None)
 def annihilator_Tn(n, starred=False):
     """Annihilator in Z[G_n] of -z_n; with starred and odd n, the annihilator
     of -z_(2n) carried over through Q(2n) = Q(n)."""
@@ -867,6 +885,7 @@ def annihilator_Tn(n, starred=False):
     return IdealLattice(n, False, tuple(map(tuple, intlinalg.congruence_hnf(exps, order))))
 
 
+@lru_cache(maxsize=None)
 def annihilator_mu(n):
     """Annihilator in Z[G_n] of the full group mu_n (equivalently of z_n)."""
     exps, order = _root_exponents(n, "mu")

@@ -14,9 +14,8 @@ from fractions import Fraction
 
 import oracle_arith
 from circdist import cyclotomic, groupring, polys
-from circdist.distributions import (_annihilator, _log_eps,
-                                    verify_exponent_identity)
-from circdist.groupring import group_reps, idempotent_e_n
+from circdist.distributions import _log_eps, verify_exponent_identity
+from circdist.groupring import annihilator_In_formula, group_reps, idempotent_e_n
 
 
 def float_solution(u):
@@ -82,6 +81,6 @@ def solve_exponent(u, max_denominator=4096, unit_check_bound=32):
             je = j * e_n
             if je != j and verify_exponent_identity(u, je):
                 j = je
-            integral = integral_coset_representative(j, _annihilator(n))
+            integral = integral_coset_representative(j, annihilator_In_formula(n))
             return integral if integral is not None else j
     return None

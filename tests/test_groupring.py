@@ -184,7 +184,7 @@ def test_unit_pivot_annihilators_need_no_kernel(monkeypatch, n):
     real = intlinalg.right_kernel
     monkeypatch.setattr(intlinalg, "right_kernel",
                         lambda rows, ncols: calls.append(ncols) or real(rows, ncols))
-    lat = annihilator_In_formula(n)
+    lat = annihilator_In_formula.__wrapped__(n)    # built here, not read from the cache
     assert lat.rank > 0 and not calls
 
 
@@ -316,6 +316,37 @@ def test_lattice_comparisons_need_the_same_group_ring():
         mu15.index_in(i15)
     assert annihilator_Tn(12).contains_lattice(mu12)
     assert mu12.index_in(annihilator_Tn(12)) == 1
+
+
+def test_scaling_takes_a_positive_factor():
+    # k >= 1 keeps the rows in canonical HNF; 0 would keep zero rows in the
+    # rank and -1 would give negative pivots
+    for lat in (annihilator_In_formula(12), annihilator_mu(12), annihilator_Tn(15)):
+        for k in (1, 2, 5):
+            rows = [[k * v for v in row] for row in lat.hnf]
+            assert lat.scaled(k) == IdealLattice.from_rows(lat.level, lat.plus, rows)
+        for k in (0, -1, -3):
+            with pytest.raises(ValueError):
+                lat.scaled(k)
+
+
+def test_cached_lattices_and_groups_equal_fresh_builds():
+    # every caller shares what these caches return, so each result must be
+    # the uncached construction and must not be changeable in place
+    for n in range(2, 121):
+        calls = [(annihilator_mu, (n,)), (annihilator_Tn, (n, False)),
+                 (annihilator_Tn, (n, True)), (annihilator_In_formula, (n,))]
+        calls += [(decomposition_group, (n, ell)) for ell in polys.prime_factors(n)]
+        for f, args in calls:
+            got = f(*args)
+            assert got == f.__wrapped__(*args), (f.__name__, args)
+            assert f(*args) is got, (f.__name__, args)
+            if isinstance(got, IdealLattice):
+                assert isinstance(got.hnf, tuple) and all(isinstance(r, tuple) for r in got.hnf)
+                with pytest.raises(AttributeError):
+                    got.hnf = ()
+            else:
+                assert isinstance(got, tuple)
 
 
 def test_stabilization_and_image_claim():

@@ -218,10 +218,11 @@ def test_saturated_annihilator_matches_oracle(n):
      lambda real: lambda n, ell: gr.group_reps(n, True) if ell == 3 else real(n, ell)),
 ], ids=["saturate", "decomposition_group"])
 def test_annihilator_rank_certificate_rejects_a_lost_row(target, name, broken):
+    # the uncached construction: a cached I_1155 would skip the certificate
     gr._e_n_vector(1155)     # cached from the true decomposition groups
     with mock.patch.object(target, name, broken(getattr(target, name))):
         with pytest.raises(ArithmeticError, match="rank"):
-            gr.annihilator_In_formula(1155)
+            gr.annihilator_In_formula.__wrapped__(1155)
 
 
 def test_annihilator_rank_certificate_rejects_a_fractional_count():
@@ -231,7 +232,7 @@ def test_annihilator_rank_certificate_rejects_a_fractional_count():
     bad = ((nums[0] * 7 + den,) + tuple(7 * v for v in nums[1:]), 7 * den)
     with mock.patch.object(gr, "_e_n_vector", lambda n: bad):
         with pytest.raises(ArithmeticError, match="fractional"):
-            gr.annihilator_In_formula(1155)
+            gr.annihilator_In_formula.__wrapped__(1155)
 
 
 @pytest.mark.parametrize("n", [12, 15, 35, 60, 105, 231, 1215])

@@ -75,7 +75,7 @@ def test_criterion_07_towers(m, p, tower):
         n = m * p ** k
         u = table.value(n)
         j = _same_solution(u)
-        ref = oracle_solve.integral_coset_representative(j, dist._annihilator(n), p)
+        ref = oracle_solve.integral_coset_representative(j, annihilator_In_formula(n), p)
         assert ref is not None
         assert coleman.p_integral_exponent(u, p) == ref, n
 

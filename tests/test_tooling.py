@@ -54,6 +54,47 @@ def test_every_module_level_function_is_used():
     assert list(SRC.glob("*.py")) and not unused, unused
 
 
+def _cached_forwarders(tree):
+    """Names of the lru_cache'd functions whose body is one ``return`` of a
+    call to a name imported from another circdist module."""
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "circdist"):
+            imported.update(a.asname or a.name for a in node.names)
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or not any(
+                "lru_cache" in ast.unparse(d) for d in node.decorator_list):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if (len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Call)):
+            func = body[0].value.func
+            while isinstance(func, ast.Attribute):
+                func = func.value
+            if isinstance(func, ast.Name) and func.id in imported:
+                yield node.name
+
+
+def test_every_cache_sits_on_its_constructor():
+    # a cache that only wraps another module's constructor hides how often
+    # that constructor runs for everyone else; cache the constructor itself
+    shapes = ('from .groupring import annihilator_In_formula\n'
+              '@lru_cache(maxsize=None)\n'
+              'def _annihilator(n):\n'
+              '    return annihilator_In_formula(n)\n',
+              'from . import groupring\n'
+              '@functools.lru_cache\n'
+              'def _e(n):\n'
+              '    """The idempotent."""\n'
+              '    return groupring.idempotent_e_n(n)\n')
+    for source in shapes:
+        assert len(list(_cached_forwarders(ast.parse(source)))) == 1, source
+    found = ["%s %s" % (path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name in _cached_forwarders(ast.parse(path.read_text()))]
+    assert list(SRC.glob("*.py")) and not found, found
+
+
 def test_certificate_rounds_logs_by_one_rule():
     # distributions.py turns doubles into integer bounds only through
     # _log_units: a ceil or floor anywhere else would be a second rounding
