@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import groupring, polys
 from .cyclotomic import _Value, norm_down, one, valuation_at_p
 from .distributions import (Report, SolveError, _integral_coset_representative,
-                            solve_exponent)
+                            exponent_denominator_profile, solve_exponent)
 from .groupring import (GroupRingElt, annihilator_In_formula, eps_n, grelt,
                         group_reps, group_sum, stabilization_b0)
 
@@ -46,7 +46,6 @@ class KappaDigits(_Value):
     __slots__ = ("m", "p", "depth", "k_list", "entries", "stabilization")
 
     def to_json(self):
-        from .distributions import exponent_denominator_profile
         return {"m": self.m, "p": self.p, "depth": self.depth,
                 "k_list": list(self.k_list),
                 "stabilization": self.stabilization,

@@ -14,9 +14,9 @@ check that never accepts an unverified answer.
 
 The logarithmic system is a group matrix of G_n^+, so it is solved in the
 character basis: per level, one mixed-radix DFT over G_n^+
-(`groupring.character_sums`) gives the pseudo-inverse m_n of log eps_n on
-the e_n-component, cached as fixed-point integers, and each solve is one
-integer group-ring product of m_n with the fixed-point logs of u.  After
+(`groupring.character_sums`) gives the eigenvalues of log eps_n and the
+characters of e_n, and each solve is one transform of the logs of u, one
+division by the eigenvalues where e_n is 1 and one transform back.  After
 the float solve the solver works in integers alone: the reconstruction
 rounds each coordinate's exact binary value, each candidate j takes one
 certificate, as j e_n, and the representative modulo the annihilator comes
@@ -45,7 +45,8 @@ and integers alone.
 """
 
 from functools import lru_cache, reduce
-from math import ceil, floor, frexp, gcd, lcm, ldexp, log
+from math import ceil, floor, gcd, lcm, ldexp, log
+from operator import mul
 
 from . import cyclotomic, groupring, intlinalg, polys
 from .cyclotomic import (LevelError, _Value, act, cyc_from_json, cyc_to_json,
@@ -396,66 +397,55 @@ def classify_torsion(f):
 # exponent solving against eps_n
 
 
-def _fixed(vals):
-    """(ints, shift): each double times 2^shift, rounded to an integer, the
-    largest in size below 2^62."""
-    shift = 62 - frexp(max(map(abs, vals)))[1]
-    return [round(ldexp(v, shift)) for v in vals], shift
-
-
 @lru_cache(maxsize=None)
 def _pseudo_inverse(n):
-    """(terms, shift, kept): 2^shift m_n as (Kronecker index, int) terms
-    in Z[G_n^+], and whether each character of G_n^+ is kept, by the flat
-    index of `groupring.character_sums`.  x = m_n b' is the least-squares
-    solution of least norm of sum_g L(c g) x(g) = b(c) over G_n^+, with
-    L(k) = log sigma_k(eps_n) and b'(g) = b(g^-1).
+    """(inv, pos, back) for the least-squares solution of least norm x of
+    sum_g L(c g) x(g) = b(c) over G_n^+, L(k) = log sigma_k(eps_n): the
+    transform of the pseudo-inverse m_n over mu = |G_n^+|, by the flat
+    index of `groupring.character_sums`; the position in group_reps(n, True)
+    of each element of its walk; and the flat index of the inverse of each
+    plus representative.
 
     With y(g) = x(g^-1) the system is the convolution L * y = b in
     Q[G_n^+], which the characters of G_n^+ diagonalise (Washington,
     GTM 83, ch. 4 and 8).  L^(chi) vanishes exactly where e_n^(chi) does:
-    at the chi with chi(e_n) = 0.  So the pseudo-inverse m
-    has transform 1 / L^ on the kept characters, those with e_n^(chi) = 1,
-    and 0 elsewhere, and y = m * b.  One transform of L + i e_n gives both:
+    at the chi with chi(e_n) = 0.  So the pseudo-inverse m has transform
+    1 / L^ on the kept characters, those with e_n^(chi) = 1, and 0
+    elsewhere, and y = m * b.  One transform of L + i e_n gives both:
     e_n(g^-1) = e_n(g), so e_n^ is real, and L^ and i e_n^ are the halves
     of F(chi) and the conjugate of F(chi^-1).  e_n^ is 0 or 1, as e_n is
     idempotent; it is rounded from its double, which must lie within 1/4
-    of it, so no threshold is set on L^.  Then x(g) = (m * b)(g^-1), the
-    product of m(g^-1) and b(g^-1).
+    of it, so no threshold is set on L^.  inv is 1 / (mu L^) on the kept
+    characters and 0 elsewhere, so y is the inverse transform of inv b^.
     """
-    orders, walk, conj = groupring.character_frame(n)
+    _, walk, conj = groupring.character_frame(n)
     at = groupring._unit_positions(n, True)
     leps = _log_eps(n)
     e_n = idempotent_e_n(n)
     sums = groupring.character_sums(
         n, [complex(leps[g], e_n.nums[at[g]] / e_n.den) for g in walk])
-    kept, inv = [], []
+    inv = []
     for a, b in zip(sums, (sums[c].conjugate() for c in conj)):
         value = (a - b).imag / 2
         keep = round(value)
         if abs(value - keep) > 0.25 or keep not in (0, 1):
             raise ArithmeticError("e_n has a character value %r at level %d"
                                   % (value, n))
-        kept.append(keep == 1)
-        inv.append(2 / (a + b) if keep else 0j)
-    m = groupring.character_sums(n, inv, 1)
-    m_inv = [0.0] * len(walk)
-    for g, c in zip(walk, conj):
-        m_inv[at[g]] = m[c].real / len(walk)
-    ints, shift = _fixed(m_inv)
-    return ([t for t in zip(groupring._rep_keys(n, True), ints) if t[1]], shift,
-            tuple(kept))
+        inv.append(2 / (len(walk) * (a + b)) if keep else 0j)
+    pos = tuple(at[g] for g in walk)
+    return tuple(inv), pos, tuple(c for _, c in sorted(zip(pos, conj)))
 
 
 def _character_solve(n, logs):
     """The least-squares solution of least norm of the logarithmic system
     for the logs b of sigma_c(u) at the plus representatives c, as doubles:
-    m_n times b read at the inverses, one fixed-point product in Z[G_n^+]."""
-    terms, shift, _ = _pseudo_inverse(n)
-    ints, bshift = _fixed(logs)
-    prod = groupring._product(n, True, terms,
-                              [t for t in zip(groupring._inverse_keys(n), ints) if t[1]])
-    return [ldexp(v, -shift - bshift) for v in prod]
+    y = m_n * b by one transform of b along the walk, one product by the
+    cached inverse eigenvalues and one inverse transform, and x(g) the real
+    part of y(g^-1)."""
+    inv, pos, back = _pseudo_inverse(n)
+    y = groupring.character_sums(
+        n, list(map(mul, groupring.character_sums(n, [logs[p] for p in pos]), inv)), 1)
+    return [y[c].real for c in back]
 
 
 @lru_cache(maxsize=None)

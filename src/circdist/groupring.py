@@ -64,14 +64,14 @@ stabilization level b_0 tests those residues on the units 1 + k*base alone,
 never listing the units of the higher levels.
 
 Each level's lattices and groups are built once per process:
-decomposition_group, annihilator_In_formula, annihilator_mu and
-annihilator_Tn are lru_caches, as idempotent_e_n, _e_n_vector and
-stabilization_b0 are, because the criteria and the exponent solver come
-back to the same levels many times.  Every caller shares the one result,
-which is safe because each is a value: an IdealLattice refuses attribute
-assignment and holds its HNF as a tuple of tuples, and a decomposition
-group is a tuple.  A check that must watch a construction run calls the
-uncached `__wrapped__`.
+decomposition_group, annihilator_In_formula and _root_annihilator (behind
+annihilator_mu and annihilator_Tn, keyed on the root they annihilate) are
+lru_caches, as idempotent_e_n, _e_n_vector and stabilization_b0 are,
+because the criteria and the exponent solver come back to the same levels
+many times.  Every caller shares the one result, which is safe because
+each is a value: an IdealLattice refuses attribute assignment and holds its
+HNF as a tuple of tuples, and a decomposition group is a tuple.  A check
+that must watch a construction run calls the uncached `__wrapped__`.
 """
 
 from fractions import Fraction
@@ -876,20 +876,24 @@ def _root_exponents(n, root):
 
 
 @lru_cache(maxsize=None)
+def _root_annihilator(n, root):
+    """Annihilator in Z[G_n] of the root named as in `_root_exponents`;
+    callers pass "T*" at odd n only, so each lattice has one key."""
+    exps, order = _root_exponents(n, root)
+    return IdealLattice(n, False, tuple(map(tuple, intlinalg.congruence_hnf(exps, order))))
+
+
 def annihilator_Tn(n, starred=False):
     """Annihilator in Z[G_n] of -z_n; with starred and odd n, the annihilator
     of -z_(2n) carried over through Q(2n) = Q(n)."""
     if n < 2:
         raise LevelError("level must be >= 2")
-    exps, order = _root_exponents(n, "T*" if starred else "T")
-    return IdealLattice(n, False, tuple(map(tuple, intlinalg.congruence_hnf(exps, order))))
+    return _root_annihilator(n, "T*" if starred and n % 2 else "T")
 
 
-@lru_cache(maxsize=None)
 def annihilator_mu(n):
     """Annihilator in Z[G_n] of the full group mu_n (equivalently of z_n)."""
-    exps, order = _root_exponents(n, "mu")
-    return IdealLattice(n, False, tuple(map(tuple, intlinalg.congruence_hnf(exps, order))))
+    return _root_annihilator(n, "mu")
 
 
 def project_annihilator(m, n, lattice):

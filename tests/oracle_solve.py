@@ -8,9 +8,17 @@ is certified again whenever it differs from j; the unit precondition runs
 before the candidates and reads the norm as a resultant under the l1 bound
 (`oracle_arith.cyclo_norm`); and the representative comes from the
 Fraction coset reduction (`oracle_arith.coset_reduce`).
+
+`fixed_point_solve` is `distributions._character_solve` as it was before
+the solve stayed in the character basis: the pseudo-inverse m_n is
+transformed back, read at the inverses and rounded to 62-bit fixed point,
+and each solve is one integer group-ring product (`groupring._product`) of
+it with the fixed-point logs.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import frexp, ldexp
 
 import oracle_arith
 from circdist import cyclotomic, groupring, polys
@@ -84,3 +92,41 @@ def solve_exponent(u, max_denominator=4096, unit_check_bound=32):
             integral = integral_coset_representative(j, annihilator_In_formula(n))
             return integral if integral is not None else j
     return None
+
+
+def _fixed(vals):
+    """(ints, shift): each double times 2^shift, rounded to an integer, the
+    largest in size below 2^62."""
+    shift = 62 - frexp(max(map(abs, vals)))[1]
+    return [round(ldexp(v, shift)) for v in vals], shift
+
+
+@lru_cache(maxsize=None)
+def _fixed_pseudo_inverse(n):
+    """(terms, shift): 2^shift m'_n as (Kronecker index, int) terms in
+    Z[G_n^+], with m'(g) = m_n(g^-1) and m_n the inverse transform of 1 / L^
+    on the characters where e_n^ is 1 and of 0 elsewhere."""
+    _, walk, conj = groupring.character_frame(n)
+    at = groupring._unit_positions(n, True)
+    leps = _log_eps(n)
+    e_n = idempotent_e_n(n)
+    sums = groupring.character_sums(
+        n, [complex(leps[g], e_n.nums[at[g]] / e_n.den) for g in walk])
+    inv = [2 / (a + b) if round((a - b).imag / 2) == 1 else 0j
+           for a, b in zip(sums, (sums[c].conjugate() for c in conj))]
+    m = groupring.character_sums(n, inv, 1)
+    m_inv = [0.0] * len(walk)
+    for g, c in zip(walk, conj):
+        m_inv[at[g]] = m[c].real / len(walk)
+    ints, shift = _fixed(m_inv)
+    return [t for t in zip(groupring._rep_keys(n, True), ints) if t[1]], shift
+
+
+def fixed_point_solve(n, logs):
+    """m'_n times the logs b read at the inverses, sum b_i sigma_(r_i^-1),
+    as one fixed-point product in Z[G_n^+], scaled back to doubles."""
+    terms, shift = _fixed_pseudo_inverse(n)
+    ints, bshift = _fixed(logs)
+    prod = groupring._product(n, True, terms,
+                              [t for t in zip(groupring._inverse_keys(n), ints) if t[1]])
+    return [ldexp(v, -shift - bshift) for v in prod]

@@ -333,13 +333,17 @@ def test_scaling_takes_a_positive_factor():
 def test_cached_lattices_and_groups_equal_fresh_builds():
     # every caller shares what these caches return, so each result must be
     # the uncached construction and must not be changeable in place
+    fresh = gr._root_annihilator.__wrapped__
     for n in range(2, 121):
-        calls = [(annihilator_mu, (n,)), (annihilator_Tn, (n, False)),
-                 (annihilator_Tn, (n, True)), (annihilator_In_formula, (n,))]
-        calls += [(decomposition_group, (n, ell)) for ell in polys.prime_factors(n)]
-        for f, args in calls:
+        calls = [(annihilator_mu, (n,), fresh(n, "mu")),
+                 (annihilator_Tn, (n, False), fresh(n, "T")),
+                 (annihilator_Tn, (n, True), fresh(n, "T*" if n % 2 else "T")),
+                 (annihilator_In_formula, (n,), annihilator_In_formula.__wrapped__(n))]
+        calls += [(decomposition_group, (n, ell), decomposition_group.__wrapped__(n, ell))
+                  for ell in polys.prime_factors(n)]
+        for f, args, built in calls:
             got = f(*args)
-            assert got == f.__wrapped__(*args), (f.__name__, args)
+            assert got == built, (f.__name__, args)
             assert f(*args) is got, (f.__name__, args)
             if isinstance(got, IdealLattice):
                 assert isinstance(got.hnf, tuple) and all(isinstance(r, tuple) for r in got.hnf)
@@ -347,6 +351,18 @@ def test_cached_lattices_and_groups_equal_fresh_builds():
                     got.hnf = ()
             else:
                 assert isinstance(got, tuple)
+
+
+def test_each_root_lattice_is_one_object():
+    # the T_n lattice is the same whichever way the call names it, and
+    # -z_(2n) is -z_n at even n
+    odd = annihilator_Tn(15)
+    assert annihilator_Tn(15, False) is odd and annihilator_Tn(15, starred=False) is odd
+    assert annihilator_Tn(15, True) is annihilator_Tn(15, starred=True)
+    assert annihilator_Tn(15, True) != odd
+    even = annihilator_Tn(12, True)
+    assert annihilator_Tn(12) is even and annihilator_Tn(12, starred=False) is even
+    assert annihilator_mu(12) is annihilator_mu(12)
 
 
 def test_stabilization_and_image_claim():

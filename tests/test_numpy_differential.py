@@ -71,7 +71,7 @@ def test_kept_characters_are_the_nonzero_eigenvalues(n):
     # kept character has an eigenvalue far from zero, every other one an
     # eigenvalue at rounding level, and their number is the rank of the
     # mu x mu matrix
-    kept = dist._pseudo_inverse(n)[2]
+    kept = [v != 0 for v in dist._pseudo_inverse(n)[0]]
     eig = np.abs(oracle.group_matrix_eigenvalues(n))
     assert all((v > 1e-8) == k for v, k in zip(eig, kept)), n
     if n != 6:
