@@ -135,7 +135,7 @@ class BoundednessVerdict(_Value):
         raise KeyError("no verdict for k = %d" % k)
 
     def to_json(self):
-        return {"m": self.m, "p": self.p, "evidence_only": True,
+        return {"m": self.m, "p": self.p, "evidence_only": self.evidence_only,
                 "n_range": list(self.n_range),
                 "per_k": {str(k): d for k, d in self.per_k}}
 
@@ -234,7 +234,8 @@ def ncnd_family(p, q, a_max, section="smallest"):
     Exact verification: the norm of each value equals the previous one (the
     newly appearing group sum annihilates eps because the full norm of eps
     at a level with two distinct primes is 1), and that annihilation is
-    checked directly as well."""
+    checked directly as well.  section picks the least ("smallest") or the
+    greatest ("largest") preimage of each lift; ValueError for any other."""
     if p == q or p == 2 or q == 2:
         raise ValueError("the primes must be odd and distinct")
     for v in (p, q):
@@ -242,6 +243,8 @@ def ncnd_family(p, q, a_max, section="smallest"):
             raise ValueError("%d is not prime" % v)
     if a_max < 3:
         raise ValueError("a_max must be at least 3")
+    if section not in ("smallest", "largest"):
+        raise ValueError("section %r is neither 'smallest' nor 'largest'" % (section,))
     choose = (lambda cands: cands[0]) if section == "smallest" else (lambda cands: cands[-1])
     levels = [q * p ** a for a in range(1, a_max + 1)]
     # tower[b][a] = the lift of the level-b full-group sum to level a

@@ -399,12 +399,12 @@ def classify_torsion(f):
 
 @lru_cache(maxsize=None)
 def _pseudo_inverse(n):
-    """(inv, pos, back) for the least-squares solution of least norm x of
+    """(inv, back) for the least-squares solution of least norm x of
     sum_g L(c g) x(g) = b(c) over G_n^+, L(k) = log sigma_k(eps_n): the
     transform of the pseudo-inverse m_n over mu = |G_n^+|, by the flat
-    index of `groupring.character_sums`; the position in group_reps(n, True)
-    of each element of its walk; and the flat index of the inverse of each
-    plus representative.
+    index of `groupring.character_sums`, and the flat index of the inverse
+    of each plus representative.  L and e_n are read at the positions of
+    the walk of `groupring._coordinates`.
 
     With y(g) = x(g^-1) the system is the convolution L * y = b in
     Q[G_n^+], which the characters of G_n^+ diagonalise (Washington,
@@ -418,12 +418,10 @@ def _pseudo_inverse(n):
     of it, so no threshold is set on L^.  inv is 1 / (mu L^) on the kept
     characters and 0 elsewhere, so y is the inverse transform of inv b^.
     """
-    _, walk, conj = groupring.character_frame(n)
-    at = groupring._unit_positions(n, True)
-    leps = _log_eps(n)
-    e_n = idempotent_e_n(n)
+    pos, conj = groupring._coordinates(n, True)[0], groupring.character_frame(n)[2]
+    reps, leps, e_n = group_reps(n, True), _log_eps(n), idempotent_e_n(n)
     sums = groupring.character_sums(
-        n, [complex(leps[g], e_n.nums[at[g]] / e_n.den) for g in walk])
+        n, [complex(leps[reps[i]], e_n.nums[i] / e_n.den) for i in pos])
     inv = []
     for a, b in zip(sums, (sums[c].conjugate() for c in conj)):
         value = (a - b).imag / 2
@@ -431,9 +429,8 @@ def _pseudo_inverse(n):
         if abs(value - keep) > 0.25 or keep not in (0, 1):
             raise ArithmeticError("e_n has a character value %r at level %d"
                                   % (value, n))
-        inv.append(2 / (len(walk) * (a + b)) if keep else 0j)
-    pos = tuple(at[g] for g in walk)
-    return tuple(inv), pos, tuple(c for _, c in sorted(zip(pos, conj)))
+        inv.append(2 / (len(pos) * (a + b)) if keep else 0j)
+    return tuple(inv), tuple(c for _, c in sorted(zip(pos, conj)))
 
 
 def _character_solve(n, logs):
@@ -442,7 +439,7 @@ def _character_solve(n, logs):
     y = m_n * b by one transform of b along the walk, one product by the
     cached inverse eigenvalues and one inverse transform, and x(g) the real
     part of y(g^-1)."""
-    inv, pos, back = _pseudo_inverse(n)
+    (inv, back), pos = _pseudo_inverse(n), groupring._coordinates(n, True)[0]
     y = groupring.character_sums(
         n, list(map(mul, groupring.character_sums(n, [logs[p] for p in pos]), inv)), 1)
     return [y[c].real for c in back]
@@ -547,7 +544,7 @@ def _log_eps_ceilings(n):
     bounds on 2^48 log sigma_r(eps_n) (`_log_units`)."""
     leps = _log_eps(n)
     return [(key, _log_units(leps[r], abs(leps[r]), True))
-            for key, r in zip(groupring._rep_keys(n, True), group_reps(n, True))]
+            for key, r in zip(groupring._coordinates(n, True)[1], group_reps(n, True))]
 
 
 def _eps_log_sums(n, terms):
@@ -764,12 +761,6 @@ def check_euler_conditions(f, m, r):
     if prod != r and r != 1:
         raise ValueError("r must be squarefree")
 
-    def divisors_of_r():
-        divs = [1]
-        for q in rprimes:
-            divs += [d * q for d in divs]
-        return sorted(divs)
-
     def eps_value(rp):
         if rp == 1:
             return f.value(m)
@@ -781,8 +772,12 @@ def check_euler_conditions(f, m, r):
         rep.entries.append({"check": "ES", "r": 1, "pass": True,
                             "note": "vacuous: no prime divisors"})
         return rep
-    vals = {rp: eps_value(rp) for rp in divisors_of_r()}
-    for rp in divisors_of_r():
+    divisors = [1]
+    for q in rprimes:
+        divisors += [d * q for d in divisors]
+    divisors.sort()
+    vals = {rp: eps_value(rp) for rp in divisors}
+    for rp in divisors:
         if rp == 1:
             continue
         rep.entries.append({"check": "ES1", "r": rp, "pass": True,

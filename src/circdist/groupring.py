@@ -16,19 +16,21 @@ and Z[G_n^+] are multi-cyclic convolution algebras.  Writing each element
 prod g_i^(e_i) as the Kronecker index sum e_i R_1...R_(i-1) with radix
 R_i = 2 d_i - 1 turns a product of two dense operands into one integer
 polynomial product (polys.int_poly_mul) of their numerators: the exponents
-add digit by digit without a carry, and a cached fold table sends each
-product index to the position of the representative it names.  The
-coordinates are built per level by walking the generators, with a check
-that the walk is a bijection onto the group.  Products with few terms, such
-as sigma_g * x, keep the pairwise loop over the same indices, which is
-cheaper there; the rule weighs the number of term pairs against the
-Kronecker length.  The idempotency certificate of e_n is the product
-e_n * e_n under the same rule.  Projections to a lower level or to the plus
-quotient read one cached column map per pair of levels.
+add digit by digit without a carry, and a fold table sends each product
+index to the position of the representative it names.  One cached table per
+group, `_coordinates`, names every element by its position in group_reps:
+the walk of the generators lists the position at each flat index (checked
+to be a bijection onto the group), beside the Kronecker index of each
+position and the fold table.  Products with few terms, such as
+sigma_g * x, keep the pairwise loop over the same indices, which is cheaper
+there; the rule weighs the number of term pairs against the Kronecker
+length.  The idempotency certificate of e_n is the product e_n * e_n under
+the same rule.  Projections to a lower level or to the plus quotient read
+one cached column map per pair of levels.
 
-The characters of G_n^+ live on the same axes (`character_frame`), and
-`character_sums` transforms one axis at a time, every line along it in one
-pass of `_fft`.  The pass splits the axis order d by its least prime factor
+The characters of G_n^+ live on the same axes and walk (`character_frame`),
+and `character_sums` transforms one axis at a time, every line along it in
+one pass of `_fft`.  The pass splits the axis order d by its least prime factor
 first, as the Cooley-Tukey recursion does, and runs the radix levels bottom
 up: leaves of length p, the largest prime factor, are direct sums, and each
 level joins r transforms of length m into one of length r m against the
@@ -114,17 +116,12 @@ def canon_rep(a, n, plus):
     return min(a, n - a) if plus else a
 
 
-def rep_index(n, plus):
-    reps = group_reps(n, plus)
-    return {r: i for i, r in enumerate(reps)}
-
-
 @lru_cache(maxsize=None)
 def _unit_positions(n, plus):
     """Position in group_reps(n, plus) of the class of every unit 1 <= u < n
     (in the plus quotient r and n - r share one).  Cached: callers must not
     mutate it."""
-    at = rep_index(n, plus)
+    at = {r: i for i, r in enumerate(group_reps(n, plus))}
     if plus and n > 2:
         at.update({n - r: i for r, i in at.items()})
     return at
@@ -202,41 +199,37 @@ def _frame(n, plus):
 
 @lru_cache(maxsize=None)
 def _coordinates(n, plus):
-    """(index, fold) for the convolution product in Z[G_n] (Z[G_n^+]).
+    """(walk, keys, fold): the one coordinate table of Z[G_n] (Z[G_n^+]),
+    by position in group_reps(n, plus).
 
     With generators g_i of orders d_i from `_frame(n, plus)`, the element
-    prod g_i^(e_i), 0 <= e_i < d_i, has Kronecker index sum e_i R_(i-1)...R_1
-    in radix R_i = 2 d_i - 1, so the exponents of a product of two elements
-    add digit by digit without a carry.  index maps each unit to the index
-    of its class; fold maps every index with digits s_i < R_i to the
-    position of prod g_i^(s_i) in group_reps(n, plus).  Both come from
-    walking the generators, which must reach each class once (checked)."""
+    prod g_i^(e_i), 0 <= e_i < d_i, has flat index sum e_i d_(i-1)...d_1
+    and Kronecker index sum e_i R_(i-1)...R_1 in radix R_i = 2 d_i - 1, so
+    the exponents of a product of two elements add digit by digit without a
+    carry.  walk[f] is the position of the element at flat index f, keys[i]
+    the Kronecker index of position i, and fold maps every index with
+    digits s_i < R_i to the position of prod g_i^(s_i).  All three come
+    from walking the generators, which must reach each class once (checked)."""
     factors = _frame(n, plus)
     keys, radix = [0], 1
     for _, d in factors:
         keys = [k + e * radix for e in range(d) for k in keys]
         radix *= 2 * d - 1
     at = _unit_positions(n, plus)
-    pos = list(map(at.__getitem__, _walk(n, factors)))
-    if sorted(pos) != list(range(len(group_reps(n, plus)))):
+    walk = tuple(map(at.__getitem__, _walk(n, factors)))
+    if sorted(walk) != list(range(len(group_reps(n, plus)))):
         raise ArithmeticError("the discrete-log walk of level %d is not a bijection" % n)
-    key_at = dict(zip(pos, keys))
     full = _walk(n, [(g, 2 * d - 1) for g, d in factors])
-    return {u: key_at[i] for u, i in at.items()}, tuple(map(at.__getitem__, full))
-
-
-@lru_cache(maxsize=None)
-def _rep_keys(n, plus):
-    """Kronecker index of each entry of group_reps(n, plus)."""
-    return tuple(map(_coordinates(n, plus)[0].__getitem__, group_reps(n, plus)))
+    return (walk, tuple(k for _, k in sorted(zip(walk, keys))),
+            tuple(map(at.__getitem__, full)))
 
 
 @lru_cache(maxsize=None)
 def _inverse_keys(n):
     """Kronecker index of the inverse of each entry of group_reps(n, True):
     the terms (_inverse_keys(n)[i], v_i) are sum v_i sigma_(r_i^-1)."""
-    index = _coordinates(n, True)[0]
-    return tuple(index[pow(r, -1, n)] for r in group_reps(n, True))
+    keys, at = _coordinates(n, True)[1], _unit_positions(n, True)
+    return tuple(keys[at[pow(r, -1, n)]] for r in group_reps(n, True))
 
 
 # a product whose operands have s and t terms takes the pairwise loop when
@@ -259,7 +252,7 @@ def _convolve(n, plus, a, b):
     (Kronecker index, int) terms: one integer polynomial product of their
     Kronecker forms, folded back.  Returns the integer coefficient at each
     position of group_reps(n, plus)."""
-    fold = _coordinates(n, plus)[1]
+    fold = _coordinates(n, plus)[2]
     pa = _kronecker(a)
     prod = polys.int_poly_mul(pa, pa if a is b else _kronecker(b))
     out = [0] * len(group_reps(n, plus))
@@ -275,7 +268,7 @@ def _product(n, plus, a, b):
     int) terms.  Sparse operands, and any product by a one-term element such
     as a sigma_g (s <= mu <= L), take the pairwise loop; the rest take one
     convolution (`_convolve`)."""
-    fold = _coordinates(n, plus)[1]
+    fold = _coordinates(n, plus)[2]
     if len(a) * len(b) <= _LOOP_PER_KRONECKER * len(fold):
         prod = [0] * len(group_reps(n, plus))
         for ka, va in a:
@@ -293,15 +286,15 @@ def _product(n, plus, a, b):
 def character_frame(n):
     """(orders, walk, conj): G_n^+ as a product of cyclic groups of the
     given orders (`_frame`), for `character_sums`.  walk lists the plus
-    representative at each flat index sum_i e_i d_1...d_(i-1), the order of
-    the Kronecker indices of `_coordinates`, which checked it; conj maps
-    each flat index to that of its negated exponents: the inverse of the
-    element there, and the conjugate of the character there."""
+    representative at each flat index sum_i e_i d_1...d_(i-1), read off the
+    walk of `_coordinates`, which checked it; conj maps each flat index to
+    that of its negated exponents: the inverse of the element there, and
+    the conjugate of the character there."""
     orders, conj = tuple(d for _, d in _frame(n, True)), [0]
     for d in orders:
         conj = [i + (-k % d) * len(conj) for k in range(d) for i in conj]
-    walk = sorted(group_reps(n, True), key=_coordinates(n, True)[0].__getitem__)
-    return orders, tuple(walk), tuple(conj)
+    reps = group_reps(n, True)
+    return orders, tuple(reps[i] for i in _coordinates(n, True)[0]), tuple(conj)
 
 
 @lru_cache(maxsize=None)
@@ -471,7 +464,7 @@ class GroupRingElt(_Vector):
 
     def _terms(self):
         """(Kronecker index, numerator) of each nonzero coefficient."""
-        keys = _rep_keys(self.level, self.plus)
+        keys = _coordinates(self.level, self.plus)[1]
         return [(keys[i], v) for i, v in self.nonzero()]
 
     # -- arithmetic --------------------------------------------------------
@@ -781,7 +774,11 @@ def annihilator_In_formula(n):
     return IdealLattice(n, True, tuple(map(tuple, rows)))
 
 
-def annihilator_In_oracle(n, max_phi=16):
+# the largest phi(n) whose annihilator annihilator_In_oracle computes
+_ORACLE_MAX_PHI = 16
+
+
+def annihilator_In_oracle(n):
     """Independent construction of the annihilator of eps_n: the rational
     kernel of the double-precision log embedding matrix, each kernel vector
     verified exactly by eps_n^v = 1 in the field, then saturated.  Never
@@ -789,8 +786,8 @@ def annihilator_In_oracle(n, max_phi=16):
     vector that fails the check."""
     if n < 2:
         raise LevelError("level must be >= 2")
-    if polys.euler_phi(n) > max_phi:
-        raise ValueError("phi(%d) exceeds the configured oracle bound %d" % (n, max_phi))
+    if polys.euler_phi(n) > _ORACLE_MAX_PHI:
+        raise ValueError("phi(%d) exceeds the configured oracle bound %d" % (n, _ORACLE_MAX_PHI))
     reps = group_reps(n, True)
     eps = eps_n(n)
     leps = _log_eps(n)

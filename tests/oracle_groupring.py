@@ -24,7 +24,13 @@ held integer numerators, kept here only as oracles:
   their images, two `canon_rep`s per unit, and picks one preimage per term;
 * `fft` is the mixed-radix transform of `groupring._fft` over its own
   table of roots of unity (`roots`, by cos and sin), as it was before the
-  transform read the embeddings' table `cyclotomic._zeta_powers`.
+  transform read the embeddings' table `cyclotomic._zeta_powers`;
+* `coordinates` maps each unit to the Kronecker index of its class in one
+  dict of phi(n) entries, `rep_keys` reads that dict at each
+  representative, `character_frame` sorts the plus representatives by it
+  and `inverse_keys` reads it at each inverse, as circdist did before
+  `groupring._coordinates` became one table of walk positions, keys by
+  position and fold.
 """
 
 from fractions import Fraction
@@ -32,9 +38,9 @@ from math import cos, pi, sin
 from operator import mul as times
 
 from circdist import intlinalg, polys
-from circdist.groupring import (IdealLattice, LevelError, canon_rep,
-                                e_subgroup, grelt, group_reps, rep_index,
-                                sigma, units)
+from circdist.groupring import (IdealLattice, LevelError, _frame,
+                                _unit_positions, _walk, canon_rep, e_subgroup,
+                                grelt, group_reps, sigma, units)
 from oracle_lattice import decomposition_group
 
 
@@ -129,10 +135,10 @@ def annihilator_In_formula(n):
 def project_annihilator(m, n, lattice):
     """Push-forward of the lattice rows with one canon_rep per nonzero entry."""
     reps_m = group_reps(m, lattice.plus)
-    idx_n = rep_index(n, lattice.plus)
+    idx_n = _unit_positions(n, lattice.plus)
     rows = []
     for row in lattice.hnf:
-        out = [0] * len(idx_n)
+        out = [0] * len(group_reps(n, lattice.plus))
         for r, v in zip(reps_m, row):
             if v:
                 out[idx_n[canon_rep(r % n if n > 1 else 1, n, lattice.plus)]] += v
@@ -191,3 +197,42 @@ def fft(x, sign):
         b = [w * v for w, v in zip(table, b)]
         return [u + v for u, v in zip(a, b)] + [u - v for u, v in zip(a, b)]
     return [sum(table[j * k % d] * subs[j][k % m] for j in range(r)) for k in range(d)]
+
+
+def coordinates(n, plus):
+    """(index, fold): index maps each unit to the Kronecker index of its
+    class, from the walk of `groupring._frame(n, plus)`, and fold maps each
+    index with digits s_i < R_i to the position of prod g_i^(s_i)."""
+    factors = _frame(n, plus)
+    keys, radix = [0], 1
+    for _, d in factors:
+        keys = [k + e * radix for e in range(d) for k in keys]
+        radix *= 2 * d - 1
+    at = _unit_positions(n, plus)
+    pos = list(map(at.__getitem__, _walk(n, factors)))
+    if sorted(pos) != list(range(len(group_reps(n, plus)))):
+        raise ArithmeticError("the discrete-log walk of level %d is not a bijection" % n)
+    key_at = dict(zip(pos, keys))
+    full = _walk(n, [(g, 2 * d - 1) for g, d in factors])
+    return {u: key_at[i] for u, i in at.items()}, tuple(map(at.__getitem__, full))
+
+
+def rep_keys(n, plus):
+    """Kronecker index of each entry of group_reps(n, plus)."""
+    return tuple(map(coordinates(n, plus)[0].__getitem__, group_reps(n, plus)))
+
+
+def character_frame(n):
+    """(orders, walk, conj) with the plus representatives sorted by their
+    Kronecker index."""
+    orders, conj = tuple(d for _, d in _frame(n, True)), [0]
+    for d in orders:
+        conj = [i + (-k % d) * len(conj) for k in range(d) for i in conj]
+    walk = sorted(group_reps(n, True), key=coordinates(n, True)[0].__getitem__)
+    return orders, tuple(walk), tuple(conj)
+
+
+def inverse_keys(n):
+    """Kronecker index of the inverse of each entry of group_reps(n, True)."""
+    index = coordinates(n, True)[0]
+    return tuple(index[pow(r, -1, n)] for r in group_reps(n, True))

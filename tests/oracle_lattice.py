@@ -19,7 +19,7 @@ from math import gcd
 
 from circdist import intlinalg, polys
 from circdist.groupring import (IdealLattice, LevelError, canon_rep,
-                                group_reps, rep_index, units)
+                                group_reps, _unit_positions, units)
 
 
 def _root_annihilator_lattice(n, reps, exps, order):
@@ -68,7 +68,7 @@ def annihilator_mu(n):
 def coset_rows(n, h):
     """HNF of the indicator rows of the cosets gH in G_n^+."""
     reps = group_reps(n, True)
-    idx = rep_index(n, True)
+    idx = _unit_positions(n, True)
     seen = set()
     rows = []
     for g in reps:

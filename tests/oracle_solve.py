@@ -119,7 +119,7 @@ def _fixed_pseudo_inverse(n):
     for g, c in zip(walk, conj):
         m_inv[at[g]] = m[c].real / len(walk)
     ints, shift = _fixed(m_inv)
-    return [t for t in zip(groupring._rep_keys(n, True), ints) if t[1]], shift
+    return [t for t in zip(groupring._coordinates(n, True)[1], ints) if t[1]], shift
 
 
 def fixed_point_solve(n, logs):

@@ -171,6 +171,14 @@ def test_ncnd_input_validation():
             ncnd_family(*bad)
 
 
+def test_ncnd_family_rejects_an_unknown_section():
+    # only "smallest" and "largest" name a section; a misspelt one is
+    # refused rather than read as "largest"
+    for section in ("largets", "Smallest", "", None):
+        with pytest.raises(ValueError, match="section"):
+            ncnd_family(3, 5, 3, section=section)
+
+
 def test_valuation_constancy():
     S = divisor_closure([9, 8, 5, 25, 3, 4])
     f = phi_table(S)

@@ -214,7 +214,7 @@ def test_oracle_rejects_a_kernel_vector_that_fails_the_exact_check(monkeypatch):
 
 def test_oracle_respects_phi_bound():
     with pytest.raises(ValueError):
-        annihilator_In_oracle(100, max_phi=16)
+        annihilator_In_oracle(100)
 
 
 def test_annihilator_Tn_level4():

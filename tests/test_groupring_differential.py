@@ -22,6 +22,10 @@ in oracle_groupring that they replaced.
   the rank certificate of annihilator_In_formula rejects a basis that has
   lost a row and an e_n(1) that gives a fractional count, and the
   coordinate walk rejects wrong generator orders;
+* the one coordinate table `_coordinates` (keys by position and fold), the
+  walk of character_frame and _inverse_keys equal the oracle's unit ->
+  Kronecker index dict, its key sort and its reads at every n < 400 (both
+  groups) and at 972, 10935 and 32805;
 * project_annihilator gives the rows of the canon_rep loop for the mu,
   T_n, T_n* and I_n lattices at every divisor of every level below 120, for
   single-congruence lattices of random weights and moduli (one or several
@@ -167,8 +171,8 @@ def expansion_vector(n):
     denominator: e_H puts 1/|H| on each member of H."""
     terms = oracle.e_n_expansion(n)
     den = lcm(*(c.denominator * len(h) for h, c in terms.items()))
-    at = gr.rep_index(n, True)
-    nums = [0] * len(at)
+    at = gr._unit_positions(n, True)
+    nums = [0] * len(gr.group_reps(n, True))
     for h, c in terms.items():
         v = c.numerator * (den // (c.denominator * len(h)))
         for r in h:
@@ -253,16 +257,32 @@ def test_certificate_rejects_a_changed_coefficient(n):
 
 
 def test_coordinates_multiply_units():
-    # fold[index[u] + index[v]] is the position of u*v, for all units u, v
+    # fold[keys[pos[u]] + keys[pos[v]]] is the position of u*v, for all
+    # units u, v
     for n in range(1, 120):
         for plus in (True, False):
-            index, fold = gr._coordinates(n, plus)
-            pos = gr.rep_index(n, plus)
+            _, keys, fold = gr._coordinates(n, plus)
+            pos = gr._unit_positions(n, plus)
             us = gr.units(n)
-            assert sorted(index) == list(us), n
+            assert sorted(pos) == list(us), n
             for u in us:
                 for v in us:
-                    assert fold[index[u] + index[v]] == pos[gr.canon_rep(u * v, n, plus)]
+                    assert (fold[keys[pos[u]] + keys[pos[v]]]
+                            == pos[gr.canon_rep(u * v, n, plus)])
+
+
+@pytest.mark.parametrize("levels", [range(1, 400), (972, 10935, 32805)])
+def test_coordinate_table_matches_the_unit_dict(levels):
+    # keys by position, fold, the frame's walk and the inverse keys equal
+    # those read off the unit -> Kronecker index dict and its key sort
+    for n in levels:
+        for plus in (True, False):
+            _, keys, fold = gr._coordinates(n, plus)
+            assert keys == oracle.rep_keys(n, plus), (n, plus)
+            assert fold == oracle.coordinates(n, plus)[1], (n, plus)
+        assert gr.character_frame(n) == oracle.character_frame(n), n
+        if n > 1:
+            assert gr._inverse_keys(n) == oracle.inverse_keys(n), n
 
 
 def test_plus_products_use_the_plus_axes():
@@ -271,7 +291,7 @@ def test_plus_products_use_the_plus_axes():
         length = 1
         for d in gr.character_frame(n)[0]:
             length *= 2 * d - 1
-        assert len(gr._coordinates(n, True)[1]) == length, n
+        assert len(gr._coordinates(n, True)[2]) == length, n
 
 
 def test_coordinates_reject_a_walk_that_misses_units():

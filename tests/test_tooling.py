@@ -330,3 +330,35 @@ def test_nonzero_numerators_have_one_reader():
                 else:
                     found.append("%s:%d" % (path.name, node.lineno))
     assert allowed == 1 and not found, found
+
+
+def test_representatives_have_one_position_table():
+    # `groupring._unit_positions` is the one map from a representative to
+    # its position in group_reps; a {r: i for i, r in enumerate(...)}
+    # anywhere else would be a second copy of it
+    def to_index(node):
+        if not (isinstance(node, ast.DictComp) and len(node.generators) == 1):
+            return False
+        gen = node.generators[0]
+        if not (isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "enumerate"
+                and isinstance(gen.target, ast.Tuple) and len(gen.target.elts) == 2
+                and all(isinstance(e, ast.Name) for e in gen.target.elts)):
+            return False
+        index, elt = (e.id for e in gen.target.elts)
+        return (isinstance(node.value, ast.Name) and node.value.id == index
+                and any(isinstance(x, ast.Name) and x.id == elt for x in ast.walk(node.key)))
+
+    found, allowed = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {id(node) for fn in tree.body
+                  if path.name == "groupring.py" and isinstance(fn, ast.FunctionDef)
+                  and fn.name == "_unit_positions"
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if to_index(node):
+                if id(node) in inside:
+                    allowed += 1
+                else:
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert allowed == 1 and not found, found

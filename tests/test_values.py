@@ -97,6 +97,12 @@ def test_boundedness_verdict_is_evidence_only_by_default():
                                            evidence_only=True)
 
 
+def test_boundedness_verdict_json_reads_evidence_only():
+    for flag in (True, False):
+        v = coleman.BoundednessVerdict(3, 3, (1, 2), (), evidence_only=flag)
+        assert v.to_json()["evidence_only"] is flag
+
+
 def test_report_is_a_mutable_unhashable_value():
     fields = {"name": "relations", "entries": [{"pass": True}]}
     r = distributions.Report(**fields)
