@@ -52,8 +52,8 @@ from . import cyclotomic, groupring, intlinalg, polys
 from .cyclotomic import (LevelError, _Value, act, cyc_from_json, cyc_to_json,
                          norm_down, one, raise_level, sigma_ell,
                          vanishes_at_all_primes_above, zeta)
-from .groupring import (GroupRingElt, _log_eps, annihilator_In_formula, grelt,
-                        group_reps, idempotent_e_n)
+from .groupring import (GroupRingElt, _log_eps, _times_e_n, annihilator_In_formula,
+                        grelt, group_reps, idempotent_e_n)
 
 
 class SupportError(ValueError):
@@ -712,7 +712,6 @@ def solve_exponent(u):
     if logs is None:
         raise ValueError("element is not totally positive")
     ratios = [v.as_integer_ratio() for v in _character_solve(n, logs)]
-    e_n = idempotent_e_n(n)
     seen = set()
     bound = 1
     while bound <= _MAX_DENOMINATOR:
@@ -723,7 +722,7 @@ def solve_exponent(u):
         if j in seen:
             continue
         seen.add(j)
-        je = j * e_n
+        je = _times_e_n(n, j.nums, j.den)
         if verify_exponent_identity(u, je):
             integral = _integral_coset_representative(je, annihilator_In_formula(n))
             return integral if integral is not None else je

@@ -24,9 +24,8 @@ to be a bijection onto the group), beside the Kronecker index of each
 position and the fold table.  Products with few terms, such as
 sigma_g * x, keep the pairwise loop over the same indices, which is cheaper
 there; the rule weighs the number of term pairs against the Kronecker
-length.  The idempotency certificate of e_n is the product e_n * e_n under
-the same rule.  Projections to a lower level or to the plus quotient read
-one cached column map per pair of levels.
+length.  Projections to a lower level or to the plus quotient read one
+cached column map per pair of levels.
 
 The characters of G_n^+ live on the same axes and walk (`character_frame`),
 and `character_sums` transforms one axis at a time, every line along it in
@@ -46,9 +45,9 @@ every double is bit for bit the same.
 
 The idempotent e_n = prod_(l | n) (1 - e_(D_l)) over the decomposition
 groups, and the annihilator I_n of the totally positive element
-eps_n = (1-z_n)^(1+tau), are both read off the cosets of the D_l, each
-coset listed from its least member (`_cosets`).  Each factor (1 - e_D) is
-one averaging pass over the cosets of D.  I_n is computed two ways.
+eps_n = (1-z_n)^(1+tau), are both read off one cached table of the cosets
+of the D_l (`_e_n_passes`).  A product by e_n, 1 included, is one averaging
+pass per D, the product by the idempotent 1 - e_D.  I_n is computed two ways.
 Structurally, as the kernel of multiplication by e_n: 0 at a prime power,
 else spanned over Q by the coset sums of the minimal D_l (Sinnott, Invent.
 Math. 62, 1980), and the rows saturated; their HNF pivots are all 1 (one
@@ -68,7 +67,7 @@ never listing the units of the higher levels.
 Each level's lattices and groups are built once per process:
 decomposition_group, annihilator_In_formula and _root_annihilator (behind
 annihilator_mu and annihilator_Tn, keyed on the root they annihilate) are
-lru_caches, as idempotent_e_n, _e_n_vector and stabilization_b0 are,
+lru_caches, as idempotent_e_n, _e_n_passes and stabilization_b0 are,
 because the criteria and the exponent solver come back to the same levels
 many times.  Every caller shares the one result, which is safe because
 each is a value: an IdealLattice refuses attribute assignment and holds its
@@ -605,62 +604,64 @@ def decomposition_group(n, ell):
     return tuple(r for r in group_reps(n, True) if r % m in frob or -r % m in frob)
 
 
-def _cosets(n, members):
-    """The cosets gH in G_n^+ of the subgroup H listed by `members` (plus
-    representatives, 1 first), each as positions in group_reps(n, True)
-    led by its least member g: walking the representatives upwards, the
-    first one not yet covered starts the next coset."""
-    at = _unit_positions(n, True)
-    marked = [False] * len(group_reps(n, True))
-    out = []
-    for i, g in enumerate(group_reps(n, True)):
-        if not marked[i]:
-            coset = [at[g * x % n] for x in members]
-            for j in coset:
-                marked[j] = True
-            out.append(coset)
-    return out
-
-
 @lru_cache(maxsize=None)
-def _e_n_vector(n):
-    """(nums, den): e_n as integer numerators over one positive denominator,
-    normalized as GroupRingElt is, and not certified.  e_n = 1 at a prime
-    power; otherwise each factor (1 - e_D) of the product over the primes
-    l | n, D = D_l of order k, is applied to 1 by one pass over the cosets
-    of D: x (1 - e_D) puts (k x_g - sum_(h in gD) x_h) / k at each g."""
-    nums, den = [1] + [0] * (len(group_reps(n, True)) - 1), 1
+def _e_n_passes(n):
+    """((D, cosets), ...): each distinct decomposition group D of a prime
+    l | n with its cosets in G_n^+, as positions in group_reps(n, True),
+    each listed from its least member g: walking the representatives
+    upwards, the first one not yet covered lists g D.  () at a prime power,
+    where e_n = 1.  D_l is the preimage in G_n^+ of +-<l mod m>, m the
+    prime-to-l part of n (`decomposition_group`); l is a unit mod m, so D_l
+    is a subgroup and the walk lists its cosets, which are disjoint exactly
+    when their number times |D| is mu (checked: ArithmeticError otherwise).
+    The pass over them in `_times_e_n` is then the product by the
+    idempotent 1 - e_D, and a product of commuting idempotents is
+    idempotent, so e_n is certified by its construction, with no product."""
     primes = polys.prime_factors(n)
-    if len(primes) > 1:
-        for ell in primes:
-            members = decomposition_group(n, ell)
-            k = len(members)
-            for coset in _cosets(n, members):
-                s = sum(nums[j] for j in coset)
+    if len(primes) < 2:
+        return ()
+    reps, at = group_reps(n, True), _unit_positions(n, True)
+    out = []
+    for members in dict.fromkeys(decomposition_group(n, ell) for ell in primes):
+        marked = [False] * len(reps)
+        cosets = []
+        for i, g in enumerate(reps):
+            if not marked[i]:
+                coset = tuple(at[g * x % n] for x in members)
                 for j in coset:
-                    nums[j] = k * nums[j] - s
-            den *= k
-    g = gcd(den, *nums)
-    return tuple(v // g for v in nums), den // g
+                    marked[j] = True
+                cosets.append(coset)
+        if len(cosets) * len(members) != len(reps):
+            raise ArithmeticError("a decomposition group of level %d has overlapping cosets" % n)
+        out.append((members, tuple(cosets)))
+    return tuple(out)
+
+
+def _times_e_n(n, nums, den):
+    """x e_n for x = nums / den in Q[G_n^+] (one numerator per entry of
+    group_reps(n, True), den > 0): each entry (D, cosets) of
+    `_e_n_passes(n)`, k = |D|, is one pass x -> x (1 - e_D), which puts
+    (k x_g - sum_(h in gD) x_h) / k at each g, on the numerators."""
+    nums = list(nums)
+    for members, cosets in _e_n_passes(n):
+        k = len(members)
+        for coset in cosets:
+            s = sum(map(nums.__getitem__, coset))
+            for j in coset:
+                nums[j] = k * nums[j] - s
+        den *= k
+    return GroupRingElt._from_ints(n, True, nums, den)
 
 
 @lru_cache(maxsize=None)
 def idempotent_e_n(n):
     """The idempotent of Q[G_n^+] cutting out the span of eps_n: the product
     of (1 - e_D) over the decomposition groups D of the primes dividing n,
-    1 when n is a prime power, built from the cosets of each D
-    (`_e_n_vector`).  Verified idempotent."""
+    1 when n is a prime power, applied to 1 by the coset passes
+    (`_times_e_n`); idempotent by construction (`_e_n_passes`)."""
     if n < 2:
         raise LevelError("level must be >= 2")
-    e = GroupRingElt(n, True, *_e_n_vector(n))
-    _certify_idempotent(e)
-    return e
-
-
-def _certify_idempotent(e):
-    """Raise ArithmeticError unless e*e == e."""
-    if e * e != e:
-        raise ArithmeticError("e_n failed the idempotency check")
+    return _times_e_n(n, [1] + [0] * (len(group_reps(n, True)) - 1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -744,30 +745,28 @@ def _log_eps(n):
 def annihilator_In_formula(n):
     """Annihilator of eps_n in Z[G_n^+], the integer kernel of e_n, in HNF:
     one row per coset of each minimal D_l (a coset sum of a larger D_l is a
-    sum of coset sums of a smaller one), the cosets that also build e_n
-    (`_cosets`), saturated; 0 at a prime power where e_n = 1.  The rank is
-    certified as mu (1 - e_n(1)), the number of characters e_n kills, read
-    from the uncertified `_e_n_vector`."""
+    sum of coset sums of a smaller one), the cosets that also apply e_n
+    (`_e_n_passes`), saturated; 0 at a prime power where e_n = 1.  The rank
+    is certified as mu (1 - e_n(1)), the number of characters e_n kills,
+    read from idempotent_e_n."""
     if n < 2:
         raise LevelError("level must be >= 2")
     mu = len(group_reps(n, True))
-    primes = polys.prime_factors(n)
+    passes = _e_n_passes(n)
     rows = []
-    if len(primes) > 1:
-        groups = list(dict.fromkeys(decomposition_group(n, ell) for ell in primes))
-        for h in groups:
-            if not any(len(k) < len(h) and set(k) <= set(h) for k in groups):
-                for coset in _cosets(n, h):
-                    row = [0] * mu
-                    for j in coset:
-                        row[j] = 1
-                    rows.append(row)
+    for h, cosets in passes:
+        if not any(len(k) < len(h) and set(k) <= set(h) for k, _ in passes):
+            for coset in cosets:
+                row = [0] * mu
+                for j in coset:
+                    row[j] = 1
+                rows.append(row)
     rows = intlinalg.saturate(rows, mu)
-    nums, den = _e_n_vector(n)
-    killed, rest = divmod(mu * (den - nums[0]), den)
+    e = idempotent_e_n(n)
+    killed, rest = divmod(mu * (e.den - e.nums[0]), e.den)
     if rest:
         raise ArithmeticError("e_%d(1) = %d/%d gives a fractional count of "
-                              "killed characters" % (n, nums[0], den))
+                              "killed characters" % (n, e.nums[0], e.den))
     if len(rows) != killed:
         raise ArithmeticError("I_%d has rank %d, but e_n kills %d characters"
                               % (n, len(rows), killed))
@@ -876,6 +875,8 @@ def _root_exponents(n, root):
 def _root_annihilator(n, root):
     """Annihilator in Z[G_n] of the root named as in `_root_exponents`;
     callers pass "T*" at odd n only, so each lattice has one key."""
+    if n < 2:
+        raise LevelError("level must be >= 2")
     exps, order = _root_exponents(n, root)
     return IdealLattice(n, False, tuple(map(tuple, intlinalg.congruence_hnf(exps, order))))
 
@@ -883,8 +884,6 @@ def _root_annihilator(n, root):
 def annihilator_Tn(n, starred=False):
     """Annihilator in Z[G_n] of -z_n; with starred and odd n, the annihilator
     of -z_(2n) carried over through Q(2n) = Q(n)."""
-    if n < 2:
-        raise LevelError("level must be >= 2")
     return _root_annihilator(n, "T*" if starred and n % 2 else "T")
 
 

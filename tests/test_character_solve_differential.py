@@ -43,7 +43,7 @@ def test_character_solve_matches_the_fixed_point_solve_deep(n):
 
 @pytest.mark.parametrize("n", [972, 10935])
 def test_character_solve_takes_no_integer_product(n, monkeypatch):
-    idempotent_e_n(n)       # its idempotency certificate is a product
+    idempotent_e_n(n)       # cached first, so that the spy watches the solve alone
     calls = []
 
     def spy(name, real):

@@ -217,6 +217,16 @@ def test_oracle_respects_phi_bound():
         annihilator_In_oracle(100)
 
 
+def test_root_annihilators_need_level_two():
+    # annihilator_mu(-5) gave the HNF ((-5,),), whose pivot is negative,
+    # and annihilator_mu(0) a ValueError from pow
+    for n in (1, 0, -5):
+        for build in (annihilator_mu, annihilator_Tn,
+                      lambda n: annihilator_Tn(n, starred=True)):
+            with pytest.raises(LevelError):
+                build(n)
+
+
 def test_annihilator_Tn_level4():
     lat = annihilator_Tn(4)
     # the lattice spanned by 1 + tau and 4: solve c_1 + 3 c_tau = 0 mod 4

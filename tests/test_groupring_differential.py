@@ -8,9 +8,13 @@ in oracle_groupring that they replaced.
   the dense oracle runs where it takes at most a few seconds, and
   elsewhere products are checked against the oracle on sparse operands and
   through the projection to a lower level;
-* the coset-averaging e_n (`_e_n_vector`) equals the oracle's subgroup
+* the coset-averaging e_n (idempotent_e_n) equals the oracle's subgroup
   expansion summed into a vector at every 2 <= n < 1200 and at 2310 and
-  3645;
+  3645, and e_n * e_n == e_n under the product `*` at every n < 1200 and
+  at 10935 and 32805;
+* the coset passes (`_times_e_n`) give j * e_n for rational j at every
+  3 <= n < 400 and at 972 and 10935; building e_n takes no product, and
+  solve_exponent multiplies no group-ring elements;
 * idempotent_e_n and annihilator_In_formula equal the oracle at every
   2 <= n < 300; the oracle is the integer left kernel of the mu rows
   sigma_g * d * e_n at every level, so it checks the zero lattice of prime
@@ -18,10 +22,11 @@ in oracle_groupring that they replaced.
   saturated coset rows of several.  At 408, 420, 455 and 1155, levels
   where the saturation adds vectors that the coset rows do not span, the
   rows equal the oracle too, and at 1155 that gain is asserted;
-* the idempotency certificate rejects e_n with one coefficient changed,
-  the rank certificate of annihilator_In_formula rejects a basis that has
-  lost a row and an e_n(1) that gives a fractional count, and the
-  coordinate walk rejects wrong generator orders;
+* the coset count of the pass table `_e_n_passes` rejects a decomposition
+  group missing a member or holding a non-member at every level below 400
+  with two prime factors, the rank certificate of annihilator_In_formula
+  rejects a basis that has lost a row and an e_n(1) that gives a
+  fractional count, and the coordinate walk rejects wrong generator orders;
 * the one coordinate table `_coordinates` (keys by position and fold), the
   walk of character_frame and _inverse_keys equal the oracle's unit ->
   Kronecker index dict, its key sort and its reads at every n < 400 (both
@@ -55,7 +60,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracle_groupring as oracle
 import oracle_lattice
-from circdist import coleman, intlinalg, polys
+from circdist import coleman, distributions, intlinalg, polys
 from circdist import groupring as gr
 
 LEVELS = range(2, 300)
@@ -183,7 +188,50 @@ def expansion_vector(n):
 
 def test_coset_averaging_matches_the_subgroup_expansion():
     for n in [*range(2, 1200), 2310, 3645]:
-        assert gr._e_n_vector(n) == expansion_vector(n), n
+        e = gr.idempotent_e_n(n)
+        assert (e.nums, e.den) == expansion_vector(n), n
+
+
+def test_e_n_is_idempotent_under_the_product():
+    for n in [*range(2, 1200), 10935, 32805]:
+        e = gr.idempotent_e_n(n)
+        assert e * e == e, n
+
+
+def test_coset_passes_match_the_product_by_e_n():
+    rng = random.Random(31)
+    for n in [*range(3, 400), 972, 10935]:
+        j = random_elt(rng, n, True)
+        assert gr._times_e_n(n, j.nums, j.den) == j * gr.idempotent_e_n(n), n
+
+
+def _spy(calls, name, real):
+    return lambda *args: calls.append(name) or real(*args)
+
+
+@pytest.mark.parametrize("n", [972, 10935, 32805])
+def test_e_n_takes_no_product(n, monkeypatch):
+    calls = []
+    monkeypatch.setattr(polys, "int_poly_mul", _spy(calls, "int_poly_mul", polys.int_poly_mul))
+    monkeypatch.setattr(gr, "_product", _spy(calls, "_product", gr._product))
+    e = gr.idempotent_e_n.__wrapped__(n)
+    assert calls == [] and e == gr.idempotent_e_n(n), n
+
+
+@pytest.mark.parametrize("m,p,c,k", [(4, 3, 2, 5), (5, 3, 1, 7)])
+def test_solve_applies_e_n_without_a_product(m, p, c, k, monkeypatch):
+    # eps_n^c, the unit of the criterion 07 tower (m, p, c) at level m p^k:
+    # each candidate j is certified as j e_n, by the coset passes
+    n = m * p ** k
+    u = gr.grelt(n, True, {1: c}).act_on(gr.eps_n(n), assume_tau_fixed=True)
+    calls = []
+    monkeypatch.setattr(gr.GroupRingElt, "__mul__",
+                        _spy(calls, "__mul__", gr.GroupRingElt.__mul__))
+    j = distributions.solve_exponent(u)
+    assert calls == [], n
+    monkeypatch.undo()
+    e = gr.idempotent_e_n(n)
+    assert j * e == e * c, n
 
 
 def test_idempotent_and_annihilator_match_oracle():
@@ -222,9 +270,11 @@ def test_saturated_annihilator_matches_oracle(n):
      lambda real: lambda n, ell: gr.group_reps(n, True) if ell == 3 else real(n, ell)),
 ], ids=["saturate", "decomposition_group"])
 def test_annihilator_rank_certificate_rejects_a_lost_row(target, name, broken):
-    # the uncached construction: a cached I_1155 would skip the certificate
-    gr._e_n_vector(1155)     # cached from the true decomposition groups
-    with mock.patch.object(target, name, broken(getattr(target, name))):
+    # the uncached constructions: a cached I_1155 would skip the
+    # certificate, and a cached pass table the broken decomposition group
+    gr.idempotent_e_n(1155)     # cached from the true decomposition groups
+    with mock.patch.object(target, name, broken(getattr(target, name))), \
+            mock.patch.object(gr, "_e_n_passes", gr._e_n_passes.__wrapped__):
         with pytest.raises(ArithmeticError, match="rank"):
             gr.annihilator_In_formula.__wrapped__(1155)
 
@@ -232,28 +282,45 @@ def test_annihilator_rank_certificate_rejects_a_lost_row(target, name, broken):
 def test_annihilator_rank_certificate_rejects_a_fractional_count():
     # e_1155(1) is 233/240 for mu = 240; adding 1/7 to it leaves no whole
     # number of killed characters
-    nums, den = gr._e_n_vector(1155)
-    bad = ((nums[0] * 7 + den,) + tuple(7 * v for v in nums[1:]), 7 * den)
-    with mock.patch.object(gr, "_e_n_vector", lambda n: bad):
+    e = gr.idempotent_e_n(1155)
+    bad = gr.GroupRingElt(1155, True, (e.nums[0] * 7 + e.den,) + tuple(7 * v for v in e.nums[1:]),
+                          7 * e.den)
+    with mock.patch.object(gr, "idempotent_e_n", lambda n: bad):
         with pytest.raises(ArithmeticError, match="fractional"):
             gr.annihilator_In_formula.__wrapped__(1155)
 
 
-@pytest.mark.parametrize("n", [12, 15, 35, 60, 105, 231, 1215])
-def test_certificate_rejects_a_changed_coefficient(n):
-    e = gr.idempotent_e_n(n)
-    gr._certify_idempotent(e)
-    reps = gr.group_reps(n, True)
-    coeffs = dict(e.coeffs)
-    rng = random.Random(n)
-    for r in {reps[0], reps[-1], rng.choice(reps)}:
-        # idempotents of Q[G] have coefficients in (1/|G|) Z, and 7 divides
-        # no |G| here, so these changes cannot land on another idempotent
-        for delta in (Fraction(1, 7), Fraction(-3, 7)):
-            bad = gr.grelt(n, True, {**coeffs, r: coeffs.get(r, 0) + delta})
-            assert not oracle.is_idempotent(bad)
-            with pytest.raises(ArithmeticError):
-                gr._certify_idempotent(bad)
+# the levels below 400 with two or more prime factors, where e_n has passes
+SEVERAL_PRIMES = [n for n in range(2, 400) if len(polys.prime_factors(n)) > 1]
+
+
+def mutant_tables(mutants):
+    """Build the pass table of each level of SEVERAL_PRIMES once per group
+    mutants(n, D) returns for each decomposition group D, with D replaced;
+    returns the number built, each of which must raise ArithmeticError."""
+    real, built = gr.decomposition_group, 0
+    for n in SEVERAL_PRIMES:
+        for ell in polys.prime_factors(n):
+            for bad in mutants(n, real(n, ell)):
+                with mock.patch.object(gr, "decomposition_group",
+                                       lambda m, l: bad if l == ell else real(m, l)):
+                    with pytest.raises(ArithmeticError, match="overlapping"):
+                        gr._e_n_passes.__wrapped__(n)
+                built += 1
+    return built
+
+
+def test_pass_table_rejects_a_group_missing_a_member():
+    # each non-identity member of each D with at least three, dropped (D of
+    # order 2 less a member is the trivial group, whose cosets are exact)
+    assert mutant_tables(lambda n, d: [tuple(r for r in d if r != x)
+                                       for x in d[1:] if len(d) >= 3]) == 28910
+
+
+def test_pass_table_rejects_a_group_with_a_non_member():
+    # each non-member of each proper D, added
+    assert mutant_tables(lambda n, d: [tuple(sorted(d + (x,)))
+                                       for x in gr.group_reps(n, True) if x not in d]) == 7117
 
 
 def test_coordinates_multiply_units():
