@@ -24,6 +24,9 @@ solver's logarithms and the norm bound of the exponent certificate.  A
 double-precision sum of the nonzero coefficients against one per-level
 table of the powers of zeta gives every sigma_c(x) with one rounding bound;
 floating point only ever reads a value that stands far above that bound.
+That pass, the tau flag and the inverse are kept on the element itself
+(`_kept`), not in a cache keyed by its value: they live as long as the
+element, and no lookup hashes its numerators.
 A real embedding it cannot read is re-evaluated exactly at doubling
 fixed-point precision: integer floor and ceiling bounds on
 2^prec cos(2 pi r / n) are summed against the integer numerators, so every
@@ -43,7 +46,7 @@ powers of the uniformizer 1 - zeta, one Taylor shift of the numerators.
 """
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from math import cos, gcd, isqrt, lcm, log, pi, sin
 from operator import attrgetter, mul
 
@@ -87,12 +90,27 @@ class _LevelCtx:
 _set = object.__setattr__
 
 
+def _kept(fn):
+    """Decorator: fn(x), made on first use, is kept in the cache slot _<name
+    of fn> of the value x (`_Value`); a call that raises keeps nothing."""
+    slot = "_" + fn.__name__
+
+    def kept(x):
+        try:
+            return getattr(x, slot)
+        except AttributeError:
+            _set(x, slot, fn(x))
+            return getattr(x, slot)
+    return wraps(fn)(kept)
+
+
 class _Value:
     """Immutable value whose fields are its public ``__slots__``, in order.
     Equality (same class, equal fields), hashing, ``Name(field=value, ...)``
     repr and pickling read those fields, as for a frozen dataclass; slots
-    named with a leading underscore are caches outside the value, and a
-    subclass that declares no fields keeps its parent's."""
+    named with a leading underscore are caches outside the value, filled
+    by `_kept` and never pickled or copied, and a subclass that declares
+    no fields keeps its parent's."""
 
     __slots__ = ()
 
@@ -209,11 +227,13 @@ class CycElt(_Vector):
 
     ``CycElt(level, coeffs)`` takes the phi(level) rational coefficients.
     The value is held as ``nums`` (a tuple of integers) over ``den``
-    (`_Vector`); ``coeffs`` is the tuple of Fractions nums[i] / den, built
-    on first use.
+    (`_Vector`); ``coeffs`` is the tuple of Fractions nums[i] / den.  It,
+    the tau flag, the double-precision embeddings and the inverse are each
+    made on first use and kept on the element (`_kept`).
     """
 
-    __slots__ = ("level", "nums", "den", "_coeffs")
+    __slots__ = ("level", "nums", "den",
+                 "_coeffs", "_is_tau_fixed", "_double_embeddings", "_inverse")
 
     def __init__(self, level, coeffs):
         if level < 1:
@@ -237,13 +257,10 @@ class CycElt(_Vector):
         return hash((self.level, self.nums, self.den))
 
     @property
+    @_kept
     def coeffs(self):
-        try:
-            return self._coeffs
-        except AttributeError:
-            den = self.den
-            _set(self, "_coeffs", tuple(Fraction(c, den) for c in self.nums))
-            return self._coeffs
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     def __repr__(self):
         return "CycElt(level=%d, coeffs=%r)" % (self.level, self.coeffs)
@@ -361,12 +378,11 @@ def _scatter(x, m, step):
     return CycElt._from_ints(m, _LevelCtx(m).reduce_int_vec(long), x.den)
 
 
-@lru_cache(maxsize=8)
+@_kept
 def inverse(x):
-    """1 / x, for nonzero x.  Kept for the last few elements inverted: the
-    same eps_n is raised to negative exponents again and again."""
-    if x.is_zero():
-        raise ZeroDivisionError("inverse of zero")
+    """1 / x, for nonzero x, kept on x: the same eps_n is raised to negative
+    exponents again and again.  The inverse keeps no link back to x.
+    ZeroDivisionError for x = 0 (`polys.cyclo_inverse`)."""
     inv, den = polys.cyclo_inverse(x.nums, x.level)
     return CycElt._from_ints(x.level, [c * x.den for c in inv], den)
 
@@ -552,7 +568,7 @@ def is_p_unit(x, p):
 _READ_MARGIN = 2.0 ** 20
 
 
-@lru_cache(maxsize=8)
+@_kept
 def is_tau_fixed(x):
     """True iff tau(x) = x, exactly: then every sigma_c(x) is real."""
     return act(tau(x.level), x) == x
@@ -566,11 +582,13 @@ def _zeta_powers(n):
     return powers, tuple(z.real for z in powers)
 
 
-@lru_cache(maxsize=8)
+@_kept
 def double_embeddings(x):
     """sigma_c(x) = sum_i x_i zeta^(i c) at the plus representatives c, in
     complex double precision, or as real doubles when x is tau-fixed
-    (`is_tau_fixed`), where the imaginary parts vanish.
+    (`is_tau_fixed`), where the imaginary parts vanish.  Kept on x: the
+    solve reads the logs and each of its certificates the moduli of one
+    pass.  ZeroDivisionError for x = 0, whose embeddings have no log.
 
     Returns (reps, vals, err, shift).  The numerators are divided by their
     largest |x_i| first, so nothing overflows; then sigma_c(x) is
@@ -583,9 +601,11 @@ def double_embeddings(x):
     """
     from .groupring import group_reps      # groupring imports this module
     n = x.level
+    top = max(map(abs, x.nums))
+    if not top:
+        raise ZeroDivisionError("the embeddings of zero have no log")
     reps = group_reps(n, True)
     powers = _zeta_powers(n)[is_tau_fixed(x)]
-    top = max(map(abs, x.nums))
     terms = [(i, c / top) for i, c in x.nonzero()]
     vals = tuple(sum(v * powers[i * c % n] for i, v in terms) for c in reps)
     err = (len(x.nums) + 2) * 2.0 ** -52 * sum(abs(v) for _, v in terms)
@@ -702,36 +722,35 @@ def _cos_bounds(n, prec):
     return table
 
 
-@lru_cache(maxsize=1)
-def _nonzero_terms(x):
-    """x.nonzero() as a tuple, kept for the last x: `embedding_logs` sends
-    one element to `interval_embedding` at each embedding it cannot read,
-    and its numerators are scanned for the first of them alone."""
-    return tuple(x.nonzero())
-
-
-def interval_embedding(x, c):
+def interval_embedding(x, c, terms=None):
     """(sign, log |sigma_c(x)|) of the tau-fixed x at the real embedding c,
-    certified by an exact fixed-point sum.
+    certified by an exact fixed-point sum.  ZeroDivisionError for x = 0;
+    ValueError for an x that tau moves (`is_tau_fixed`), whose embedding
+    is not real.
 
     At prec bits, sum_i x_i cos(2 pi i c / n) times 2^prec lies between
     the integers lo = sum_i x_i lo_i and hi = sum_i x_i hi_i, where lo_i
     and hi_i are the floor and ceiling bounds of the cosines (taken the
     other way round where x_i < 0); nothing is rounded after the cosines.
-    Only the nonzero x_i are summed (`_nonzero_terms`), their cosine
-    indices found once.
+    Only the nonzero x_i are summed: terms, the pairs of x.nonzero() when
+    the caller has read them already, else read here.  Their cosine indices
+    are found once.
     prec starts at 128 bits and doubles until [lo, hi] excludes 0 and is
     narrower than 2^-53 of its endpoints; the log is read from the endpoint
     nearer zero, divided by the denominator in one rounding.  Raises
     PrecisionError past 4096 bits.
     """
     n = x.level
-    terms = [(min(r, n - r), a) for i, a in _nonzero_terms(x) for r in [i * c % n]]
+    at = [(min(r, n - r), a) for i, a in terms or x.nonzero() for r in [i * c % n]]
+    if not at:
+        raise ZeroDivisionError("the embeddings of zero have no log")
+    if not is_tau_fixed(x):
+        raise ValueError("element is not fixed by conjugation")
     prec = 128
     while prec <= 4096:
         bounds = _cos_bounds(n, prec)
         lo = hi = 0
-        for r, a in terms:
+        for r, a in at:
             cl, ch = bounds[r]
             if a < 0:
                 cl, ch = ch, cl
@@ -754,25 +773,29 @@ def interval_embedding(x, c):
 
 def embedding_logs(x):
     """log sigma_c(x) at the plus representatives c of the tau-fixed x, or
-    None when some sigma_c(x) is not positive.
+    None when some sigma_c(x) is not positive.  ZeroDivisionError for
+    x = 0; ValueError for an x that tau moves.
 
-    Each real part comes from `double_embeddings`; one that does not stand
-    _READ_MARGIN times its rounding bound away from zero is evaluated by
-    `interval_embedding`, which certifies its sign; x's nonzero numerators
-    are read once for all of them (`_nonzero_terms`).  A real part read as
-    negative decides at once, without evaluating the rest.
+    Each real part comes from `double_embeddings`, kept on x; one that does
+    not stand _READ_MARGIN times its rounding bound away from zero is
+    evaluated by `interval_embedding`, which certifies its sign.  x's
+    nonzero numerators are read once, at the first such embedding, and
+    handed to each of them; nothing of them outlives the call.  A real
+    part read as negative decides at once, without evaluating the rest.
     """
     reps, vals, err, shift = double_embeddings(x)
+    if not is_tau_fixed(x):
+        raise ValueError("element is not fixed by conjugation")
     read = _READ_MARGIN * err
-    real = [v.real for v in vals]
-    if min(real) < -read:
+    if min(vals) < -read:
         return None
-    logs = []
-    for c, v in zip(reps, real):
+    logs, terms = [], ()
+    for c, v in zip(reps, vals):
         if v > read:
             logs.append(log(v) + shift)
             continue
-        sign, mag = interval_embedding(x, c)
+        terms = terms or tuple(x.nonzero())
+        sign, mag = interval_embedding(x, c, terms)
         if sign < 0:
             return None
         logs.append(mag)
@@ -782,13 +805,10 @@ def embedding_logs(x):
 def is_totally_positive(x):
     """True iff every real embedding of the tau-fixed element x is positive.
 
-    Certified by `embedding_logs`: a nonzero tau-fixed element has no
-    vanishing real embedding, so the interval escalation terminates.
+    Certified by `embedding_logs`, whose ZeroDivisionError (x = 0) and
+    ValueError (x not tau-fixed) it raises: a nonzero tau-fixed element has
+    no vanishing real embedding, so the interval escalation terminates.
     """
-    if x.is_zero():
-        raise ZeroDivisionError("total positivity of zero is undefined")
-    if not is_tau_fixed(x):
-        raise ValueError("element is not fixed by conjugation")
     return embedding_logs(x) is not None
 
 

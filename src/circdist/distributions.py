@@ -38,7 +38,8 @@ the norm bound only costs more primes.
 All embeddings come from the one evaluator in `cyclotomic`: the solver
 takes its positivity verdict and its logarithms from `embedding_logs` (one
 evaluation of u, interval arithmetic wherever doubles cannot read a value),
-and the norm bound takes moduli from the same double-precision pass.  The
+and the norm bound takes moduli from the same double-precision pass, which
+is kept on u itself (`cyclotomic.double_embeddings`).  The
 table log sigma_k(eps_n) = 2 log|2 sin(pi k / n)| (`groupring._log_eps`)
 is built once per level and serves both.  The library uses Python floats
 and integers alone.

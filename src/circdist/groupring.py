@@ -82,7 +82,7 @@ from math import gcd, log, pi, sin
 from operator import add, mul, sub
 
 from . import cyclotomic, intlinalg, polys
-from .cyclotomic import (LevelError, PrecisionError, _power, _set, _Value,
+from .cyclotomic import (LevelError, PrecisionError, _kept, _power, _set, _Value,
                          _Vector, _numerators, act, one, zeta)
 from .polys import units
 
@@ -446,13 +446,10 @@ class GroupRingElt(_Vector):
         return hash((self.level, self.plus, self.nums, self.den))
 
     @property
+    @_kept
     def coeffs(self):
-        try:
-            return self._coeffs
-        except AttributeError:
-            reps, den = group_reps(self.level, self.plus), self.den
-            _set(self, "_coeffs", tuple((reps[i], Fraction(v, den)) for i, v in self.nonzero()))
-            return self._coeffs
+        reps, den = group_reps(self.level, self.plus), self.den
+        return tuple((reps[i], Fraction(v, den)) for i, v in self.nonzero())
 
     def coefficient(self, a):
         i = _unit_positions(self.level, self.plus)[canon_rep(a, self.level, self.plus)]

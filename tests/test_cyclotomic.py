@@ -1,10 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from circdist import cyclotomic as cyc
+from circdist import polys
 from circdist import cyclotomic_polynomial_coeffs
 from circdist.cyclotomic import (CycElt, GaloisElt, LevelError, SubfieldError,
                                  act, is_p_unit, is_totally_positive, is_unit,
@@ -311,21 +313,58 @@ def test_serialization_roundtrip():
     assert cyc.cyc_from_json(obj) == x
 
 
-def test_inverse_is_cached_within_its_bound():
-    # apply_integer_exponents inverts the same eps_n again and again; the
-    # cache answers a repeat with an equal element and holds a few entries
-    cyc.inverse.cache_clear()
+def test_inverse_is_kept_for_the_life_of_its_element(monkeypatch):
+    # apply_integer_exponents inverts the same eps_n again and again: one
+    # polys.cyclo_inverse per element, kept on it and on nothing else
+    calls, real = [], polys.cyclo_inverse
+
+    def counted(nums, n):
+        calls.append(n)
+        return real(nums, n)
+
+    monkeypatch.setattr(polys, "cyclo_inverse", counted)
     x = eps_n(21)
     first = cyc.inverse(x)
-    assert cyc.inverse(x) == first and first * x == one(21)
-    assert cyc.inverse.cache_info().hits == 1
+    assert cyc.inverse(x) is first and first * x == one(21)
+    assert x ** -2 == first * first and calls == [21]
     for k in range(2, 40):
         y = one(12) * k + zeta(12)
         assert cyc.inverse(y) * y == one(12)
-    info = cyc.inverse.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize < 38
+    assert len(calls) == 39
+    with pytest.raises(AttributeError):
+        first._inverse                   # no link back from the inverse
+    held = sys.getrefcount(first)
+    del x
+    assert sys.getrefcount(first) == held - 1
     with pytest.raises(ZeroDivisionError):
         cyc.inverse(one(7) * 0)
+
+
+def test_zero_has_no_double_embeddings():
+    with pytest.raises(ZeroDivisionError):
+        cyc.double_embeddings(cyc.zero(5))
+
+
+def test_zero_has_no_embedding_logs():
+    with pytest.raises(ZeroDivisionError):
+        cyc.embedding_logs(cyc.zero(5))
+
+
+def test_zero_interval_embedding_builds_no_cosine_table(monkeypatch):
+    built = []
+    monkeypatch.setattr(cyc, "_cos_bounds", lambda n, prec: built.append(prec))
+    with pytest.raises(ZeroDivisionError):
+        cyc.interval_embedding(cyc.zero(405), 1)
+    assert built == []
+
+
+def test_embeddings_of_a_non_real_element_are_refused():
+    x = zeta(5) + 2
+    with pytest.raises(ValueError, match="not fixed by conjugation"):
+        cyc.embedding_logs(x)
+    with pytest.raises(ValueError, match="not fixed by conjugation"):
+        cyc.interval_embedding(x, 1)
+    assert len(cyc.double_embeddings(x)[1]) == 2      # moduli stay readable
 
 
 def test_sigma_ell_matches_a_search_over_the_units():

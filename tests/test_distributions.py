@@ -311,18 +311,25 @@ def test_mpmath_precision_is_left_as_found():
 
 @pytest.mark.parametrize("n,terms", PAST_DOUBLE)
 def test_solve_exponent_evaluates_each_embedding_once(n, terms, monkeypatch):
+    # the solve's logs and every certificate's moduli come from one double
+    # pass, kept on u: a pass fills u's "_double_embeddings" slot
     _, u = _past_double(n, terms)
-    intervals = []
-    real_interval = cyc.interval_embedding
+    intervals, passes = [], []
+    real_interval, real_set = cyc.interval_embedding, cyc._set
 
-    def counted(x, c):
+    def counted(x, c, terms=None):
         intervals.append((x, c))
-        return real_interval(x, c)
+        return real_interval(x, c, terms)
+
+    def watched_set(x, slot, value):
+        if slot == "_double_embeddings":
+            passes.append(x)
+        real_set(x, slot, value)
 
     monkeypatch.setattr(cyc, "interval_embedding", counted)
-    cyc.double_embeddings.cache_clear()
+    monkeypatch.setattr(cyc, "_set", watched_set)
     assert solve_exponent(u) is not None
-    assert cyc.double_embeddings.cache_info().misses == 1
+    assert len(passes) == 1 and passes[0] is u
     assert intervals                       # past double precision somewhere
     assert len(intervals) == len(set(intervals))
     assert all(x == u for x, _ in intervals)
@@ -334,7 +341,6 @@ def test_embedding_logs_reads_the_numerators_once(n, terms, monkeypatch):
     # and u's numerators are scanned for the first of them alone
     _, u = _past_double(n, terms)
     want = embedding_logs(u)
-    cyc._nonzero_terms.cache_clear()
     scans, intervals = [], []
     real_nonzero, real_interval = cyc._Vector.nonzero, cyc.interval_embedding
 
@@ -342,14 +348,41 @@ def test_embedding_logs_reads_the_numerators_once(n, terms, monkeypatch):
         scans.append(x)
         return real_nonzero(x)
 
-    def counted(x, c):
+    def counted(x, c, terms=None):
         intervals.append(c)
-        return real_interval(x, c)
+        return real_interval(x, c, terms)
 
     monkeypatch.setattr(cyc._Vector, "nonzero", nonzero)
     monkeypatch.setattr(cyc, "interval_embedding", counted)
     assert embedding_logs(u) == want
     assert len(intervals) > 1 and scans == [u]
+
+
+def _criterion_07_value(m, p, tower, n):
+    """Criterion 07's u at level n = m p^k: (1 - z_n)^((1 + tau) r_n)."""
+    table = power_by_tower(
+        power_by_tower(phi_table(divisor_closure([n]), verify=False),
+                       RTower.preset("one_plus_tau"), verify=False),
+        tower, verify=False)
+    return table.value(n)
+
+
+def test_solve_certificate_and_positivity_hash_no_field_element(monkeypatch):
+    # the tau flag, the double pass and the inverse are kept on the element
+    # they describe, so no cache on these paths is keyed by a CycElt's value
+    cases = [_past_double(n, terms)[1] for n, terms in PAST_DOUBLE]
+    cases += [_criterion_07_value(5, 3, RTower.combo(5, [(1, 1), (1, 2)]), 405),
+              _criterion_07_value(4, 3, RTower.scalar(2), 972)]
+
+    def unhashable(x):
+        raise AssertionError("a level-%d CycElt was hashed" % x.level)
+
+    monkeypatch.setattr(CycElt, "__hash__", unhashable)
+    for u in cases:
+        assert cyc.is_totally_positive(u)
+        j = solve_exponent(u)
+        assert j is not None and verify_exponent_identity(u, j)
+        assert j.den == 1 and j.act_on(eps_n(u.level)) == u
 
 
 def test_construction_checks_raise_when_relations_fail(monkeypatch):

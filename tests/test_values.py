@@ -132,6 +132,21 @@ def test_group_ring_coefficients_are_a_cache_outside_the_value():
     assert pickle.loads(pickle.dumps(x)).coeffs == x.coeffs
 
 
+def test_cyc_elt_cache_slots_stay_outside_the_value():
+    slots = ("_coeffs", "_is_tau_fixed", "_double_embeddings", "_inverse")
+    x = grelt(12, True, {1: 2, 5: -1}).act_on(groupring.eps_n(12))
+    assert cyclotomic.is_tau_fixed(x) and cyclotomic.embedding_logs(x)
+    assert cyclotomic.inverse(x) * x == cyclotomic.one(12) and x.coeffs
+    assert all(hasattr(x, s) for s in slots)
+    fresh = CycElt._from_ints(x.level, x.nums, x.den)
+    assert not any(hasattr(fresh, s) for s in slots)
+    assert x == fresh and fresh == x and hash(x) == hash(fresh)
+    assert repr(x) == repr(fresh) and pickle.dumps(x) == pickle.dumps(fresh)
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x)):
+        assert y == x and y is not x
+        assert not any(hasattr(y, s) for s in slots)
+
+
 def test_galois_elt_still_checks_its_unit():
     with pytest.raises(ValueError):
         cyclotomic.GaloisElt(6, 2)
