@@ -575,11 +575,12 @@ def is_tau_fixed(x):
 
 
 @lru_cache(maxsize=None)
-def _zeta_powers(n):
-    """The complex doubles zeta^k = e^(2 pi i k / n) for k < n, and their
-    real parts."""
-    powers = tuple(complex(cos(2 * pi * k / n), sin(2 * pi * k / n)) for k in range(n))
-    return powers, tuple(z.real for z in powers)
+def _zeta_powers(n, real):
+    """The complex doubles zeta^k = e^(2 pi i k / n) for k < n, or only
+    their real parts cos(2 pi k / n) when real."""
+    if real:
+        return tuple(cos(2 * pi * k / n) for k in range(n))
+    return tuple(complex(cos(2 * pi * k / n), sin(2 * pi * k / n)) for k in range(n))
 
 
 @_kept
@@ -605,7 +606,7 @@ def double_embeddings(x):
     if not top:
         raise ZeroDivisionError("the embeddings of zero have no log")
     reps = group_reps(n, True)
-    powers = _zeta_powers(n)[is_tau_fixed(x)]
+    powers = _zeta_powers(n, is_tau_fixed(x))
     terms = [(i, c / top) for i, c in x.nonzero()]
     vals = tuple(sum(v * powers[i * c % n] for i, v in terms) for c in reps)
     err = (len(x.nums) + 2) * 2.0 ** -52 * sum(abs(v) for _, v in terms)

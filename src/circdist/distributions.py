@@ -24,16 +24,18 @@ from integer elimination.
 
 The power identity u^d eps^(d j^-) = eps^(d j^+) is certified without
 forming it in the field.  It is compared modulo split primes p = 1 mod n,
-where it becomes phi(n) scalar equations in F_p; any mismatch is a proof of
-inequality.  Matches at primes with product P prove equality once
-phi(n) log P exceeds an upper bound on the log of the norm of the
-difference of the two sides, since a nonzero algebraic integer divisible by
-P has norm at least P^phi(n).  Error model: the residues are exact integer
-arithmetic, and so is the comparison: each log it reads from a double
-(log 2, log D, the moduli of u, the table log sigma_r(eps_n) and log p)
-becomes an integer bound in units of 2^-48 by one rule (`_log_units`), and
-every sum, product and maximum after that is exact.  An overestimate of
-the norm bound only costs more primes.
+where it becomes phi(n) scalar equations in F_p, read off the one table of
+the powers of zeta mod p (`polys.split_prime`): eps(zeta^r) is
+2 - zeta^r - zeta^-r, and eps^N, N the sum of G_n^+, the integer Phi_n(1).
+Any mismatch is a proof of inequality.  Matches at primes with product P
+prove equality once phi(n) log P exceeds an upper bound on the log of the
+norm of the difference of the two sides, since a nonzero algebraic integer
+divisible by P has norm at least P^phi(n).  Error model: the residues are
+exact integer arithmetic, and so is the comparison: each log it reads from
+a double (log 2, log D, the moduli of u, the table log sigma_r(eps_n) and
+log p) becomes an integer bound in units of 2^-48 by one rule
+(`_log_units`), and every sum, product and maximum after that is exact.  An
+overestimate of the norm bound only costs more primes.
 
 All embeddings come from the one evaluator in `cyclotomic`: the solver
 takes its positivity verdict and its logarithms from `embedding_logs` (one
@@ -45,7 +47,7 @@ is built once per level and serves both.  The library uses Python floats
 and integers alone.
 """
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import ceil, floor, gcd, lcm, ldexp, log
 from operator import mul
 
@@ -446,17 +448,6 @@ def _character_solve(n, logs):
     return [y[c].real for c in back]
 
 
-@lru_cache(maxsize=None)
-def _split_prime(n, after):
-    """(p, powers, eps, norm): `polys.split_prime(n, after)`, p = 1 mod n
-    with powers[r] = zeta^r mod p, eps_n(zeta^r) mod p for every r mod n, and
-    eps_n^N mod p, N the sum of G_n^+: Phi_n(1) (4 at n = 2), a unit mod p."""
-    p, powers = polys.split_prime(n, after)
-    eps = [(2 - powers[r] - powers[-r]) % p for r in range(n)]
-    norm = reduce(lambda t, r: t * eps[r % n] % p, group_reps(n, True), 1)
-    return p, powers, eps, norm
-
-
 def _around_mode(n, terms):
     """(m, dev): the weights k of the terms (a, k), 0 at the other plus
     representatives, as m + dev: m the most common weight (0 on a tie with
@@ -473,37 +464,47 @@ def _around_mode(n, terms):
     return m, [(a, w.get(a, 0) - m) for a in reps if w.get(a, 0) != m]
 
 
-def _eps_residues(c, groups, eps, n, p):
-    """prod eps(zeta^(c a))^k mod p over the terms (a, k), grouped by k."""
+def _eps_residues(c, groups, powers, n, p):
+    """prod eps(zeta^(c a))^k mod p over the terms (a, k), grouped by k,
+    with eps(zeta^r) = 2 - zeta^r - zeta^-r read off the powers of zeta."""
     acc = 1
     for k, members in groups.items():
         q = 1
         for a in members:
-            q = q * eps[c * a % n] % p
+            r = c * a % n
+            q = q * (2 - powers[r] - powers[-r]) % p
         acc = acc * pow(q, k, p) % p
     return acc
 
 
+def _eps_norm(n):
+    """eps_n^N, N the sum of G_n^+: the integer Phi_n(1), q at a power of the
+    prime q, 1 at two or more primes, 4 at n = 2."""
+    qs = polys.prime_factors(n)
+    return 4 if n == 2 else qs[0] if len(qs) == 1 else 1
+
+
 def _residues_match(u, d, pos, neg, prime):
-    """A = B modulo every prime above p: A(zeta^c) = B(zeta^c) in F_p at
-    each unit c, with A = U^d eps^(d j^-) and B = D^d eps^(d j^+) (pos and
-    neg hold the terms of d j^+ and d j^-).  U is read over its nonzero
-    terms; the eps side, even in c, once per plus representative, as
-    U^d eps^(dev^-) = D^d T^m eps^(dev^+) with T = eps^N (`_around_mode`).
+    """A = B modulo every prime above p, prime = (p, powers) from
+    `polys.split_prime`: A(zeta^c) = B(zeta^c) in F_p at each unit c, with
+    A = U^d eps^(d j^-) and B = D^d eps^(d j^+) (pos and neg hold the terms
+    of d j^+ and d j^-).  U is read over its nonzero terms; the eps side,
+    even in c, once per plus representative, as U^d eps^(dev^-) =
+    D^d T^m eps^(dev^+) with T = eps^N (`_around_mode`, `_eps_norm`).
     When u is tau-fixed (`cyclotomic.is_tau_fixed`) so are A and B, so c and
     -c give the same equation and the plus representatives suffice."""
     n = u.level
-    p, powers, eps, norm = prime
+    p, powers = prime
     terms = [(i, v % p) for i, v in u.nonzero()]
     m, dev = _around_mode(n, pos + [(a, -k) for a, k in neg])
     groups = ({}, {})
     for a, k in dev:
         groups[k > 0].setdefault(abs(k), []).append(a)
-    scale = pow(u.den, d, p) * pow(norm, m, p) % p
+    scale = pow(u.den, d, p) * pow(_eps_norm(n), m, p) % p
     real = None        # read after the first equation, which may decide
     for c in group_reps(n, True):
-        lhs = _eps_residues(c, groups[0], eps, n, p)
-        rhs = scale * _eps_residues(c, groups[1], eps, n, p) % p
+        lhs = _eps_residues(c, groups[0], powers, n, p)
+        rhs = scale * _eps_residues(c, groups[1], powers, n, p) % p
         for unit in (c, n - c):
             acc = sum(v * powers[i * unit % n] for i, v in terms)
             if pow(acc, d, p) * lhs % p != rhs:
@@ -615,7 +616,7 @@ def verify_exponent_identity(u, j):
     phi = len(u.nums)
     bound, log_p, p = None, 0, polys.SPLIT_FROM
     while bound is None or phi * log_p <= bound:
-        prime = _split_prime(n, p)
+        prime = polys.split_prime(n, p)
         p = prime[0]
         if u.den % p == 0:
             continue

@@ -78,7 +78,7 @@ that must watch a construction run calls the uncached `__wrapped__`.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
-from math import gcd, log, pi, sin
+from math import gcd, log, pi, prod, sin
 from operator import add, mul, sub
 
 from . import cyclotomic, intlinalg, polys
@@ -168,24 +168,21 @@ def _walk(n, factors):
 
 def _frame(n, plus):
     """(generator, order) pairs writing G_n as a product of cyclic groups,
-    `_cyclic_factors(n)`, or G_n^+ when plus: -1 = prod g_i^(t_i) with t_i
-    0 or d_i / 2.  Among the axes with t_i != 0 take j with d_j of least
-    2-adic valuation, and a_i with a_i d_j / 2 = t_i mod d_i (it exists,
-    since d_i / 2 is a multiple of gcd(d_j / 2, d_i)).  Then h = g_j prod
-    g_i^(a_i) has h^(d_j / 2) = -1, and G_n^+ is the product of <h> of order
-    d_j / 2 and the <g_i>, i != j: e -> (e_i - a_i e_j mod d_i, e_j mod
-    d_j / 2) is a homomorphism from G_n (as a_i d_j = 2 t_i = 0 mod d_i)
-    with kernel <-1>.  Axes of order 1 are dropped."""
+    `_cyclic_factors(n)`, or G_n^+ when plus: -1 = prod g_i^(t_i) with
+    t_i = d_i / 2 (-1 in each cyclic factor mod an odd prime power, and the
+    generator -1 mod 2^a), except t_i = 0 on the axis of 5 when 8 | n,
+    checked by one product.  Among the axes with t_i != 0 take j with d_j
+    of least 2-adic valuation, and a_i with a_i d_j / 2 = t_i mod d_i (it
+    exists, since d_i / 2 is a multiple of gcd(d_j / 2, d_i)).  Then
+    h = g_j prod g_i^(a_i) has h^(d_j / 2) = -1, and G_n^+ is the product
+    of <h> of order d_j / 2 and the <g_i>, i != j: e -> (e_i - a_i e_j mod
+    d_i, e_j mod d_j / 2) is a homomorphism from G_n (as a_i d_j = 2 t_i =
+    0 mod d_i) with kernel <-1>.  Axes of order 1 are dropped."""
     factors = list(_cyclic_factors(n))
     if plus and n > 2:
-        try:
-            flat = _walk(n, factors).index(n - 1)
-        except ValueError:
-            raise ArithmeticError("the generators of level %d miss -1" % n) from None
-        t = []
-        for _, d in factors:
-            flat, e = divmod(flat, d)
-            t.append(e)
+        t = [0 if n % 8 == 0 and g % 8 == 5 else d // 2 for g, d in factors]
+        if prod(pow(g, e, n) for (g, _), e in zip(factors, t)) % n != n - 1:
+            raise ArithmeticError("the generators of level %d miss -1" % n)
         j = min((i for i, e in enumerate(t) if e),
                 key=lambda i: factors[i][1] & -factors[i][1])
         h, dj = factors[j]
@@ -299,8 +296,8 @@ def character_frame(n):
 @lru_cache(maxsize=None)
 def _roots(d, sign):
     """e^(sign 2 pi i k / d) for k < d: the one table
-    `cyclotomic._zeta_powers(d)`, conjugated for sign -1."""
-    roots = cyclotomic._zeta_powers(d)[0]
+    `cyclotomic._zeta_powers(d, False)`, conjugated for sign -1."""
+    roots = cyclotomic._zeta_powers(d, False)
     return roots if sign > 0 else tuple(z.conjugate() for z in roots)
 
 

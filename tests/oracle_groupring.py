@@ -25,6 +25,9 @@ held integer numerators, kept here only as oracles:
 * `fft` is the mixed-radix transform of `groupring._fft` over its own
   table of roots of unity (`roots`, by cos and sin), as it was before the
   transform read the embeddings' table `cyclotomic._zeta_powers`;
+* `frame` finds the exponents of -1 by listing all of G_n along the walk
+  of its generators and reading the flat index of n - 1, as
+  `groupring._frame` did before it wrote them down per axis;
 * `coordinates` maps each unit to the Kronecker index of its class in one
   dict of phi(n) entries, `rep_keys` reads that dict at each
   representative, `character_frame` sorts the plus representatives by it
@@ -38,9 +41,9 @@ from math import cos, pi, sin
 from operator import mul as times
 
 from circdist import intlinalg, polys
-from circdist.groupring import (IdealLattice, LevelError, _frame,
-                                _unit_positions, _walk, canon_rep, e_subgroup,
-                                grelt, group_reps, sigma, units)
+from circdist.groupring import (IdealLattice, LevelError, _cyclic_factors,
+                                _frame, _unit_positions, _walk, canon_rep,
+                                e_subgroup, grelt, group_reps, sigma, units)
 from oracle_lattice import decomposition_group
 
 
@@ -197,6 +200,26 @@ def fft(x, sign):
         b = [w * v for w, v in zip(table, b)]
         return [u + v for u, v in zip(a, b)] + [u - v for u, v in zip(a, b)]
     return [sum(table[j * k % d] * subs[j][k % m] for j in range(r)) for k in range(d)]
+
+
+def frame(n, plus):
+    """`groupring._frame(n, plus)`, with -1 = prod g_i^(t_i) found on the
+    walk of G_n."""
+    factors = list(_cyclic_factors(n))
+    if plus and n > 2:
+        flat = _walk(n, factors).index(n - 1)
+        t = []
+        for _, d in factors:
+            flat, e = divmod(flat, d)
+            t.append(e)
+        j = min((i for i, e in enumerate(t) if e),
+                key=lambda i: factors[i][1] & -factors[i][1])
+        h, dj = factors[j]
+        for i, ((g, d), e) in enumerate(zip(factors, t)):
+            if e and i != j:
+                h = h * pow(g, next(a for a in range(d) if a * (dj // 2) % d == e), n) % n
+        factors[j] = (h, dj // 2)
+    return tuple((g, d) for g, d in factors if d > 1)
 
 
 def coordinates(n, plus):

@@ -65,9 +65,9 @@ def double_embeddings(x):
 
 
 @lru_cache(maxsize=None)
-def split_prime(n, after):
-    p, table = polys.split_prime(n, after)
-    z = table[1 % n]
+def _residue_tables(n, p, z):
+    """(units, z^c at each unit, eps(z^r) for every r mod n), each power of
+    z taken afresh by pow."""
     powers = np.array([pow(z, r, p) for r in range(n)], dtype=np.int64)
     eps = (2 - powers - powers[(-np.arange(n)) % n]) % p
     units = groupring.units(n)
@@ -75,7 +75,7 @@ def split_prime(n, after):
               np.array([pow(z, c, p) for c in units], dtype=np.int64), eps)
     for t in tables:
         t.setflags(write=False)
-    return (p, *tables)
+    return tables
 
 
 def _vpow(x, k, p):
@@ -91,7 +91,8 @@ def _vpow(x, k, p):
 
 def residues_match(u, d, pos, neg, prime):
     n = u.level
-    p, units, zc, eps = prime
+    p, table = prime
+    units, zc, eps = _residue_tables(n, p, table[1 % n])
     acc = np.zeros_like(zc)
     for c in reversed(u.nums):
         acc = (acc * zc + c % p) % p

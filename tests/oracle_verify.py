@@ -23,16 +23,18 @@ from circdist.groupring import eps_n, group_reps
 def residues_match(u, d, pos, neg, prime):
     """A(zeta^c) = B(zeta^c) in F_p at each unit c, A = U^d eps^(d j^-) and
     B = D^d eps^(d j^+), with the eps side multiplied out over every term
-    (a, k) of pos and neg at each plus representative c; prime is a tuple
-    from `distributions._split_prime`, whose first three entries it reads."""
+    (a, k) of pos and neg at each plus representative c; prime is the
+    (p, powers) of `polys.split_prime`, and eps(zeta^r) = 2 - zeta^r -
+    zeta^-r is read off powers at each term."""
     n = u.level
-    p, powers, eps = prime[:3]
+    p, powers = prime
     terms = [(i, v % p) for i, v in enumerate(u.nums) if v]
 
     def eps_side(c, side):
         acc = 1
         for a, k in side:
-            acc = acc * pow(eps[c * a % n], k, p) % p
+            r = c * a % n
+            acc = acc * pow((2 - powers[r] - powers[-r]) % p, k, p) % p
         return acc
 
     den = pow(u.den, d, p)

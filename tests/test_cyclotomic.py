@@ -14,6 +14,7 @@ from circdist.cyclotomic import (CycElt, GaloisElt, LevelError, SubfieldError,
                                  raise_level, reduce_mod_ell, sigma_ell, tau,
                                  valuation_at_p, vanishes_at_all_primes_above,
                                  zeta, zeta_power)
+from circdist.distributions import solve_exponent
 from circdist.groupring import eps_n, grelt
 from circdist.polys import euler_phi, is_probable_prime
 
@@ -365,6 +366,25 @@ def test_embeddings_of_a_non_real_element_are_refused():
     with pytest.raises(ValueError, match="not fixed by conjugation"):
         cyc.interval_embedding(x, 1)
     assert len(cyc.double_embeddings(x)[1]) == 2      # moduli stay readable
+
+
+def test_a_real_solve_builds_only_the_cosines(monkeypatch):
+    # a tau-fixed element reads the cosine table alone: a cold solve at 972
+    # fills _zeta_powers(972, True) and never the complex table of 972
+    calls, table = [], cyc._zeta_powers
+    table.cache_clear()
+    monkeypatch.setattr(cyc, "_zeta_powers",
+                        lambda n, real: calls.append((n, real)) or table(n, real))
+    u = grelt(972, True, {1: 2}).act_on(eps_n(972), assume_tau_fixed=True)
+    assert solve_exponent(u) is not None
+    assert (972, True) in calls and (972, False) not in calls
+
+
+def test_cosine_table_is_the_real_part_of_the_complex_table():
+    build = cyc._zeta_powers.__wrapped__
+    for n in range(1, 600):
+        assert ([c.hex() for c in build(n, True)]
+                == [z.real.hex() for z in build(n, False)]), n
 
 
 def test_sigma_ell_matches_a_search_over_the_units():

@@ -451,6 +451,22 @@ def test_character_frame_is_an_isomorphism(levels):
             assert reps[at[g * walk[conj[i]] % n]] == 1, (n, i)
 
 
+def test_frame_writes_minus_one_down_per_axis(monkeypatch):
+    # -1 has exponent d_i / 2 on every axis but that of 5 mod 2^a: the frame
+    # is the oracle's, which finds -1 on the walk of G_n, and walks nothing
+    for n in range(1, 2000):
+        for plus in (False, True):
+            assert gr._frame(n, plus) == oracle_groupring.frame(n, plus), (n, plus)
+    walks = []
+    monkeypatch.setattr(gr, "_walk", lambda *args: walks.append(args[0]) or [])
+    for n in (3, 8, 24, 405, 1155, 295245):
+        gr._frame(n, True)
+    assert walks == []
+    monkeypatch.setattr(gr, "_cyclic_factors", lambda n: ((4, 4),))
+    with pytest.raises(ArithmeticError, match="miss -1"):
+        gr._frame(5, True)
+
+
 @pytest.mark.parametrize("n", [3, 5, 13, 16, 35, 47, 60, 104, 105, 120, 243])
 def test_character_sums_match_the_direct_sums(n):
     orders, walk, _ = gr.character_frame(n)

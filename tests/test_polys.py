@@ -5,6 +5,7 @@ import pytest
 from sympy import GF, Poly, Symbol, cyclotomic_poly, resultant
 
 from circdist import distributions, polys
+from circdist.groupring import eps_n, grelt
 import oracle_arith
 from oracle_arith import fp_resultant, fp_squarefree_part
 
@@ -148,10 +149,21 @@ def test_split_prime_table():
         assert prod == [c % p for c in polys.cyclotomic_polynomial(n)], n
 
 
-def test_the_solver_reads_the_same_table():
-    for n in (1, 2, 7, 60, 105):
-        p = polys.split_prime(n, polys.SPLIT_FROM)[0]
-        assert distributions._split_prime(n, p)[1] is polys.split_prime(n, p)[1]
+def test_the_solver_reads_the_same_table(monkeypatch):
+    # the certificate hands each residue check the (p, powers) tuple of
+    # polys.split_prime itself, and keeps no split-prime table of its own
+    seen = []
+    match = distributions._residues_match
+    monkeypatch.setattr(distributions, "_residues_match",
+                        lambda *args: seen.append(args[-1]) or match(*args))
+    for n in (2, 7, 60, 105):
+        del seen[:]
+        assert distributions.verify_exponent_identity(eps_n(n) ** 3, grelt(n, True, {1: 3}))
+        after = polys.SPLIT_FROM
+        for prime in seen:
+            assert prime is polys.split_prime(n, after), n
+            after = prime[0]
+        assert seen, n
 
 
 def test_cyclo_norm_against_sympy_resultant():

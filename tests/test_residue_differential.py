@@ -3,14 +3,14 @@ against the term-by-term residue loop.
 
 `distributions._residues_match` writes the weights K of d j as m N + K',
 with N the sum of G_n^+ and m the most common weight, and reads eps^N as the
-one residue T that `_split_prime` caches; `_eps_log_sums` shifts the same
-way.  `oracle_verify.residues_match` and `oracle_verify.eps_log_sums`
+integer Phi_n(1) (`_eps_norm`) and each eps(z^r) as 2 - z^r - z^-r off the
+powers of `polys.split_prime`; `_eps_log_sums` shifts the same way.  `oracle_verify.residues_match` and `oracle_verify.eps_log_sums`
 multiply out every term.  The verdicts must agree at every split prime, and
 the log sums must be the same integers, on the dense exponents c e_n of the
 criterion 07 towers, on drawn dense exponents around a negative, zero or
 positive weight, on an all-equal weight vector (no deviations), at n = 2
-and at prime-power levels.  The residue loop must read the eps table O(mu)
-times on c e_n, not mu^2.
+and at prime-power levels.  The residue loop must read eps O(mu) times on
+c e_n, not mu^2: only the eps side reads the powers at negative indices.
 """
 
 from fractions import Fraction
@@ -48,7 +48,7 @@ def _sides(j):
 def _primes(n, count=2):
     p = polys.SPLIT_FROM
     for _ in range(count):
-        prime = dist._split_prime(n, p)
+        prime = polys.split_prime(n, p)
         p = prime[0]
         yield prime
 
@@ -139,31 +139,35 @@ def test_all_equal_weights_have_no_deviations(n):
 
 
 def test_cached_norm_residue():
-    for n in range(3, 300):
-        phi_at_1 = sum(polys.cyclotomic_polynomial(n))
-        for p, _, _, norm in _primes(n, 3):
-            assert norm == phi_at_1 % p, n
-    for p, _, eps, norm in _primes(2, 3):
-        assert norm == eps[1] == 4
-    assert len(dist._split_prime(1, polys.SPLIT_FROM)) == 4
+    # eps^N, N the sum of G_n^+, is the integer Phi_n(1): its closed form is
+    # the product of eps(z^r) = 2 - z^r - z^-r over the plus representatives
+    for n in list(range(2, 400)) + [10935]:
+        norm = dist._eps_norm(n)
+        assert norm == (4 if n == 2 else sum(polys.cyclotomic_polynomial(n))), n
+        for p, powers in _primes(n, 3):
+            prod = 1
+            for r in group_reps(n, True):
+                prod = prod * (2 - powers[r] - powers[-r]) % p
+            assert norm % p == prod, (n, p)
 
 
-class _Counting(list):
-    """A residue table that counts its reads."""
+class _Counting(tuple):
+    """A table of powers that counts its reads at negative indices, which
+    only the eps side makes."""
 
     reads = 0
 
     def __getitem__(self, i):
-        self.reads += 1
-        return list.__getitem__(self, i)
+        self.reads += i < 0
+        return tuple.__getitem__(self, i)
 
 
 def _reads(check, u, j):
     n = u.level
-    p, powers, eps, norm = dist._split_prime(n, polys.SPLIT_FROM)
-    table = _Counting(eps)
+    p, powers = polys.split_prime(n, polys.SPLIT_FROM)
+    table = _Counting(powers)
     d, pos, neg = _sides(j)
-    assert check(u, d, pos, neg, (p, powers, table, norm))
+    assert check(u, d, pos, neg, (p, table))
     return table.reads
 
 

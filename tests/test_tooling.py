@@ -95,6 +95,34 @@ def test_every_cache_sits_on_its_constructor():
     assert list(SRC.glob("*.py")) and not found, found
 
 
+def _split_prime_caches(name, tree):
+    """Names of the lru_cache'd functions, other than polys.split_prime,
+    whose body calls split_prime."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef)
+                and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)
+                and (name, node.name) != ("polys.py", "split_prime")
+                and any(isinstance(call, ast.Call)
+                        and getattr(call.func, "id", getattr(call.func, "attr", None))
+                        == "split_prime" for call in ast.walk(node))):
+            yield node.name
+
+
+def test_split_primes_have_one_cached_table():
+    # polys.split_prime keeps z^r mod p for each split prime; a second cache
+    # that calls it keeps a second table per prime, which the certificate
+    # can read off the first
+    shape = ('@lru_cache(maxsize=None)\n'
+             'def _split_prime(n, after):\n'
+             '    p, powers = polys.split_prime(n, after)\n'
+             '    eps = [(2 - powers[r] - powers[-r]) % p for r in range(n)]\n'
+             '    return p, powers, eps\n')
+    assert list(_split_prime_caches("distributions.py", ast.parse(shape))) == ["_split_prime"]
+    found = ["%s %s" % (path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name in _split_prime_caches(path.name, ast.parse(path.read_text()))]
+    assert list(SRC.glob("*.py")) and not found, found
+
+
 def test_certificate_rounds_logs_by_one_rule():
     # distributions.py turns doubles into integer bounds only through
     # _log_units: a ceil or floor anywhere else would be a second rounding

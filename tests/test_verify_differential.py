@@ -46,9 +46,7 @@ def same_as_numpy(monkeypatch):
 
     def checked_match(u, d, pos, neg, prime):
         got = match(u, d, pos, neg, prime)
-        ref_prime = oracle_numpy.split_prime(u.level, prime[0] - 2)
-        assert ref_prime[0] == prime[0]
-        assert got == oracle_numpy.residues_match(u, d, pos, neg, ref_prime)
+        assert got == oracle_numpy.residues_match(u, d, pos, neg, prime)
         return got
 
     def checked_bound(u, d, pos, neg):
@@ -136,7 +134,7 @@ def test_residue_collisions_need_the_norm_bound(n, collisions):
     # where the two differ
     p, product = polys.SPLIT_FROM, 1
     for _ in range(collisions):
-        p = dist._split_prime(n, p)[0]
+        p = polys.split_prime(n, p)[0]
         product *= p
     r = grelt(n, True, {1: 2, group_reps(n, True)[-1]: -1})
     u = _power(n, r) + one(n) * product
@@ -261,7 +259,7 @@ def test_log_units_bound_the_logs_from_the_right_side():
                 assert got >= scale * 2 * log(2 * sin(pi * r / n)), (n, r)
             p = polys.SPLIT_FROM
             for _ in range(3):
-                p = dist._split_prime(n, p)[0]
+                p = polys.split_prime(n, p)[0]
                 # the stop rule's lower bound on log p
                 assert dist._log_units(math.log(p), math.log(p), False) <= scale * log(p), p
 
