@@ -27,6 +27,13 @@ floating point only ever reads a value that stands far above that bound.
 That pass, the tau flag and the inverse are kept on the element itself
 (`_kept`), not in a cache keyed by its value: they live as long as the
 element, and no lookup hashes its numerators.
+The tau flag is also set, to True only, where construction proves it
+(`_mark_real`): eps_n = x tau(x) (`groupring.eps_n`), a power x^r whose
+exponent r in Z[G_n] is symmetric under tau (`GroupRingElt.act_on`), and
+each conjugate, product and inverse of elements that already hold True
+(the Galois group is abelian, so sigma_a commutes with tau).  An element
+from outside (``CycElt(...)``, `cyc_from_json`, unpickling) starts with
+the slot empty, so `is_tau_fixed` tests it exactly.
 A real embedding it cannot read is re-evaluated exactly at doubling
 fixed-point precision: integer floor and ceiling bounds on
 2^prec cos(2 pi r / n) are summed against the integer numerators, so every
@@ -92,7 +99,10 @@ _set = object.__setattr__
 
 def _kept(fn):
     """Decorator: fn(x), made on first use, is kept in the cache slot _<name
-    of fn> of the value x (`_Value`); a call that raises keeps nothing."""
+    of fn> of the value x (`_Value`); a call that raises keeps nothing.  A
+    slot already filled is read as it stands: `_mark_real` fills the
+    _is_tau_fixed slot of values that are real by construction, so
+    `is_tau_fixed` computes nothing for them."""
     slot = "_" + fn.__name__
 
     def kept(x):
@@ -102,6 +112,18 @@ def _kept(fn):
             _set(x, slot, fn(x))
             return getattr(x, slot)
     return wraps(fn)(kept)
+
+
+def _mark_real(y, *operands):
+    """y, with its tau flag set to True when every operand already holds
+    True there (with no operands, unconditionally: the caller has proved
+    that tau fixes y).  Never writes False: an operand whose flag is unset
+    or False leaves y unmarked, for `is_tau_fixed` to test exactly."""
+    for x in operands:
+        if not getattr(x, "_is_tau_fixed", False):
+            return y
+    _set(y, "_is_tau_fixed", True)
+    return y
 
 
 class _Value:
@@ -282,9 +304,10 @@ class CycElt(_Vector):
             return self._scaled(other)
         other = self._check(other)
         prod = polys.int_poly_mul(self.nums, other.nums)
-        return CycElt._from_ints(self.level,
-                                 _LevelCtx(self.level).reduce_int_vec(prod),
-                                 self.den * other.den)
+        return _mark_real(CycElt._from_ints(self.level,
+                                            _LevelCtx(self.level).reduce_int_vec(prod),
+                                            self.den * other.den),
+                          self, other)
 
     __rmul__ = __mul__
 
@@ -367,7 +390,7 @@ def act(g, x):
         return x
     if gcd(a, n) != 1:
         raise ValueError("a = %d is not a unit mod %d" % (a, n))
-    return _scatter(x, n, a)
+    return _mark_real(_scatter(x, n, a), x)
 
 
 def _scatter(x, m, step):
@@ -384,7 +407,7 @@ def inverse(x):
     exponents again and again.  The inverse keeps no link back to x.
     ZeroDivisionError for x = 0 (`polys.cyclo_inverse`)."""
     inv, den = polys.cyclo_inverse(x.nums, x.level)
-    return CycElt._from_ints(x.level, [c * x.den for c in inv], den)
+    return _mark_real(CycElt._from_ints(x.level, [c * x.den for c in inv], den), x)
 
 
 def apply_integer_exponents(x, terms):
@@ -570,7 +593,9 @@ _READ_MARGIN = 2.0 ** 20
 
 @_kept
 def is_tau_fixed(x):
-    """True iff tau(x) = x, exactly: then every sigma_c(x) is real."""
+    """True iff tau(x) = x, exactly: then every sigma_c(x) is real.  Kept
+    on x; an x real by construction holds True already (`_mark_real`), so
+    only an x of unknown origin pays the conjugation and its reduction."""
     return act(tau(x.level), x) == x
 
 

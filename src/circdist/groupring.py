@@ -82,8 +82,8 @@ from math import gcd, log, pi, prod, sin
 from operator import add, mul, sub
 
 from . import cyclotomic, intlinalg, polys
-from .cyclotomic import (LevelError, PrecisionError, _kept, _power, _set, _Value,
-                         _Vector, _numerators, act, one, zeta)
+from .cyclotomic import (LevelError, PrecisionError, _kept, _mark_real, _power, _set,
+                         _Value, _Vector, _numerators, act, one, zeta)
 from .polys import units
 
 
@@ -504,7 +504,11 @@ class GroupRingElt(_Vector):
 
         A plus-quotient exponent acts through either lift, which is only
         well defined on tau-fixed elements; that is checked unless the
-        caller vouches for it.
+        caller vouches for it.  A vouch never marks the result tau-fixed:
+        x^self is marked only when x already holds True (`_mark_real`),
+        or, for any x, when self lies in Z[G_n] with equal coefficients at
+        a and n - a, as then tau(x^self) = x^(tau self) = x^self.  The
+        units ascend, so a and n - a sit at mirrored positions.
         """
         if x.level != self.level:
             raise LevelError("level mismatch")
@@ -513,8 +517,11 @@ class GroupRingElt(_Vector):
         if self.plus and not assume_tau_fixed:
             if not cyclotomic.is_tau_fixed(x):
                 raise ValueError("plus-quotient exponent on a non-tau-fixed element")
-        return cyclotomic.apply_integer_exponents(
+        y = cyclotomic.apply_integer_exponents(
             x, zip(group_reps(self.level, self.plus), self.nums))
+        if not self.plus and self.nums == self.nums[::-1]:
+            _mark_real(y)
+        return y
 
     def scaled_integral(self):
         """(d, d*self) with d the smallest positive integer clearing denominators."""
@@ -719,9 +726,10 @@ class IdealLattice(_Value):
 
 
 def eps_n(n):
-    """The totally positive cyclotomic element (1 - z_n)^(1 + tau)."""
+    """The totally positive cyclotomic element (1 - z_n)^(1 + tau), marked
+    tau-fixed: tau swaps the two factors (`_mark_real`)."""
     x = one(n) - zeta(n)
-    return x * act(cyclotomic.tau(n), x)
+    return _mark_real(x * act(cyclotomic.tau(n), x))
 
 
 @lru_cache(maxsize=None)

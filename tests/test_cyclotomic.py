@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -9,7 +10,8 @@ from circdist import cyclotomic as cyc
 from circdist import polys
 from circdist import cyclotomic_polynomial_coeffs
 from circdist.cyclotomic import (CycElt, GaloisElt, LevelError, SubfieldError,
-                                 act, is_p_unit, is_totally_positive, is_unit,
+                                 act, cyc_from_json, cyc_to_json, is_p_unit,
+                                 is_totally_positive, is_unit,
                                  lower_level, norm_down, norm_to_q, one,
                                  raise_level, reduce_mod_ell, sigma_ell, tau,
                                  valuation_at_p, vanishes_at_all_primes_above,
@@ -378,6 +380,109 @@ def test_a_real_solve_builds_only_the_cosines(monkeypatch):
     u = grelt(972, True, {1: 2}).act_on(eps_n(972), assume_tau_fixed=True)
     assert solve_exponent(u) is not None
     assert (972, True) in calls and (972, False) not in calls
+
+
+def _marked(x):
+    """The tau flag x holds without testing it: True, False or None."""
+    return getattr(x, "_is_tau_fixed", None)
+
+
+def _random_chain(rng, n, steps):
+    """eps_n, the non-real 1 - z and 1 + 2 z^k and the real but unmarked
+    2 + z + z^-1, then steps random conjugates, products, powers of either
+    sign, inverses and group-ring actions of what the chain holds so far."""
+    units = polys.units(n)
+    z = zeta(n)
+    pool = [eps_n(n), one(n) - z, one(n) + zeta_power(n, rng.choice(units)) * 2,
+            one(n) * 2 + z + zeta_power(n, -1)]
+    for _ in range(steps):
+        op = rng.choice(("act", "mul", "pow", "inverse", "plus", "sym", "asym"))
+        # every op but act and mul may invert: those draw from the values
+        # of small height, so that the inverses stay cheap
+        short = [v for v in pool if v.den * max(map(abs, v.nums)) < 1 << 16]
+        x, y = rng.choice(pool if op in ("act", "mul") else short), rng.choice(pool)
+        a, b = rng.sample(units, 2)
+        if op == "act":
+            pool += [act(c, x) for c in units] if n < 40 else [act(a, x)]
+            continue
+        if op == "mul":
+            new = x * y
+        elif op == "pow":
+            new = x ** rng.choice((-2, -1, 2, 3))
+        elif op == "inverse":
+            new = cyc.inverse(x)
+        elif op == "plus":
+            r = grelt(n, True, {a: rng.randint(-2, 2), b: rng.randint(-2, 2)})
+            vouch = rng.random() < 0.5
+            if not vouch and not cyc.is_tau_fixed.__wrapped__(x):
+                with pytest.raises(ValueError):
+                    r.act_on(x)
+                continue
+            new = r.act_on(x, assume_tau_fixed=vouch)
+        else:
+            k, m = rng.choice((-2, -1, 1, 2)), rng.choice((-1, 1))
+            terms = {a: k, n - a: k, b: m, n - b: m}
+            if op == "asym":
+                terms[n - b] = -m
+            new = grelt(n, False, terms).act_on(x)
+        pool.append(new)
+    return pool
+
+
+def test_tau_flags_set_by_construction_are_exact():
+    # every flag a value holds, set by construction or by the exact test,
+    # is what the exact test computes afresh; chains mix marked and
+    # unmarked operands, real and non-real ones
+    rng = random.Random(34)
+    levels = sorted(rng.sample(range(3, 200), 14)) + [972]
+    seen = {True: 0, False: 0, None: 0}
+    for n in levels:
+        for x in _random_chain(rng, n, 16 if n == 972 else 40):
+            flag = _marked(x)
+            seen[flag] += 1
+            if flag is not None:
+                assert flag == cyc.is_tau_fixed.__wrapped__(x), n
+    assert seen[True] > 200 and seen[False] and seen[None] > 100, seen
+
+
+@pytest.mark.parametrize("n", [35, 105, 120, 972])
+def test_a_solve_of_a_power_of_eps_makes_no_conjugation(monkeypatch, n):
+    # eps_n is marked tau-fixed, and so is every power of it, so the solve
+    # reads the flag instead of applying tau and reducing mod Phi_n
+    r = grelt(n, True, {1: 2, polys.units(n)[2]: -1})
+    u = r.act_on(eps_n(n), assume_tau_fixed=True)
+    calls = []
+    scatter = cyc._scatter
+    monkeypatch.setattr(cyc, "_scatter", lambda *a: calls.append(a) or scatter(*a))
+    assert solve_exponent(u) is not None and calls == []
+
+
+def test_symmetric_full_exponents_mark_any_base():
+    # (1 - z)^(1 + tau) is eps_n, marked as eps_n is; (1 - z)^(1 - tau) is
+    # a root of unity that tau moves, and stays unmarked
+    for n in (5, 12, 35, 972):
+        x = one(n) - zeta(n)
+        sym = grelt(n, False, {1: 1, -1: 1}).act_on(x)
+        assert sym == eps_n(n) and _marked(sym) is True and _marked(x) is None
+        assert _marked(grelt(n, False, {1: 1, -1: -1}).act_on(x)) is None
+
+
+def test_values_of_unknown_origin_start_unmarked():
+    # a vouch on a non-real x marks nothing, and the solve still finds x
+    # non-real; values rebuilt from outside are tested afresh
+    for n in (12, 35):
+        x = one(n) + zeta(n) * 2
+        y = grelt(n, True, {1: 2, 11: -1}).act_on(x, assume_tau_fixed=True)
+        assert _marked(y) is None and not cyc.is_tau_fixed.__wrapped__(y)
+        with pytest.raises(ValueError, match="not fixed by conjugation"):
+            solve_exponent(y)
+        assert _marked(y) is False
+        u = grelt(n, True, {1: 2}).act_on(eps_n(n), assume_tau_fixed=True)
+        assert _marked(u) is True
+        for v in (CycElt(n, u.coeffs), cyc_from_json(cyc_to_json(u)),
+                  pickle.loads(pickle.dumps(u))):
+            assert v == u and _marked(v) is None
+            assert cyc.is_tau_fixed(v) and _marked(v) is True
 
 
 def test_cosine_table_is_the_real_part_of_the_complex_table():

@@ -390,3 +390,54 @@ def test_representatives_have_one_position_table():
                 else:
                     found.append("%s:%d" % (path.name, node.lineno))
     assert allowed == 1 and not found, found
+
+
+def _tau_flag_writers(tree):
+    """(writers, non_true): the qualified names of the functions that write
+    the slot _is_tau_fixed (name it, call `cyclotomic._mark_real`, or are
+    is_tau_fixed itself, whose `_kept` slot it is), and the line of every
+    write of the slot by name whose value is not the constant True."""
+    scopes = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    scopes += [("%s.%s" % (cls.name, fn.name), fn) for cls in tree.body
+               if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    writers, non_true = set(), []
+    for name, fn in scopes:
+        if fn.name == "is_tau_fixed" and any(ast.unparse(d) == "_kept" for d in fn.decorator_list):
+            writers.add(name)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Constant) and node.value == "_is_tau_fixed":
+                writers.add(name)
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if called == "_mark_real":
+                writers.add(name)
+            if (called in ("_set", "setattr", "__setattr__") and len(node.args) == 3
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == "_is_tau_fixed"
+                    and not (isinstance(node.args[2], ast.Constant) and node.args[2].value is True)):
+                non_true.append(node.lineno)
+    return writers, non_true
+
+
+def test_tau_flag_has_the_listed_writers():
+    # the exact test (is_tau_fixed) and the rules that prove tau-fixedness
+    # from construction are the only writers of the flag, and a rule only
+    # ever writes True; a new writer must join this list on purpose
+    shape = ('class A:\n'
+             '    def f(self, x):\n'
+             '        _set(x, "_is_tau_fixed", False)\n'
+             'def g(y):\n'
+             '    return cyclotomic._mark_real(y)\n')
+    assert _tau_flag_writers(ast.parse(shape)) == ({"A.f", "g"}, [3])
+    found, non_true = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        writers, bad = _tau_flag_writers(ast.parse(path.read_text()))
+        found |= {"%s %s" % (path.name, w) for w in writers}
+        non_true += ["%s:%d" % (path.name, line) for line in bad]
+    assert found == {"cyclotomic.py _mark_real", "cyclotomic.py is_tau_fixed",
+                     "cyclotomic.py CycElt.__mul__", "cyclotomic.py act",
+                     "cyclotomic.py inverse", "groupring.py GroupRingElt.act_on",
+                     "groupring.py eps_n"}, found
+    assert not non_true, non_true
