@@ -12,12 +12,9 @@ time: where q^2 divides the level it keeps every q-th coefficient,
 elsewhere it takes the relative trace over Q(zeta_(m/q)) divided by q - 1,
 and each step verifies subfield membership exactly instead of assuming it.
 
-Products are one integer convolution of the numerators.  Reduction folds
-exponents with z^n = 1 and then divides by Phi_n using only its nonzero
-coefficients.  At prime-power levels, and wherever n has few prime factors,
-there are a handful; at squarefree levels with several odd primes there can
-be hundreds (Phi_1155 has 342 nonzero lower terms), and reduction there
-costs accordingly.
+Products are one integer convolution of the numerators; it, each
+conjugate and each change of level are reduced modulo Phi_n by the one
+reduction in `polys` (`polys.reduce_mod_phi`).
 
 Embeddings have one evaluator, shared by total positivity, the exponent
 solver's logarithms and the norm bound of the exponent certificate.  A
@@ -71,27 +68,6 @@ class SubfieldError(ArithmeticError):
 class PrecisionError(ArithmeticError):
     """A numeric stage could not reach a certified result: an embedding not
     separated from zero, or numeric output that exact checks rejected."""
-
-
-@lru_cache(maxsize=None)
-class _LevelCtx:
-    """Per-level data: the cyclotomic polynomial and its sparse lower terms."""
-
-    def __init__(self, n):
-        self.n = n
-        self.phi_poly = polys.cyclotomic_polynomial(n)
-        self.degree = len(self.phi_poly) - 1
-        self.phi_terms = polys.monic_lower_terms(self.phi_poly)
-
-    def reduce_int_vec(self, vec):
-        """Reduce an integer coefficient vector of any length mod Phi_n."""
-        n = self.n
-        folded = list(vec[:n])
-        for start in range(n, len(vec), n):
-            for i, c in enumerate(vec[start:start + n]):
-                if c:
-                    folded[i] += c
-        return polys.int_rem_monic(folded, self.degree, self.phi_terms)
 
 
 _set = object.__setattr__
@@ -305,7 +281,7 @@ class CycElt(_Vector):
         other = self._check(other)
         prod = polys.int_poly_mul(self.nums, other.nums)
         return _mark_real(CycElt._from_ints(self.level,
-                                            _LevelCtx(self.level).reduce_int_vec(prod),
+                                            polys.reduce_mod_phi(prod, self.level),
                                             self.den * other.den),
                           self, other)
 
@@ -352,7 +328,7 @@ def zeta(n):
 def zeta_power(n, k):
     vec = [0] * n
     vec[k % n] = 1
-    return CycElt._from_ints(n, _LevelCtx(n).reduce_int_vec(vec))
+    return CycElt._from_ints(n, polys.reduce_mod_phi(vec, n))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +374,7 @@ def _scatter(x, m, step):
     long = [0] * m
     for i, c in x.nonzero():
         long[(i * step) % m] += c
-    return CycElt._from_ints(m, _LevelCtx(m).reduce_int_vec(long), x.den)
+    return CycElt._from_ints(m, polys.reduce_mod_phi(long, m), x.den)
 
 
 @_kept
@@ -464,7 +440,7 @@ def lower_level(x, n):
             trace = [0] * low
             for k, c in x.nonzero():
                 trace[u * k % low] += c * (q - 1) if k % q == 0 else -c
-            y = CycElt._from_ints(low, _LevelCtx(low).reduce_int_vec(trace),
+            y = CycElt._from_ints(low, polys.reduce_mod_phi(trace, low),
                                   x.den * (q - 1))
             if raise_level(y, m) != x:
                 raise SubfieldError("element is not in the level-%d subfield" % n)

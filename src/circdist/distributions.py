@@ -80,14 +80,13 @@ def divisor_closure(levels):
 
 
 def is_divisor_closed(support):
+    """True iff every level of support is >= 2 and every divisor d > 1 of
+    it is a level too.  By induction it suffices that n // q is one for
+    each prime q | n with n // q > 1: a divisor 1 < d < n of n divides
+    n // q for a prime q | n / d."""
     s = set(support)
-    for n in s:
-        if n < 2:
-            return False
-        for d in range(2, n):
-            if n % d == 0 and d not in s:
-                return False
-    return True
+    return all(n >= 2 and all(n // q in s for q in polys.prime_factors(n) if n // q > 1)
+               for n in s)
 
 
 class DistTable(_Value):
@@ -407,7 +406,9 @@ def _pseudo_inverse(n):
     transform of the pseudo-inverse m_n over mu = |G_n^+|, by the flat
     index of `groupring.character_sums`, and the flat index of the inverse
     of each plus representative.  L and e_n are read at the positions of
-    the walk of `groupring._coordinates`.
+    the walk of `groupring._coordinates`.  This is the one reader of the
+    pairing chi <-> chi-bar, g <-> g^-1: the flat index with each digit e_i
+    of the axes of `groupring._frame` negated mod d_i (conj below).
 
     With y(g) = x(g^-1) the system is the convolution L * y = b in
     Q[G_n^+], which the characters of G_n^+ diagonalise (Washington,
@@ -421,7 +422,9 @@ def _pseudo_inverse(n):
     of it, so no threshold is set on L^.  inv is 1 / (mu L^) on the kept
     characters and 0 elsewhere, so y is the inverse transform of inv b^.
     """
-    pos, conj = groupring._coordinates(n, True)[0], groupring.character_frame(n)[2]
+    pos, conj = groupring._coordinates(n, True)[0], [0]
+    for _, d in groupring._frame(n, True):
+        conj = [i + (-k % d) * len(conj) for k in range(d) for i in conj]
     reps, leps, e_n = group_reps(n, True), _log_eps(n), idempotent_e_n(n)
     sums = groupring.character_sums(
         n, [complex(leps[reps[i]], e_n.nums[i] / e_n.den) for i in pos])
@@ -553,11 +556,13 @@ def _eps_log_sums(n, terms):
     """Upper bounds on 2^48 sum k log sigma_(c a)(eps_n) over the terms
     (a, k), k > 0, at each plus representative c, from the ceilings
     `_log_eps_ceilings(n)`: m times their sum plus one integer product of
-    sum (k - m) sigma_(a^-1) and them, m the most common k (`_around_mode`)."""
+    sum (k - m) sigma_(a^-1) and them, m the most common k (`_around_mode`).
+    Each a^-1 is taken by pow, at the deviation terms only, and read at its
+    Kronecker index (`groupring._coordinates`)."""
     m, dev = _around_mode(n, terms)
-    keys = groupring._inverse_keys(n)
+    keys = groupring._coordinates(n, True)[1]
     at = groupring._unit_positions(n, True)
-    prod = groupring._product(n, True, [(keys[at[a]], k) for a, k in dev],
+    prod = groupring._product(n, True, [(keys[at[pow(a, -1, n)]], k) for a, k in dev],
                               _log_eps_ceilings(n))
     if m == 0:
         return prod

@@ -27,13 +27,15 @@ there; the rule weighs the number of term pairs against the Kronecker
 length.  Projections to a lower level or to the plus quotient read one
 cached column map per pair of levels.
 
-The characters of G_n^+ live on the same axes and walk (`character_frame`),
-and `character_sums` transforms one axis at a time, every line along it in
-one pass of `_fft`.  The pass splits the axis order d by its least prime factor
-first, as the Cooley-Tukey recursion does, and runs the radix levels bottom
-up: leaves of length p, the largest prime factor, are direct sums, and each
-level joins r transforms of length m into one of length r m against the
-roots of unity `cyclotomic._zeta_powers(r m)`.  A level holds all lines and
+The characters of G_n^+ live on the same axes (`_frame`) and share the
+elements' flat index, so the conjugate of a character, like the inverse of
+an element, sits at the negated digits.  `character_sums` transforms one
+axis at a time, every line along it in one pass of `_fft`.  The pass splits
+the axis order d by its least prime factor first, as the Cooley-Tukey
+recursion does, and runs the radix levels bottom up: leaves of length p,
+the largest prime factor, are direct sums, and each level joins r
+transforms of length m into one of length r m against the roots of unity
+`cyclotomic._zeta_powers(r m)`.  A level holds all lines and
 sub-transforms in one of two layouts: rows, one per entry, while a row is
 at least as long as the transform, so that each twiddle is one scalar; then
 contiguous blocks, one per line and sub-transform, with twiddle vectors cut
@@ -166,6 +168,7 @@ def _walk(n, factors):
     return walk
 
 
+@lru_cache(maxsize=None)
 def _frame(n, plus):
     """(generator, order) pairs writing G_n as a product of cyclic groups,
     `_cyclic_factors(n)`, or G_n^+ when plus: -1 = prod g_i^(t_i) with
@@ -220,14 +223,6 @@ def _coordinates(n, plus):
             tuple(map(at.__getitem__, full)))
 
 
-@lru_cache(maxsize=None)
-def _inverse_keys(n):
-    """Kronecker index of the inverse of each entry of group_reps(n, True):
-    the terms (_inverse_keys(n)[i], v_i) are sum v_i sigma_(r_i^-1)."""
-    keys, at = _coordinates(n, True)[1], _unit_positions(n, True)
-    return tuple(keys[at[pow(r, -1, n)]] for r in group_reps(n, True))
-
-
 # a product whose operands have s and t terms takes the pairwise loop when
 # s * t is at most this many times the Kronecker length L: the loop costs
 # in proportion to s * t, the convolution to about L; the crossover measured
@@ -276,21 +271,6 @@ def _product(n, plus, a, b):
 
 # ---------------------------------------------------------------------------
 # characters
-
-
-@lru_cache(maxsize=None)
-def character_frame(n):
-    """(orders, walk, conj): G_n^+ as a product of cyclic groups of the
-    given orders (`_frame`), for `character_sums`.  walk lists the plus
-    representative at each flat index sum_i e_i d_1...d_(i-1), read off the
-    walk of `_coordinates`, which checked it; conj maps each flat index to
-    that of its negated exponents: the inverse of the element there, and
-    the conjugate of the character there."""
-    orders, conj = tuple(d for _, d in _frame(n, True)), [0]
-    for d in orders:
-        conj = [i + (-k % d) * len(conj) for k in range(d) for i in conj]
-    reps = group_reps(n, True)
-    return orders, tuple(reps[i] for i in _coordinates(n, True)[0]), tuple(conj)
 
 
 @lru_cache(maxsize=None)
@@ -394,17 +374,20 @@ def _fft(x, sign, width=1):
 
 def character_sums(n, vals, sign=-1):
     """sum_g f(g) chi_k(g) for every character chi_k of G_n^+, with f given
-    by its values along `character_frame(n)`'s walk and the result listed
-    by the same flat index k: chi_k is prod e^(sign 2 pi i k_i e_i / d_i)
-    on the flat index e.  sign = 1 gives mu times the inverse transform.
-    One `_fft` pass per axis, the slowest first, over all its lines at
-    once; the pass leaves that axis the fastest.  Returns a new list;
-    raises ValueError unless there is one value per element of G_n^+."""
-    orders, walk, _ = character_frame(n)
-    if len(vals) != len(walk):
-        raise ValueError("%d values for the %d elements of G_%d^+" % (len(vals), len(walk), n))
+    by its values at the flat indices e = sum_i e_i d_1...d_(i-1) of the
+    elements prod g_i^(e_i) of `_frame(n, True)` (in the order of the walk
+    of `_coordinates`) and the result listed by the same flat index k:
+    chi_k is prod e^(sign 2 pi i k_i e_i / d_i) at e.  So the inverse of
+    the element at e, and the conjugate of the character at k, sit at the
+    negated digits.  sign = 1 gives mu times the inverse transform.  One
+    `_fft` pass per axis, the slowest first, over all its lines at once;
+    the pass leaves that axis the fastest.  Returns a new list; raises
+    ValueError unless there is one value per element of G_n^+."""
+    mu = len(group_reps(n, True))
+    if len(vals) != mu:
+        raise ValueError("%d values for the %d elements of G_%d^+" % (len(vals), mu, n))
     vals = list(vals)
-    for d in reversed(orders):
+    for _, d in reversed(_frame(n, True)):
         vals = _fft(vals, sign, len(vals) // d)
     return vals
 
@@ -796,7 +779,7 @@ def annihilator_In_oracle(n):
     candidates = []
     for vec in _float_kernel(rows):
         ivec = _numerators([Fraction(v).limit_denominator(4096) for v in vec], len(reps))[0]
-        if from_vector(n, True, ivec).act_on(eps, assume_tau_fixed=True) != one(n):
+        if from_vector(n, True, ivec).act_on(eps) != one(n):
             raise PrecisionError("oracle kernel vector failed eps_%d^v = 1" % n)
         candidates.append(ivec)
     sat = intlinalg.saturate(candidates, len(reps))
@@ -944,8 +927,12 @@ def _push(nums, m, n, plus, to_plus):
 # the finite-level image claim
 
 
+# the largest b that stabilization_b0 tries
+_STABILIZATION_MAX_B = 12
+
+
 @lru_cache(maxsize=None)
-def stabilization_b0(m, p, b_max=12):
+def stabilization_b0(m, p):
     """Smallest b such that every prime divisor of the tower levels m*p^c
     has full decomposition group above the level m*p^b, detected by
     containment at two consecutive higher levels.  The Galois group of the
@@ -955,14 +942,14 @@ def stabilization_b0(m, p, b_max=12):
     if not polys.is_probable_prime(p):
         raise ValueError("p = %d is not a prime" % p)
     ells = sorted(set(polys.prime_factors(m)) | {p})
-    for b in range(b_max + 1):
+    for b in range(_STABILIZATION_MAX_B + 1):
         base = m * p ** b
         if all(x % r in frob or -x % r in frob
                for ell in ells for lev in (base * p, base * p * p)
                for r, frob in [_frobenius(lev, ell)]
                for x in range(1, lev, base) if gcd(x, lev) == 1):
             return b
-    raise PrecisionError("no stabilization level found below b = %d" % b_max)
+    raise PrecisionError("no stabilization level found below b = %d" % _STABILIZATION_MAX_B)
 
 
 def image_is_p_times_I(m, p, b):

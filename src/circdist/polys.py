@@ -5,9 +5,12 @@ Integer multiplication goes through one signed Kronecker substitution: each
 operand is packed into one big integer by halving shifts, the two are
 multiplied once (by gmpy2 when it is installed, else by Python's int), and
 the product is unpacked with a 2^(w-1) offset per w-bit chunk so negative
-coefficients come out exactly.  Remainders modulo a monic polynomial touch
-only its nonzero coefficients, one operation per nonzero lower term of Phi_n
-per step: 6 at n = 1215, but 342 at the squarefree 1155 and 916 at 3003.
+coefficients come out exactly.  Reduction modulo Phi_n (`reduce_mod_phi`),
+the one reduction of every field product, conjugate, change of level and
+inverse check, folds exponents with x^n = 1 and then divides touching only
+the nonzero lower terms of Phi_n, one cached table of them per level: 6 at
+n = 1215, but 342 at the squarefree 1155 and 916 at 3003, and each step of
+the division costs one operation per term.
 
 Also here: cyclotomic polynomials by one recursion on the largest prime q
 of n (Phi_n(x) is Phi_(n/q)(x^q), divided by Phi_(n/q)(x) unless q^2 | n),
@@ -106,11 +109,6 @@ def int_poly_divexact(a, b):
     return out
 
 
-def monic_lower_terms(f):
-    """(k, c) for each nonzero coefficient c of x^k, k < deg f, of a monic f."""
-    return tuple((k, c) for k, c in enumerate(f[:-1]) if c)
-
-
 def int_rem_monic(a, degree, terms):
     """Remainder of the integer list a modulo the monic x^degree + sum c x^k
     over (k, c) in terms, as a list of length degree; a is overwritten.
@@ -193,6 +191,26 @@ def cyclotomic_polynomial(n):
     return tuple(int_poly_divexact(lifted, base))
 
 
+@lru_cache(maxsize=None)
+def _phi_terms(n):
+    """(degree, terms) of Phi_n: phi(n), and (k, c) for each nonzero
+    coefficient c of x^k, k < phi(n)."""
+    phi = cyclotomic_polynomial(n)
+    return len(phi) - 1, tuple((k, c) for k, c in enumerate(phi[:-1]) if c)
+
+
+def reduce_mod_phi(vec, n):
+    """Remainder of the integer list vec, of any length, modulo Phi_n, as a
+    new list of length phi(n): vec folded with x^n = 1, then divided by the
+    nonzero lower terms of Phi_n (`int_rem_monic`)."""
+    folded = list(vec[:n])
+    for start in range(n, len(vec), n):
+        for i, c in enumerate(vec[start:start + n]):
+            if c:
+                folded[i] += c
+    return int_rem_monic(folded, *_phi_terms(n))
+
+
 # ---------------------------------------------------------------------------
 # polynomials over a prime field (lists of ints in [0, p))
 
@@ -268,15 +286,21 @@ def is_probable_prime(n):
 SPLIT_FROM = 1 << 29
 
 
-@lru_cache(maxsize=None)
-def split_prime(n, after):
-    """(p, powers): the least prime p = 1 mod n above `after`, and
-    powers[r] = z^r mod p for r < n, where z is the first g^((p-1)/n),
-    g = 2, 3, ..., of order n.  Phi_n is the product of the x - powers[c]
-    mod p over the units c."""
+def _split_prime_above(n, after):
+    """The least prime p = 1 mod n above `after`."""
     p = (after // n + 1) * n + 1
     while not is_probable_prime(p):
         p += n
+    return p
+
+
+@lru_cache(maxsize=None)
+def split_prime(n, after):
+    """(p, powers): the least prime p = 1 mod n above `after`
+    (`_split_prime_above`), and powers[r] = z^r mod p for r < n, where z is
+    the first g^((p-1)/n), g = 2, 3, ..., of order n.  Phi_n is the product
+    of the x - powers[c] mod p over the units c."""
+    p = _split_prime_above(n, after)
     cofactors = [n // q for q in prime_factors(n)]
     g = 2
     while True:
@@ -349,9 +373,11 @@ def cyclo_norm(nums, n, den=1):
 def cyclo_inverse(nums, n):
     """(inv, den): the inverse of the nonzero element of Q(zeta_n) with
     integer numerators nums, as integer numerators over den > 0, via CRT
-    modular inverses plus exact verification.  The inverses are taken at
-    the split primes of `split_prime`, one at first and twice as many on
-    each failed reconstruction, up to 512."""
+    modular inverses plus exact verification (`reduce_mod_phi`).  The
+    inverses are taken at the split primes p = 1 mod n from SPLIT_FROM up,
+    one at first and twice as many on each failed reconstruction, up to
+    512; only p is read, so no table of powers is built
+    (`_split_prime_above`)."""
     phi = cyclotomic_polynomial(n)
     degree = len(phi) - 1
     content = gcd(*nums)
@@ -364,7 +390,7 @@ def cyclo_inverse(nums, n):
     residues = []
     while True:
         while len(used) < nprimes:
-            p = split_prime(n, p)[0]
+            p = _split_prime_above(n, p)
             fp = [c % p for c in phi]
             gp = fp_trim([c % p for c in prim])
             inv = _fp_inverse_mod(gp, fp, p)
@@ -381,9 +407,7 @@ def cyclo_inverse(nums, n):
             # verify prim * out == d mod Phi_n, exactly
             d = lcm(*(q for _, q in recon))
             out = [r * (d // q) for r, q in recon]
-            rem = int_rem_monic(int_poly_mul(prim, out), degree,
-                                monic_lower_terms(phi))
-            if rem == [d] + [0] * (degree - 1):
+            if reduce_mod_phi(int_poly_mul(prim, out), n) == [d] + [0] * (degree - 1):
                 return out, d * content
         nprimes *= 2
         if nprimes > 512:

@@ -14,6 +14,7 @@ from math import log
 
 import numpy as np
 
+import oracle_groupring
 from circdist import groupring, polys
 from circdist.groupring import group_reps
 
@@ -41,7 +42,7 @@ def group_matrix_eigenvalues(n):
     """L^(chi) = sum_g L(g) chi(g) over G_n^+ for every character, by the
     flat index of `groupring.character_sums` (its first axis is numpy's
     last)."""
-    orders, walk, _ = groupring.character_frame(n)
+    orders, walk, _ = oracle_groupring.character_frame(n)
     vals = log_eps(n)[np.array(walk)]
     return np.fft.fftn(vals.reshape(orders[::-1] or (1,))).reshape(-1)
 

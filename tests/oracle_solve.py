@@ -21,6 +21,7 @@ from functools import lru_cache
 from math import frexp, ldexp
 
 import oracle_arith
+import oracle_groupring
 from circdist import cyclotomic, groupring, polys
 from circdist.distributions import _log_eps, verify_exponent_identity
 from circdist.groupring import annihilator_In_formula, group_reps, idempotent_e_n
@@ -106,7 +107,7 @@ def _fixed_pseudo_inverse(n):
     """(terms, shift): 2^shift m'_n as (Kronecker index, int) terms in
     Z[G_n^+], with m'(g) = m_n(g^-1) and m_n the inverse transform of 1 / L^
     on the characters where e_n^ is 1 and of 0 elsewhere."""
-    _, walk, conj = groupring.character_frame(n)
+    _, walk, conj = oracle_groupring.character_frame(n)
     at = groupring._unit_positions(n, True)
     leps = _log_eps(n)
     e_n = idempotent_e_n(n)
@@ -128,5 +129,5 @@ def fixed_point_solve(n, logs):
     terms, shift = _fixed_pseudo_inverse(n)
     ints, bshift = _fixed(logs)
     prod = groupring._product(n, True, terms,
-                              [t for t in zip(groupring._inverse_keys(n), ints) if t[1]])
+                              [t for t in zip(oracle_groupring.inverse_keys(n), ints) if t[1]])
     return [ldexp(v, -shift - bshift) for v in prod]

@@ -15,6 +15,7 @@ plus representative, O(mu * terms) per split prime.
 
 from functools import lru_cache
 
+import oracle_groupring
 from circdist import cyclotomic, distributions, groupring, polys
 from circdist.cyclotomic import LevelError, act, one
 from circdist.groupring import eps_n, group_reps
@@ -53,7 +54,7 @@ def eps_log_sums(n, terms):
     """sum k ceil(2^48 log sigma_(c a)(eps_n)) over the terms (a, k) at each
     plus representative c: one product of the unshifted weights with the
     table of ceilings."""
-    keys = groupring._inverse_keys(n)
+    keys = oracle_groupring.inverse_keys(n)
     at = groupring._unit_positions(n, True)
     return groupring._product(n, True, [(keys[at[a]], k) for a, k in terms],
                               distributions._log_eps_ceilings(n))

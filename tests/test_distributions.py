@@ -27,6 +27,28 @@ def test_divisor_closure():
         DistTable.from_dict({4: one(4)})   # missing the divisor 2
 
 
+def _divisor_closed_by_definition(support):
+    s = set(support)
+    return all(n >= 2 and all(d in s for d in range(2, n) if n % d == 0) for n in s)
+
+
+def test_divisor_closed_check_matches_the_definition():
+    # random subsets of 2..400, their closures, closures with one level
+    # dropped, and the supports of the (5,3) tower to depth 11
+    rng = random.Random(35)
+    supports = []
+    for _ in range(300):
+        drawn = rng.sample(range(2, 401), rng.randint(1, 12))
+        closed = list(divisor_closure(drawn))
+        supports += [drawn, closed, closed[:-1], rng.sample(closed, len(closed) - 1),
+                     closed + [1]]
+    for depth in range(12):
+        closed = list(divisor_closure([5 * 3 ** depth]))
+        supports += [closed, closed[1:], closed[:-2] + closed[-1:]]
+    for support in supports:
+        assert dist.is_divisor_closed(support) == _divisor_closed_by_definition(support), support
+
+
 def test_phi_table_values_and_construction_check():
     t = phi_table(divisor_closure([12, 24, 36, 60]))
     assert t.value(2) == one(2) * 2

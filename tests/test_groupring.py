@@ -389,10 +389,11 @@ def test_stabilization_and_image_claim():
         image_is_p_times_I(15, 2, 1)
 
 
-def test_stabilization_failure_is_the_exported_precision_error():
+def test_stabilization_failure_is_the_exported_precision_error(monkeypatch):
     import circdist
+    monkeypatch.setattr(gr, "_STABILIZATION_MAX_B", 0)
     with pytest.raises(circdist.PrecisionError, match="b = 0"):
-        stabilization_b0.__wrapped__(35, 5, b_max=0)
+        stabilization_b0.__wrapped__(35, 5)
 
 
 def test_image_claim_at_levels_480_and_544():
@@ -436,9 +437,9 @@ def _digits(flat, orders):
 def test_character_frame_is_an_isomorphism(levels):
     # stepping one axis multiplies by that axis's generator in G_n^+, and
     # conj holds inverses, so the frame's flat index is a group isomorphism
-    assert gr.character_frame(1) == gr.character_frame(2) == ((), (1,), (0,))
+    assert gr._frame(1, True) == gr._frame(2, True) == ()
     for n in levels:
-        orders, walk, conj = gr.character_frame(n)
+        orders, walk, conj = oracle_groupring.character_frame(n)
         at = gr._unit_positions(n, True)
         reps = group_reps(n, True)
         for axis in range(len(orders)):
@@ -460,16 +461,16 @@ def test_frame_writes_minus_one_down_per_axis(monkeypatch):
     walks = []
     monkeypatch.setattr(gr, "_walk", lambda *args: walks.append(args[0]) or [])
     for n in (3, 8, 24, 405, 1155, 295245):
-        gr._frame(n, True)
+        gr._frame.__wrapped__(n, True)
     assert walks == []
     monkeypatch.setattr(gr, "_cyclic_factors", lambda n: ((4, 4),))
     with pytest.raises(ArithmeticError, match="miss -1"):
-        gr._frame(5, True)
+        gr._frame.__wrapped__(5, True)
 
 
 @pytest.mark.parametrize("n", [3, 5, 13, 16, 35, 47, 60, 104, 105, 120, 243])
 def test_character_sums_match_the_direct_sums(n):
-    orders, walk, _ = gr.character_frame(n)
+    orders, walk, _ = oracle_groupring.character_frame(n)
     rng = random.Random(n)
     vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in walk]
     got = gr.character_sums(n, vals)
@@ -487,7 +488,7 @@ def test_character_sums_match_the_direct_sums(n):
 def test_character_sums_reject_a_wrong_length(n):
     # the lines of an axis are cut from the length, so a list of any other
     # length would be transformed wrongly rather than refused
-    mu = len(gr.character_frame(n)[1])
+    mu = len(gr.group_reps(n, True))
     for size in (0, mu - 1, mu + 1, 2 * mu):
         with pytest.raises(ValueError, match="%d values for the %d elements of G_%d" % (size, mu, n)):
             gr.character_sums(n, [1j] * size)

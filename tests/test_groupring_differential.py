@@ -27,10 +27,14 @@ in oracle_groupring that they replaced.
   with two prime factors, the rank certificate of annihilator_In_formula
   rejects a basis that has lost a row and an e_n(1) that gives a
   fractional count, and the coordinate walk rejects wrong generator orders;
-* the one coordinate table `_coordinates` (keys by position and fold), the
-  walk of character_frame and _inverse_keys equal the oracle's unit ->
-  Kronecker index dict, its key sort and its reads at every n < 400 (both
-  groups) and at 972, 10935 and 32805;
+* the one coordinate table `_coordinates` (keys by position, fold and the
+  walk) equals the oracle's unit -> Kronecker index dict and its key sort
+  at every n < 400 (both groups) and at 972, 10935 and 32805;
+* the exponent solve's pseudo-inverse (`distributions._pseudo_inverse`,
+  inv and back), which pairs chi with chi-bar by negating the digits of the
+  flat index, character_sums and the certificate's eps log sums, which take
+  each a^-1 by pow, equal bit for bit their construction on the oracle's
+  conj and inverse_keys tables at every 2 <= n < 400 and at 972 and 10935;
 * project_annihilator gives the rows of the canon_rep loop for the mu,
   T_n, T_n* and I_n lattices at every divisor of every level below 120, for
   single-congruence lattices of random weights and moduli (one or several
@@ -60,6 +64,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracle_groupring as oracle
 import oracle_lattice
+import oracle_verify
 from circdist import coleman, distributions, intlinalg, polys
 from circdist import groupring as gr
 
@@ -347,16 +352,16 @@ def test_coordinate_table_matches_the_unit_dict(levels):
             _, keys, fold = gr._coordinates(n, plus)
             assert keys == oracle.rep_keys(n, plus), (n, plus)
             assert fold == oracle.coordinates(n, plus)[1], (n, plus)
-        assert gr.character_frame(n) == oracle.character_frame(n), n
-        if n > 1:
-            assert gr._inverse_keys(n) == oracle.inverse_keys(n), n
+        reps = gr.group_reps(n, True)
+        walk = tuple(reps[i] for i in gr._coordinates(n, True)[0])
+        assert walk == oracle.character_frame(n)[1], n
 
 
 def test_plus_products_use_the_plus_axes():
     # the Kronecker box of Z[G_n^+] spans the axes of G_n^+, not of G_n
     for n in range(1, 400):
         length = 1
-        for d in gr.character_frame(n)[0]:
+        for _, d in gr._frame(n, True):
             length *= 2 * d - 1
         assert len(gr._coordinates(n, True)[2]) == length, n
 
@@ -370,7 +375,8 @@ def test_coordinates_reject_a_walk_that_misses_units():
                          # the right count, but g^2 has half the order of g
                          (35, lambda fs: [(g * g % 35, d) for g, d in fs])):
             factors = gr._cyclic_factors(n)
-            with mock.patch.object(gr, "_cyclic_factors", lambda n: wrong(factors)):
+            with mock.patch.object(gr, "_cyclic_factors", lambda n: wrong(factors)), \
+                    mock.patch.object(gr, "_frame", gr._frame.__wrapped__):
                 with pytest.raises(ArithmeticError):
                     gr._coordinates(n, True)
     finally:
@@ -472,7 +478,7 @@ def test_transform_roots_match_the_cos_sin_table():
 def _oracle_character_sums(n, vals, sign):
     # the per-line oracle transform on every line of each axis, the slowest
     # axis first, each pass leaving its axis the fastest
-    for d in reversed(gr.character_frame(n)[0]):
+    for d in reversed(oracle.character_frame(n)[0]):
         width = len(vals) // d
         vals = [v for line in zip(*[vals[t * width:(t + 1) * width] for t in range(d)])
                 for v in oracle.fft(list(line), sign)]
@@ -485,7 +491,7 @@ def _check_character_sums(n, rng):
     zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
     vals = [rng.choice(zeros) if rng.random() < 0.2
             else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            for _ in gr.character_frame(n)[1]]
+            for _ in gr.group_reps(n, True)]
     before = _bits(vals)
     for sign in (1, -1):
         got = gr.character_sums(n, vals, sign)
@@ -497,7 +503,7 @@ def test_character_sums_match_the_per_line_oracle():
     levels = [n for n in range(1, 1200) if n % 4 != 2]
     # prime axes (47: 23, 89: 44 = 4 * 11) and several axes (105: 4 x 6,
     # 405: 27 x 4, 1155: 4 x 6 x 10) are among them
-    assert [gr.character_frame(n)[0] for n in (47, 89, 105, 405, 1155)] == [
+    assert [oracle.character_frame(n)[0] for n in (47, 89, 105, 405, 1155)] == [
         (23,), (44,), (4, 6), (27, 4), (4, 6, 10)]
     rng = random.Random(26)
     for n in levels:
@@ -507,3 +513,39 @@ def test_character_sums_match_the_per_line_oracle():
 @pytest.mark.parametrize("n", [10935, 32805])
 def test_character_sums_match_the_per_line_oracle_deep(n):
     _check_character_sums(n, random.Random(n))
+
+
+def _oracle_pseudo_inverse(n):
+    """(inv, back) of `distributions._pseudo_inverse` built on the oracle's
+    walk and conj, transformed by the per-line oracle."""
+    _, walk, conj = oracle.character_frame(n)
+    at = gr._unit_positions(n, True)
+    leps, e_n = gr._log_eps(n), gr.idempotent_e_n(n)
+    vals = [complex(leps[g], e_n.nums[at[g]] / e_n.den) for g in walk]
+    sums = _oracle_character_sums(n, vals, -1)
+    inv = [2 / (len(walk) * (a + b)) if round((a - b).imag / 2) else 0j
+           for a, b in zip(sums, (sums[c].conjugate() for c in conj))]
+    back = [None] * len(walk)
+    for g, c in zip(walk, conj):
+        back[at[g]] = c
+    return vals, inv, tuple(back)
+
+
+def _check_frame_inverses(n, rng):
+    vals, inv, back = _oracle_pseudo_inverse(n)
+    assert _bits(gr.character_sums(n, vals)) == _bits(_oracle_character_sums(n, vals, -1)), n
+    got_inv, got_back = distributions._pseudo_inverse(n)
+    assert _bits(got_inv) == _bits(inv) and got_back == back, n
+    reps = gr.group_reps(n, True)
+    # a sparse exponent keeps its terms; a dense one is read around its mode
+    sparse = [(a, rng.randint(1, 9)) for a in rng.sample(reps, min(3, len(reps)))]
+    dense = [(a, rng.choice((5, 5, 5, rng.randint(1, 2 ** 70)))) for a in reps]
+    for terms in (sparse, dense):
+        assert distributions._eps_log_sums(n, terms) == oracle_verify.eps_log_sums(n, terms), n
+
+
+@pytest.mark.parametrize("levels", [range(2, 400), (972, 10935)])
+def test_frame_inverses_match_the_oracle_tables(levels):
+    rng = random.Random(35)
+    for n in levels:
+        _check_frame_inverses(n, rng)

@@ -1,5 +1,7 @@
 import random
+from functools import lru_cache
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from sympy import GF, Poly, Symbol, cyclotomic_poly, resultant
@@ -204,6 +206,39 @@ def test_cyclo_inverse_roundtrip():
                     for j in range(deg + 1):
                         acc[i - deg + j] -= c * phi[j]
             assert acc[:deg] == [Fraction(1)] + [Fraction(0)] * (deg - 1)
+
+
+def test_an_inverse_builds_no_split_prime_table():
+    # the inverse reads only each CRT prime, not the table of z^r mod p that
+    # split_prime keeps (1 + 2z + z^5 at 972 takes 32 primes)
+    n = 972
+    nums = [1, 2, 0, 0, 0, 1] + [0] * (polys.euler_phi(n) - 6)
+    before = polys.split_prime.cache_info().currsize
+    inv, den = polys.cyclo_inverse(nums, n)
+    assert polys.split_prime.cache_info().currsize == before
+    prod = polys.reduce_mod_phi(polys.int_poly_mul(nums, inv), n)
+    assert prod == [den] + [0] * (polys.euler_phi(n) - 1)
+
+
+def _reduction_inputs(n, rng):
+    # shorter than phi, of length 2 phi - 1 (a product), and longer than 2n
+    # (several folds); each entry 0 or up to 200 bits of either sign
+    phi = polys.euler_phi(n)
+    return [[rng.getrandbits(1) and rng.getrandbits(201) - 2 ** 200 for _ in range(length)]
+            for length in (rng.randrange(phi), 2 * phi - 1, rng.randint(2 * n + 1, 3 * n))]
+
+
+def test_reduce_mod_phi_matches_the_dense_table():
+    # one cached dense table at a time, so that 1200 levels of them do not
+    # stay in memory
+    rng = random.Random(35)
+    table = lru_cache(maxsize=1)(oracle_arith.reduction_table.__wrapped__)
+    with mock.patch.object(oracle_arith, "reduction_table", table):
+        for n in list(range(1, 1201)) + [2310, 3003]:
+            for vec in _reduction_inputs(n, rng):
+                before = list(vec)
+                assert polys.reduce_mod_phi(vec, n) == oracle_arith.reduce_int_vec(n, vec), n
+                assert vec == before, n
 
 
 def test_rational_reconstruct():

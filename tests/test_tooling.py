@@ -123,6 +123,33 @@ def test_split_primes_have_one_cached_table():
     assert list(SRC.glob("*.py")) and not found, found
 
 
+def _called(node):
+    """The name a call node calls, bare or as an attribute, else None."""
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def test_only_polys_reduces_modulo_phi():
+    # reduction modulo Phi_n has one entry, polys.reduce_mod_phi; a call of
+    # int_rem_monic from another module would be a second one
+    found = ["%s:%d" % (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             if path.name != "polys.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and _called(node) == "int_rem_monic"]
+    assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_no_library_call_vouches_for_tau():
+    # every eps_n already holds its tau flag, so a vouch in the library
+    # (assume_tau_fixed, by keyword or as act_on's second argument) would
+    # skip nothing; the exact test must run on every other value
+    found = ["%s:%d" % (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and (any(k.arg == "assume_tau_fixed" for k in node.keywords)
+                  or (_called(node) == "act_on" and len(node.args) > 1))]
+    assert list(SRC.glob("*.py")) and not found, found
+
+
 def test_certificate_rounds_logs_by_one_rule():
     # distributions.py turns doubles into integer bounds only through
     # _log_units: a ceil or floor anywhere else would be a second rounding
